@@ -20,7 +20,8 @@ from .domains import (CapabilityError, Tier, IntegerRing, RationalField,
                       order_in_field, q_times, rational_sqrt, require_tier)
 from .decomp import (CandidateCheck, Decomposition, NormalizationParams,
                      RingDecideOutcome, RingDecideStatus, coefficients_in_QR,
-                     decompose_fully, decompose_over_field, linear_relate,
+                     decompose_fully, decompose_over_field,
+                     decompose_over_ring, linear_relate,
                      monic_decompose, normalize_monic_decomposition,
                      proper_inner_degrees, quartic_field_decompose,
                      quartic_ring_decide, verify_taylor_expansion)

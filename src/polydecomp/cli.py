@@ -30,14 +30,12 @@ from typing import Any, Optional, Union
 
 from .poly import MINUS_INFINITY, Polynomial
 from .poly import compose as poly_compose
-from .domains import (CapabilityError, QuadraticInt, QuadraticIntRing,
-                      QuadraticRat, QuadraticField, SubringDescriptor,
-                      QQ, QT, ZT, ZZ, ZT23_IN_ZT, QZT23_IN_QT,
-                      descend_element, descend_poly, embed_poly, hull_of)
-from .decomp import (RingDecideStatus, coefficients_in_QR, decompose_fully,
-                     decompose_over_field, monic_decompose,
-                     proper_inner_degrees, quartic_field_decompose,
-                     quartic_ring_decide)
+from .domains import (QuadraticInt, QuadraticIntRing, QuadraticRat,
+                      QuadraticField, SubringDescriptor, QQ, QT, ZT, ZZ,
+                      ZT23_IN_ZT, embed_poly, hull_of)
+from .decomp import (decompose_fully, decompose_over_field,
+                     decompose_over_ring, proper_inner_degrees,
+                     quartic_field_decompose, quartic_ring_decide)
 from .witness import (FactorizationPair, builtin_examples, run_pipeline,
                       validate_inequivalent)
 
@@ -126,10 +124,16 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+#: Deepest parenthesis nesting the parser accepts.  Parsing and lowering
+#: recurse once per level, so a bound keeps both inside Python's stack.
+_MAX_NESTING = 100
+
+
 class _ExprParser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -205,11 +209,16 @@ class _ExprParser:
             return Sym(tok.text, tok.pos)
         if tok.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", tok.pos)
             node = self.expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
             self.take()
+            self.depth -= 1
             return node
         raise ParseError("expected a number, a symbol, or '('", tok.pos)
 
@@ -305,13 +314,22 @@ def _lower(node: ExprAST, ctx: RingContext) -> Polynomial:
     if isinstance(node, Neg):
         return -_lower(node.operand, ctx)
     if isinstance(node, BinOp):
-        left = _lower(node.left, ctx)
-        right = _lower(node.right, ctx)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        # a chain a+b+...+z is left-nested as deep as it is long, so walk
+        # its left spine instead of recursing down it
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = _lower(node, ctx)
+        for op in reversed(spine):
+            right = _lower(op.right, ctx)
+            if op.op == "+":
+                acc = acc + right
+            elif op.op == "-":
+                acc = acc - right
+            else:
+                acc = acc * right
+        return acc
     if isinstance(node, Pow):
         return _lower(node.base, ctx) ** node.exponent
     raise TypeError(f"unknown AST node {node!r}")
@@ -326,17 +344,14 @@ def parse_poly(text: str, ring: Union[str, RingContext]) -> Polynomial:
     """
     ctx = resolve_ring(ring) if isinstance(ring, str) else ring
     p = _lower(parse_expression(text), ctx)
-    if ctx.domain == ctx.hull:
-        result = p
-    else:
-        result = descend_poly(p, ctx.domain)
-        if result is None:
-            for k in range(len(p.coeffs)):
-                if descend_element(p.coeffs[k], ctx.domain) is None:
-                    raise ValueError(
-                        f"coefficient {ctx.hull.format_element(p.coeffs[k])} "
-                        f"of x^{k} does not lie in {ctx.descriptor}")
-            raise ValueError(f"polynomial does not lie over {ctx.descriptor}")
+    coeffs = []
+    for k, c in enumerate(p.coeffs):
+        cc = ctx.domain.descend(c)
+        if cc is None:
+            raise ValueError(f"coefficient {ctx.hull.format_element(c)} "
+                             f"of x^{k} does not lie in {ctx.descriptor}")
+        coeffs.append(cc)
+    result = Polynomial(ctx.domain, coeffs, p.var)
     if ctx.restriction is not None:
         for k, c in enumerate(result.coeffs):
             if not ctx.restriction.membership(c):
@@ -370,10 +385,6 @@ def poly_pairs(p: Optional[Polynomial]) -> Optional[list]:
     if p is None:
         return None
     return [coeff_pair(c) for c in p.coeffs]
-
-
-def poly_text(p: Optional[Polynomial]) -> Optional[str]:
-    return None if p is None else str(p)
 
 
 @dataclass
@@ -442,116 +453,51 @@ def _cmd_compose(ns) -> CommandResult:
     return CommandResult(payload, [str(f)])
 
 
-def _unit_inverse(ring: Any, u: Any) -> Any:
-    return ring.divides_exact(u, ring.one)
+def _field_evidence(dec, field_name: str) -> dict:
+    return {"field_g": poly_pairs(dec.g), "field_h": poly_pairs(dec.h),
+            "field_g_text": str(dec.g), "field_h_text": str(dec.h),
+            "field": field_name}
 
 
-def _decompose_over_ring(ns, ctx: RingContext, f: Polynomial) -> CommandResult:
-    ring = ctx.domain
-    N = f.degree
-    degrees = [ns.inner_degree] if ns.inner_degree else proper_inner_degrees(N)
+def _ring_result(command: str, ctx: RingContext, outcome,
+                 degrees: Optional[list], fail: bool) -> CommandResult:
+    """Render an over-ring outcome.
 
-    unit = None
-    work = f
-    if not f.is_monic() and hasattr(ring, "is_unit") \
-            and ring.is_unit(f.leading_coefficient):
-        unit = f.leading_coefficient
-        work = f.scale(_unit_inverse(ring, unit))
-
-    if work.is_monic():
-        hull = ctx.hull
-        fh = embed_poly(work, hull)
-        field_dec = None
-        for m in degrees:
-            dec = monic_decompose(fh, m)
-            if dec is None:
-                continue
-            if field_dec is None:
-                field_dec = dec
-            g_r = descend_poly(dec.g, ring)
-            h_r = descend_poly(dec.h, ring)
-            if g_r is None or h_r is None:
-                continue
-            if ctx.restriction is not None and not all(
-                    ctx.restriction.membership(c)
-                    for c in g_r.coeffs + h_r.coeffs):
-                continue
-            if unit is not None:
-                g_r = g_r.scale(unit)
-            evidence = {"g_text": str(g_r), "h_text": str(h_r),
-                        "inner_degree": m}
-            payload = _payload("decompose", ctx.descriptor,
-                               "decomposable_over_ring", g_r, h_r, evidence)
-            lines = [f"decomposable over {ctx.descriptor}:",
-                     f"  g = {g_r}", f"  h = {h_r}"]
-            return CommandResult(payload, lines)
-        if field_dec is not None:
-            evidence = {"field_g": poly_pairs(field_dec.g),
-                        "field_h": poly_pairs(field_dec.h),
-                        "field_g_text": str(field_dec.g),
-                        "field_h_text": str(field_dec.h),
-                        "field": hull.name}
-            payload = _payload("decompose", ctx.descriptor,
-                               "indecomposable_over_ring", None, None, evidence)
-            lines = [f"indecomposable over {ctx.descriptor}",
-                     f"  (decomposable over {hull.name}: "
-                     f"g = {field_dec.g}, h = {field_dec.h})"]
-            code = 2 if ns.fail_on_indecomposable else 0
-            return CommandResult(payload, lines, code)
-        payload = _payload("decompose", ctx.descriptor,
-                           "indecomposable_over_field", None, None,
-                           {"field": ctx.hull.name,
-                            "inner_degrees_tried": degrees})
-        lines = [f"indecomposable over {ctx.hull.name} "
-                 f"(hence over {ctx.descriptor})"]
-        code = 2 if ns.fail_on_indecomposable else 0
-        return CommandResult(payload, lines, code)
-
-    if N == 4 and hasattr(ring, "divisors_up_to_associates") \
-            and ctx.restriction is None:
-        if ns.inner_degree not in (None, 2):
-            raise ValueError("a quartic only admits inner degree 2")
-        return _quartic_ring_result("decompose", ns, ctx, f)
-
-    raise CapabilityError(
-        f"no over-ring decision procedure for a non-monic polynomial of "
-        f"degree {N} over {ctx.descriptor}; monic polynomials and quartics "
-        f"over Z or an imaginary-quadratic order are decidable")
-
-
-def _quartic_ring_result(command: str, ns, ctx: RingContext,
-                         f: Polynomial) -> CommandResult:
-    outcome = quartic_ring_decide(f)
-    evidence: dict[str, Any] = {
-        "candidates": _candidates_json(outcome.candidates),
-    }
-    lines = []
-    if outcome.field_evidence is not None:
-        fd = outcome.field_evidence
-        evidence.update({
-            "field_g": poly_pairs(fd.g), "field_h": poly_pairs(fd.h),
-            "field_g_text": str(fd.g), "field_h_text": str(fd.h),
-            "field": ctx.hull.name,
-        })
-        lines.append(f"over {ctx.hull.name}: decomposable, "
-                     f"g = {fd.g}, h = {fd.h}")
+    An outcome without a candidate search (monic up to a unit) gets the
+    short form; a candidate search gets both verdicts and its table.
+    """
+    dec, fd = outcome.decomposition, outcome.field_evidence
+    desc, field = ctx.descriptor, ctx.hull.name
+    g, h = (dec.g, dec.h) if dec is not None else (None, None)
+    if outcome.candidates is None:
+        if dec is not None:
+            evidence = {"g_text": str(g), "h_text": str(h),
+                        "inner_degree": h.degree}
+            lines = [f"decomposable over {desc}:", f"  g = {g}", f"  h = {h}"]
+        elif fd is not None:
+            evidence = _field_evidence(fd, field)
+            lines = [f"indecomposable over {desc}",
+                     f"  (decomposable over {field}: "
+                     f"g = {fd.g}, h = {fd.h})"]
+        else:
+            evidence = {"field": field, "inner_degrees_tried": degrees}
+            lines = [f"indecomposable over {field} (hence over {desc})"]
     else:
-        lines.append(f"over {ctx.hull.name}: indecomposable")
-
-    status = outcome.status.value
-    g = h = None
-    code = 0
-    if outcome.status is RingDecideStatus.DECOMPOSABLE_OVER_RING:
-        g, h = outcome.decomposition.g, outcome.decomposition.h
-        evidence["g_text"] = str(g)
-        evidence["h_text"] = str(h)
-        lines.append(f"over {ctx.descriptor}: decomposable, g = {g}, h = {h}")
-    else:
-        lines.append(f"over {ctx.descriptor}: indecomposable")
-        code = 2 if getattr(ns, "fail_on_indecomposable", False) else 0
-    if outcome.candidates:
-        lines.extend(_candidate_lines(outcome.candidates))
-    payload = _payload(command, ctx.descriptor, status, g, h, evidence)
+        evidence = {"candidates": _candidates_json(outcome.candidates)}
+        if fd is not None:
+            evidence.update(_field_evidence(fd, field))
+            lines = [f"over {field}: decomposable, g = {fd.g}, h = {fd.h}"]
+        else:
+            lines = [f"over {field}: indecomposable"]
+        if dec is not None:
+            evidence.update(g_text=str(g), h_text=str(h))
+            lines.append(f"over {desc}: decomposable, g = {g}, h = {h}")
+        else:
+            lines.append(f"over {desc}: indecomposable")
+        if outcome.candidates:
+            lines.extend(_candidate_lines(outcome.candidates))
+    code = 2 if fail and dec is None else 0
+    payload = _payload(command, desc, outcome.status.value, g, h, evidence)
     return CommandResult(payload, lines, code)
 
 
@@ -571,6 +517,8 @@ def _cmd_decompose(ns) -> CommandResult:
                          "drop --over ring")
     if over is None:
         over = "field" if (ctx.is_field or ns.full) else "ring"
+    degrees = ([ns.inner_degree] if ns.inner_degree is not None
+               else proper_inner_degrees(N))
 
     if over == "field":
         fh = embed_poly(f, ctx.hull)
@@ -593,7 +541,6 @@ def _cmd_decompose(ns) -> CommandResult:
             return CommandResult(
                 _payload("decompose", ctx.descriptor, status,
                          evidence=evidence), lines, code)
-        degrees = [ns.inner_degree] if ns.inner_degree else proper_inner_degrees(N)
         for m in degrees:
             dec = decompose_over_field(fh, m)
             if dec is not None:
@@ -612,7 +559,9 @@ def _cmd_decompose(ns) -> CommandResult:
                      evidence={"inner_degrees_tried": degrees,
                                "field": ctx.hull.name}), lines, code)
 
-    return _decompose_over_ring(ns, ctx, f)
+    outcome = decompose_over_ring(f, degrees, ctx.restriction, ctx.descriptor)
+    return _ring_result("decompose", ctx, outcome, degrees,
+                        ns.fail_on_indecomposable)
 
 
 def _cmd_quartic(ns) -> CommandResult:
@@ -632,7 +581,8 @@ def _cmd_quartic(ns) -> CommandResult:
         return CommandResult(
             _payload("quartic", ctx.descriptor, "decomposable_over_field",
                      dec.g, dec.h, evidence), lines)
-    return _quartic_ring_result("quartic", ns, ctx, f)
+    return _ring_result("quartic", ctx, quartic_ring_decide(f), None,
+                        ns.fail_on_indecomposable)
 
 
 def _cmd_witness(ns) -> CommandResult:
@@ -661,17 +611,37 @@ def _cmd_witness(ns) -> CommandResult:
                        for s in ns.factorization[1].split(","))
         pair = FactorizationPair(ctx.domain, element, first, second)
 
-    ring = pair.ring
-    field = hull_of(ring)
-    ring_name = "Z[t2,t3]" if ring == ZT else ring.name
     if not validate_inequivalent(pair):
         lines = ["the two factorizations are equivalent; no witness arises"]
         return CommandResult(
-            _payload("witness", ring_name, "equivalent_factorizations",
+            _payload("witness", pair.ring.name, "equivalent_factorizations",
                      evidence={"element": str(pair.element)}), lines)
 
     stripped, data, report = run_pipeline(pair)
+    ring = stripped.ring
+    intro = [
+        f"ring: {ring.name},  element: {stripped.element}",
+        f"factorizations: ({') * ('.join(str(x) for x in stripped.first)})"
+        f" = ({') * ('.join(str(x) for x in stripped.second)})",
+    ]
+    about_c = [f"c = a/ell = {data.c}  (outside the ring),  "
+               f"d = p_s^2 = {data.d}"]
+    return _witness_result("witness", (stripped, data, report), intro,
+                           about_c, {"field": hull_of(ring).name})
+
+
+def _witness_result(command: str, pipeline: tuple, intro: list,
+                    about_c: list, extra: dict) -> CommandResult:
+    """Render a run_pipeline result: ingredients, the quartic, its field
+    decomposition, the candidate table and one PASS/FAIL line per clause.
+
+    ``intro`` and ``about_c`` are the command's own lines before and after
+    the derived triple; ``extra`` adds command-specific evidence.
+    """
+    stripped, data, report = pipeline
+    ring = stripped.ring
     dec = report.field_decomposition
+    outcome = report.ring_outcome
     evidence: dict[str, Any] = {
         "element": str(stripped.element),
         "first": [str(x) for x in stripped.first],
@@ -683,26 +653,24 @@ def _cmd_witness(ns) -> CommandResult:
         "d": str(data.d),
         "f": poly_pairs(data.f),
         "f_text": str(data.f),
-        "field": field.name,
         "clauses": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                     for c in report.clauses],
+        **extra,
     }
-    if report.ring_outcome is not None:
-        evidence["candidates"] = _candidates_json(report.ring_outcome.candidates)
+    if outcome is not None:
+        evidence["candidates"] = _candidates_json(outcome.candidates)
 
     lines = [
-        f"ring: {ring.name},  element: {stripped.element}",
-        f"factorizations: ({') * ('.join(str(x) for x in stripped.first)})"
-        f" = ({') * ('.join(str(x) for x in stripped.second)})",
+        *intro,
         f"derived: ell = {data.ell},  a = {data.a},  p_s = {data.p_s}",
-        f"c = a/ell = {data.c}  (outside the ring),  d = p_s^2 = {data.d}",
+        *about_c,
         f"f = {data.f}",
     ]
     if dec is not None:
-        lines.append(f"over {field.name}: f = g o h with "
+        lines.append(f"over {hull_of(ring).name}: f = g o h with "
                      f"g = {dec.g}, h = {dec.h}")
-    if report.ring_outcome is not None and report.ring_outcome.candidates:
-        lines.extend(_candidate_lines(report.ring_outcome.candidates))
+    if outcome is not None and outcome.candidates:
+        lines.extend(_candidate_lines(outcome.candidates))
     for c in report.clauses:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
 
@@ -710,7 +678,7 @@ def _cmd_witness(ns) -> CommandResult:
     g = dec.g if dec is not None else None
     h = dec.h if dec is not None else None
     code = 0 if report.passed else 1
-    return CommandResult(_payload("witness", ring_name, status, g, h,
+    return CommandResult(_payload(command, ring.name, status, g, h,
                                   evidence), lines, code)
 
 
@@ -726,7 +694,7 @@ def _cmd_check_subring(ns) -> CommandResult:
         member = True
         detail = f"{ctx.descriptor} is the whole ambient field"
     else:
-        descended = descend_element(value, ctx.domain)
+        descended = ctx.domain.descend(value)
         if descended is None:
             member = False
             detail = f"not integral over {ctx.hull.name}"
@@ -788,21 +756,12 @@ def run_demo_q1(trials: int = 200, seed: int = 0) -> dict:
         f = poly_compose(g, h)
         assert all(ZT23_IN_ZT.membership(c) for c in f.coeffs)
 
-        fq = embed_poly(f, QT)
-        dec = monic_decompose(fq, dh)
+        dec = decompose_over_ring(f, [dh], ZT23_IN_ZT).decomposition
         ok = dec is not None
-        if ok:
-            ok = coefficients_in_QR(dec, QZT23_IN_QT)
-        if ok:
-            g_r = descend_poly(dec.g, ZT)
-            h_r = descend_poly(dec.h, ZT)
-            ok = (g_r is not None and h_r is not None
-                  and all(ZT23_IN_ZT.membership(c)
-                          for c in g_r.coeffs + h_r.coeffs))
         if ok:
             h0 = h.constant_term
             shift = Polynomial(ZT, [h0, ZT.one], "x")
-            ok = (h_r == h - h0 and g_r == poly_compose(g, shift))
+            ok = (dec.h == h - h0 and dec.g == poly_compose(g, shift))
         if not ok:
             failures += 1
             if not first_failure:
@@ -844,52 +803,22 @@ _DEMO_Q2_FINAL = ("indecomposable over Z[sqrt(-5)], "
 
 
 def _cmd_demo_q2(ns) -> CommandResult:
-    stripped, data, report = run_demo_q2()
+    pipeline = run_demo_q2()
+    stripped, data, _ = pipeline
     ring = stripped.ring
-    field = hull_of(ring)
-    dec = report.field_decomposition
-    evidence: dict[str, Any] = {
-        "element": str(stripped.element),
-        "first": [str(x) for x in stripped.first],
-        "second": [str(x) for x in stripped.second],
-        "ell": str(data.ell),
-        "a": str(data.a),
-        "p_s": str(data.p_s),
-        "c": str(data.c),
-        "d": str(data.d),
-        "f": poly_pairs(data.f),
-        "f_text": str(data.f),
-        "clauses": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in report.clauses],
-        "final": _DEMO_Q2_FINAL,
-    }
-    if report.ring_outcome is not None:
-        evidence["candidates"] = _candidates_json(report.ring_outcome.candidates)
-    lines = [
+    intro = [
         f"two factorizations in {ring.name}: "
         f"{stripped.element} = "
         f"({') * ('.join(str(x) for x in stripped.first)}) = "
         f"({') * ('.join(str(x) for x in stripped.second)})",
-        f"derived: ell = {data.ell},  a = {data.a},  p_s = {data.p_s}",
-        f"c = a/ell = {data.c}  lies outside {ring.name}",
-        f"d = p_s^2 = {data.d}",
-        f"f = {data.f}",
     ]
-    if dec is not None:
-        lines.append(f"over {field.name}: f = g o h with g = {dec.g}, "
-                     f"h = {dec.h}")
-    if report.ring_outcome is not None and report.ring_outcome.candidates:
-        lines.extend(_candidate_lines(report.ring_outcome.candidates))
-    for c in report.clauses:
-        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-    ok = report.passed
-    lines.append(_DEMO_Q2_FINAL if ok else "verification failed; see above")
-    status = "witness_verified" if ok else "witness_failed"
-    g = dec.g if dec is not None else None
-    h = dec.h if dec is not None else None
-    return CommandResult(
-        _payload("demo-q2", ring.name, status, g, h, evidence),
-        lines, 0 if ok else 1)
+    about_c = [f"c = a/ell = {data.c}  lies outside {ring.name}",
+               f"d = p_s^2 = {data.d}"]
+    result = _witness_result("demo-q2", pipeline, intro, about_c,
+                             {"final": _DEMO_Q2_FINAL})
+    result.lines.append(_DEMO_Q2_FINAL if result.exit_code == 0
+                        else "verification failed; see above")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .poly import MINUS_INFINITY, Polynomial, compose, derivative, hadic_digits
 from .domains import (CapabilityError, SubringDescriptor, Tier,
-                      descend_element, embed_element, embed_poly, hull_of,
-                      require_tier)
+                      descend_poly, embed_poly, hull_of, require_tier)
 
 
 class Decomposition:
-    """A verified pair g, h with deg g, deg h >= 2.
+    """A pair g, h with deg g, deg h >= 2.
 
-    The recomposition compose(g, h) is retained so consumers can audit the
-    claim without recomputing it.
+    The recomposition compose(g, h) is computed on the first read of
+    ``certificate`` and kept, so consumers can audit the claim and no
+    pair pays for a recomposition nobody reads.
     """
 
-    __slots__ = ("g", "h", "certificate")
+    __slots__ = ("g", "h", "_certificate")
 
     def __init__(self, g: Polynomial, h: Polynomial):
         if g.degree is MINUS_INFINITY or g.degree < 2:
@@ -37,7 +37,14 @@ class Decomposition:
             raise ValueError("inner factor must have degree at least 2")
         self.g = g
         self.h = h
-        self.certificate = compose(g, h)
+        self._certificate = None
+
+    @property
+    def certificate(self) -> Polynomial:
+        """compose(g, h)."""
+        if self._certificate is None:
+            self._certificate = compose(self.g, self.h)
+        return self._certificate
 
     def __iter__(self):
         return iter((self.g, self.h))
@@ -91,19 +98,20 @@ class CandidateCheck:
 
 @dataclass(frozen=True)
 class RingDecideOutcome:
-    """Result of the over-the-ring quartic decision.
+    """Result of an over-the-ring decision.
 
     Exactly one of three situations holds, named by ``status``.  When the
     polynomial decomposes over the fraction field, ``field_evidence`` holds
     that decomposition; when it also decomposes over the ring,
     ``decomposition`` holds a pair with all coefficients in the ring.
-    ``candidates`` records every leading coefficient tried, for audit.
+    ``candidates`` records every leading coefficient tried, for audit; it
+    is None when the leading coefficient is a unit and no search ran.
     """
 
     status: RingDecideStatus
     decomposition: Optional[Decomposition]
     field_evidence: Optional[Decomposition]
-    candidates: tuple
+    candidates: Optional[tuple]
 
 
 def proper_inner_degrees(n: int) -> list[int]:
@@ -278,10 +286,10 @@ def quartic_ring_decide(f: Polynomial, bound: int = 10 ** 6) -> RingDecideOutcom
     candidates = []
     witness_u = None
     for u in ring.divisors_up_to_associates(lead, bound=bound):
-        uK = embed_element(u, ring, field)
+        uK = field.coerce(u)
         cond_i = ring.divides_exact(u * u, lead) is not None
-        cond_ii = descend_element(field.div(E, uK), ring) is not None
-        cond_iii = descend_element(uK * C, ring) is not None
+        cond_ii = ring.descend(field.div(E, uK)) is not None
+        cond_iii = ring.descend(uK * C) is not None
         check = CandidateCheck(u, cond_i, cond_ii, cond_iii)
         candidates.append(check)
         if check.passed and witness_u is None:
@@ -292,22 +300,78 @@ def quartic_ring_decide(f: Polynomial, bound: int = 10 ** 6) -> RingDecideOutcom
                                  None, dec, tuple(candidates))
 
     u = witness_u
-    uK = embed_element(u, ring, field)
+    uK = field.coerce(u)
     g_ring = Polynomial(ring, [
         f.constant_term,
-        descend_element(field.div(E, uK), ring),
+        ring.descend(field.div(E, uK)),
         ring.divides_exact(u * u, lead),
     ], f.var)
-    h_ring = Polynomial(ring, [
-        ring.zero,
-        descend_element(uK * C, ring),
-        u,
-    ], f.var)
+    h_ring = Polynomial(ring, [ring.zero, ring.descend(uK * C), u], f.var)
     found = Decomposition(g_ring, h_ring)
     if found.certificate != f:
         raise AssertionError("ring decision produced a non-recomposing pair")
     return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
                              found, dec, tuple(candidates))
+
+
+def decompose_over_ring(f: Polynomial, degrees: Iterable[int],
+                        restriction: Optional[SubringDescriptor] = None,
+                        name: Optional[str] = None) -> RingDecideOutcome:
+    """Decide f = g(h) with every coefficient in the coefficient ring of f.
+
+    A unit leading coefficient is divided out first and multiplied back
+    into g.  A monic f is solved over the hull of the ring for each inner
+    degree in ``degrees``, in order; the first pair that descends into
+    the ring, and whose coefficients pass ``restriction`` when one is
+    given, decides.  When no pair descends, the first hull pair is the
+    field evidence.  A non-monic quartic over a ring with divisor
+    enumeration goes to :func:`quartic_ring_decide`.  Anything else raises
+    CapabilityError, naming the ring as ``name`` (default: its own name).
+    """
+    ring = f.domain
+    unit = None
+    if not f.is_monic() and hasattr(ring, "is_unit") \
+            and ring.is_unit(f.leading_coefficient):
+        unit = f.leading_coefficient
+        f = f.scale(ring.divides_exact(unit, ring.one))
+
+    if f.is_monic():
+        def times_unit(dec):
+            if unit is None or dec is None:
+                return dec
+            return Decomposition(dec.g.scale(unit), dec.h)
+
+        fh = embed_poly(f, hull_of(ring))
+        field_dec = None
+        for m in degrees:
+            dec = monic_decompose(fh, m)
+            if dec is None:
+                continue
+            if field_dec is None:
+                field_dec = dec
+            g = descend_poly(dec.g, ring)
+            h = descend_poly(dec.h, ring)
+            if g is None or h is None:
+                continue
+            found = Decomposition(g, h)
+            if restriction is None or coefficients_in_QR(found, restriction):
+                return RingDecideOutcome(
+                    RingDecideStatus.DECOMPOSABLE_OVER_RING,
+                    times_unit(found), times_unit(field_dec), None)
+        status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if field_dec is None
+                  else RingDecideStatus.INDECOMPOSABLE_OVER_RING)
+        return RingDecideOutcome(status, None, times_unit(field_dec), None)
+
+    if f.degree == 4 and hasattr(ring, "divisors_up_to_associates") \
+            and restriction is None:
+        if any(m != 2 for m in degrees):
+            raise ValueError("a quartic only admits inner degree 2")
+        return quartic_ring_decide(f)
+
+    raise CapabilityError(
+        f"no over-ring decision procedure for a non-monic polynomial of "
+        f"degree {f.degree} over {name or ring.name}; monic polynomials and "
+        f"quartics over Z or an imaginary-quadratic order are decidable")
 
 
 def linear_relate(h: Polynomial, H: Polynomial) -> Optional[tuple]:

@@ -100,6 +100,14 @@ class IntegerRing:
     def format_element(self, x: int) -> str:
         return str(x)
 
+    def descend(self, x: Any) -> Optional[int]:
+        """x as an integer, or None when it is not one."""
+        if self.is_element(x):
+            return x
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return x.numerator
+        return None
+
     # arithmetic the decomposition machinery asks rings for
 
     def norm(self, x: int) -> int:
@@ -172,6 +180,9 @@ class RationalField:
 
     def format_element(self, x: Fraction) -> str:
         return str(x)
+
+    def descend(self, x: Any) -> Optional[Any]:
+        return x if self.is_element(x) else None
 
     def div_int(self, x: Fraction, n: int) -> Fraction:
         return x / n
@@ -343,6 +354,14 @@ class QuadraticIntRing:
 
     def format_element(self, x: QuadraticInt) -> str:
         return _format_two_coords(x.a, x.b, str)
+
+    def descend(self, x: Any) -> Optional[QuadraticInt]:
+        """x as an element of the order, or None when it is not integral."""
+        if self.is_element(x):
+            return x
+        if isinstance(x, QuadraticRat) and x.field.d == self.d:
+            return self.from_field(x)
+        return None
 
     def norm(self, x: QuadraticInt) -> int:
         return self.coerce(x).norm()
@@ -624,6 +643,12 @@ class QuadraticField:
     def format_element(self, x: QuadraticRat) -> str:
         return _format_two_coords(x.r, x.s, str)
 
+    def descend(self, x: Any) -> Optional[QuadraticRat]:
+        try:
+            return self.coerce(x)
+        except TypeError:
+            return None
+
     def div_int(self, x: QuadraticRat, n: int) -> QuadraticRat:
         return x / n
 
@@ -632,9 +657,6 @@ class QuadraticField:
 
     def q_algebra_hull(self) -> "QuadraticField":
         return self
-
-    def ring_of_integers(self) -> QuadraticIntRing:
-        return QuadraticIntRing(self.d)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuadraticField) and other.d == self.d
@@ -749,6 +771,12 @@ class PolynomialDomain:
     def format_element(self, p: Polynomial) -> str:
         return str(p)
 
+    def descend(self, x: Any) -> Optional[Polynomial]:
+        """x with every t-coefficient descended into the base, or None."""
+        if not isinstance(x, Polynomial) or x.var != self.var:
+            return None
+        return descend_poly(x, self.base)
+
     def div_int(self, p: Polynomial, n: int) -> Polynomial:
         require_tier(self, Tier.QALGEBRA, "integer division")
         if n == 0:
@@ -787,54 +815,24 @@ def hull_of(domain: Any) -> Any:
 
 def embed_element(x: Any, src: Any, dst: Any) -> Any:
     """Reinterpret an element of src inside the larger domain dst."""
-    if src == dst:
-        return x
-    if isinstance(dst, QuadraticField) and isinstance(src, QuadraticIntRing):
-        return src.to_field(x)
-    return dst.coerce(x)
+    return x if src == dst else dst.coerce(x)
 
 
 def embed_poly(p: Polynomial, dst: Any) -> Polynomial:
     """Coefficientwise embedding of p into the larger domain dst."""
-    if p.domain == dst:
-        return p
-    return p.map_coefficients(lambda c: embed_element(c, p.domain, dst),
-                              domain=dst)
+    return p if p.domain == dst else Polynomial(dst, p.coeffs, p.var)
 
 
 def descend_element(x: Any, ring: Any) -> Optional[Any]:
     """Pull a hull element back into the ring, or None if it is not there."""
-    if ring.is_element(x):
-        return x
-    if isinstance(ring, IntegerRing):
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return x.numerator
-        return None
-    if isinstance(ring, QuadraticIntRing):
-        if isinstance(x, QuadraticRat) and x.field.d == ring.d:
-            return ring.from_field(x)
-        return None
-    if isinstance(ring, PolynomialDomain):
-        if not isinstance(x, Polynomial) or x.var != ring.var:
-            return None
-        out = []
-        for c in x.coeffs:
-            cc = descend_element(c, ring.base)
-            if cc is None:
-                return None
-            out.append(cc)
-        return Polynomial(ring.base, out, ring.var)
-    try:
-        return ring.coerce(x)
-    except (TypeError, ValueError):
-        return None
+    return ring.descend(x)
 
 
 def descend_poly(p: Polynomial, ring: Any) -> Optional[Polynomial]:
     """Coefficientwise descent of p into the ring, or None."""
     out = []
     for c in p.coeffs:
-        cc = descend_element(c, ring)
+        cc = ring.descend(c)
         if cc is None:
             return None
         out.append(cc)
@@ -863,11 +861,6 @@ class SubringDescriptor:
 
     def __repr__(self) -> str:
         return f"SubringDescriptor({self.name})"
-
-
-def membership(sub: SubringDescriptor, x: Any) -> bool:
-    """Decide x in R for the subring named by the descriptor."""
-    return sub.membership(x)
 
 
 Z_IN_Q = SubringDescriptor("Z_in_Q", QQ, lambda x: x.denominator == 1)

@@ -8,7 +8,7 @@ exactly (no floating point is involved anywhere).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 
 class DomainMismatchError(TypeError):
@@ -144,7 +144,6 @@ class Polynomial:
             other = Polynomial.constant(self.domain, self.domain.coerce(other), self.var)
         self._check_compatible(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        z = self.domain.zero
         return Polynomial(self.domain,
                           [self.coefficient(i) + other.coefficient(i) for i in range(n)],
                           self.var)
@@ -229,6 +228,10 @@ class Polynomial:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
+        # a constant equals its coefficient (and the zero polynomial equals
+        # 0), so it must hash like that coefficient
+        if len(self.coeffs) <= 1:
+            return hash(self.constant_term) if self.coeffs else 0
         return hash((self.domain, self.var, self.coeffs))
 
     # -- rendering ---------------------------------------------------------

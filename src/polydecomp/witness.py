@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .poly import Polynomial, compose
-from .domains import (QuadraticInt, QuadraticIntRing,
-                      descend_poly, embed_element, embed_poly, hull_of)
+from .domains import (QuadraticInt, QuadraticIntRing, descend_poly,
+                      embed_poly, hull_of)
 from .decomp import (Decomposition, RingDecideOutcome, RingDecideStatus,
                      quartic_field_decompose, quartic_ring_decide)
 
@@ -30,7 +30,9 @@ class FactorizationPair:
     """One element with two factorizations into irreducibles.
 
     The ring is carried explicitly so plain integers work as factors
-    alongside quadratic integers.
+    alongside quadratic integers.  Construction checks that both lists
+    are irreducible factorizations of the element; a pair that exists
+    has passed that check, so consumers do not repeat it.
     """
 
     ring: Any
@@ -91,7 +93,6 @@ def _max_matching(ring: Any, first: tuple, second: tuple) -> int:
 
 def validate_inequivalent(pair: FactorizationPair) -> bool:
     """True iff no bijection matches the two lists up to associates."""
-    _check_pair(pair)
     if len(pair.first) != len(pair.second):
         return True
     return _max_matching(pair.ring, pair.first, pair.second) < len(pair.first)
@@ -104,7 +105,6 @@ def strip_common_associates(pair: FactorizationPair) -> FactorizationPair:
     is neither zero nor a unit.  Raises when cancellation empties a list,
     which means the factorizations were equivalent all along.
     """
-    _check_pair(pair)
     ring = pair.ring
     first = list(pair.first)
     second = list(pair.second)
@@ -194,12 +194,11 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
         raise ValueError("ell must not divide p_s")
 
     field = hull_of(ring)
-    ellK = embed_element(ell, ring, field)
-    aK = embed_element(a, ring, field)
-    c = field.div(aK, ellK)
+    ellK = field.coerce(ell)
+    c = field.div(field.coerce(a), ellK)
     d = p_s * p_s
 
-    dK = embed_element(d, ring, field)
+    dK = field.coerce(d)
     outer = Polynomial(field, [field.zero, ellK, dK], "x")
     inner = Polynomial(field, [field.zero, c, field.one], "x")
     fK = compose(outer, inner)
@@ -290,11 +289,11 @@ def verify_witness(w: WitnessData) -> WitnessReport:
     if w.d != w.p_s * w.p_s:
         relations_ok = False
         details.append("d is not p_s^2")
-    ellK = embed_element(w.ell, ring, field)
-    dK = embed_element(w.d, ring, field)
+    ellK = field.coerce(w.ell)
+    dK = field.coerce(w.d)
     expansion = compose(Polynomial(field, [field.zero, ellK, dK], "x"),
                         Polynomial(field, [field.zero, w.c, field.one], "x"))
-    if embed_poly(w.f, field) != expansion:
+    if fK != expansion:
         relations_ok = False
         details.append("f is not the expansion of (d x^2 + ell x) o (x^2 + c x)")
     clauses.append(Clause("ingredient_relations", relations_ok,

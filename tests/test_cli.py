@@ -87,6 +87,19 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_expression("1/0")
 
+    def test_nesting_depth_is_bounded(self):
+        with pytest.raises(ParseError) as info:
+            parse_expression("(" * 3000 + "x" + ")" * 3000)
+        assert info.value.pos == 100
+        assert parse_poly("(" * 100 + "x+1" + ")" * 100, "Q") == \
+            Polynomial(QQ, [1, 1], "x")
+
+    def test_long_sums_and_products_lower_without_recursion(self):
+        assert parse_poly("+".join(["x"] * 3000), "Q") == \
+            Polynomial(QQ, [0, 3000], "x")
+        assert parse_poly("*".join(["2"] * 3000), "Z") == \
+            Polynomial(ZZ, [2 ** 3000], "x")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("x ^ 2 ^ 3")
@@ -323,6 +336,21 @@ class TestErrorHandling:
         code, _, err = run_cli(
             ["decompose", "--ring", "Q", "--over", "ring", "x^4"], capsys)
         assert code == 1
+
+    def test_deep_nesting_exits_1(self, capsys):
+        code, out, err = run_cli(
+            ["compose", "--ring", "Q", "(" * 3000 + "x" + ")" * 3000, "x^2"],
+            capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: syntax error at position 100:")
+
+    def test_inner_degree_zero_is_rejected(self, capsys):
+        for ring in ("Q", "Z"):
+            code, out, err = run_cli(["decompose", "--ring", ring,
+                                      "--inner-degree", "0", "x^4+x^2"],
+                                     capsys)
+            assert code == 1 and out == ""
+            assert "inner degree 0 is not a proper divisor of 4" in err
 
     def test_quartic_on_wrong_degree(self, capsys):
         code, _, err = run_cli(["quartic", "--ring", "Z", "x^6+x"], capsys)

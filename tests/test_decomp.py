@@ -11,7 +11,8 @@ from polydecomp import (CapabilityError, Decomposition, Polynomial,
                         QuadraticField, QuadraticIntRing, RingDecideStatus,
                         QQ, QT, ZT, ZZ, ZT23_IN_ZT, QZT23_IN_QT,
                         coefficients_in_QR, compose, decompose_fully,
-                        decompose_over_field, embed_poly, linear_relate,
+                        decompose_over_field, decompose_over_ring,
+                        embed_poly, linear_relate,
                         monic_decompose, normalize_monic_decomposition,
                         proper_inner_degrees, quartic_field_decompose,
                         quartic_ring_decide, verify_taylor_expansion)
@@ -252,6 +253,51 @@ class TestQuarticRingDecide:
     def test_rejects_non_quartic(self):
         with pytest.raises(ValueError):
             quartic_ring_decide(zpoly([0, 1, 1]))
+
+
+class TestDecomposeOverRing:
+    def test_monic_hit_descends(self):
+        f = zpoly([1, 0, 1, 2, 1])    # (x^2 + 1) o (x^2 + x)
+        out = decompose_over_ring(f, [2])
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert out.candidates is None
+        assert out.decomposition.g.domain is ZZ
+        assert out.decomposition.certificate == f
+        assert out.field_evidence.certificate == embed_poly(f, QQ)
+
+    def test_unit_lead_is_multiplied_back(self):
+        f = zpoly([3, 0, -2, 0, -1])  # -x^4 - 2x^2 + 3
+        out = decompose_over_ring(f, proper_inner_degrees(4))
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert out.decomposition.g == zpoly([3, -2, -1])
+        assert out.decomposition.certificate == f
+        assert out.field_evidence.certificate == embed_poly(f, QQ)
+
+    def test_monic_field_indecomposable(self):
+        out = decompose_over_ring(zpoly([1, 1, 0, 0, 1]), [2])
+        assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
+        assert out.field_evidence is None and out.candidates is None
+
+    def test_non_monic_quartic_uses_the_candidate_search(self):
+        f = zpoly([0, 2, 5, 4, 4])
+        assert decompose_over_ring(f, [2]) == quartic_ring_decide(f)
+        with pytest.raises(ValueError, match="only admits inner degree 2"):
+            decompose_over_ring(f, [3])
+
+    def test_restriction_is_checked(self):
+        t = Polynomial.identity(ZZ, "t")
+        g = Polynomial(ZT, [ZT.zero, ZT.coerce(t ** 2), ZT.one], "x")
+        h = Polynomial(ZT, [ZT.zero, ZT.coerce(t ** 3), ZT.one], "x")
+        out = decompose_over_ring(compose(g, h), [2], ZT23_IN_ZT)
+        assert out.decomposition == Decomposition(g, h)
+
+    def test_undecidable_input_names_the_ring(self):
+        f = zpoly([0, 0, 0, 1, 0, 0, 2])
+        with pytest.raises(CapabilityError, match="degree 6 over Z;"):
+            decompose_over_ring(f, [2, 3])
+        with pytest.raises(CapabilityError, match="over Z\\[t2,t3\\];"):
+            decompose_over_ring(Polynomial(ZT, [0, 0, 1, 0, 2], "x"), [2],
+                                ZT23_IN_ZT, "Z[t2,t3]")
 
 
 class TestNormalization:

@@ -312,6 +312,23 @@ class TestEmbedDescend:
         assert descend_poly(q, ZZ) == p
         assert descend_poly(Polynomial(QQ, [Fraction(1, 3)], "x"), ZZ) is None
 
+    def test_each_domain_descends_its_own_elements(self):
+        t = Polynomial(QQ, [0, Fraction(1, 2)], "t")
+        cases = [
+            (ZZ, Fraction(4), 4), (ZZ, Fraction(1, 2), None),
+            (ZZ, K5.element(1), None),
+            (QQ, Fraction(1, 2), Fraction(1, 2)), (QQ, K5.one, None),
+            (R5, K5.element(2, -3), w5(2, -3)), (R5, 3, None),
+            (O15, K15.element(Fraction(3, 2), Fraction(1, 2)),
+             O15.element(1, 1)),
+            (K5, w5(1, 1), K5.element(1, 1)), (K5, K15.one, None),
+            (ZT, t * 2, Polynomial(ZZ, [0, 1], "t")), (ZT, t, None),
+            (ZT, Polynomial(QQ, [1], "s"), None), (QT, t, t),
+        ]
+        for dom, x, expected in cases:
+            assert dom.descend(x) == expected, (dom, x)
+            assert descend_element(x, dom) == expected
+
     def test_tpoly_descend(self):
         t2 = Polynomial(QQ, [0, 0, 1], "t")
         p = Polynomial(QT, [t2, QT.one], "x")

@@ -1,0 +1,184 @@
+"""Golden corpus: exact stdout, stderr and exit code of the command line.
+
+``golden_cli.json`` holds one entry per argument vector.  The test runs
+``cli.main`` in-process on each and fails on any byte difference, so a
+refactoring that keeps the corpus green changed no visible behaviour.
+
+The corpus covers the README examples, every builtin witness, both demos,
+every branch of the over-ring decision and the benchmark's ``cli-mixed``
+argument vectors for seeds 1-3, each in text and ``--json`` form.  After
+an intended change of output, re-record it from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and review the diff of the data file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from polydecomp.cli import main
+
+DATA = pathlib.Path(__file__).with_name("golden_cli.json")
+
+WITNESS_5 = "(-4-2*w)*x^4 + (6-6*w)*x^3 + 11*x^2 + (1+w)*x"
+
+#: Hand-picked argument vectors; each also runs with --json.
+ARGVS = (
+    # README examples
+    ("compose", "--ring", "Z[t]", "x^2+t*x", "x^2"),
+    ("decompose", "--ring", "Q", "--full", "x^8+4*x^6+6*x^4+4*x^2+2"),
+    ("quartic", "--ring", "Z", "4*x^4+4*x^3+5*x^2+2*x"),
+    ("witness", "--ring", "Z[sqrt(-5)]", "--element", "6",
+     "--factorization", "2,3", "--factorization", "1+w,1-w"),
+    ("check-subring", "--ring", "Z[t2,t3]", "t^3+t"),
+    ("decompose", "--ring", "Q", "--", "-2*x^4-x^2"),
+    ("witness", "--ring", "Z", "--element", "6", "--factorization=2,3",
+     "--factorization=-3,-2"),
+    # builtins and demos
+    ("witness", "--builtin"),
+    ("witness", "--builtin", "Z[sqrt(-5)]"),
+    ("witness", "--builtin", "Z[sqrt(-6)]"),
+    ("witness", "--builtin", "O(-15)"),
+    ("witness", "--builtin", "Z"),
+    ("demo-q1", "--trials", "20", "--seed", "0"),
+    ("demo-q1", "--trials", "20", "--seed", "7"),
+    ("demo-q2",),
+    # over the ring: monic hits
+    ("decompose", "--ring", "Z", "x^4+2*x^3+x^2+1"),
+    ("decompose", "--ring", "Z", "x^6+3*x^4+3*x^2+5"),
+    ("decompose", "--ring", "Z[sqrt(-5)]", "x^4+2*w*x^2+1"),
+    ("decompose", "--ring", "O(-15)", "x^4+w*x^2"),
+    ("decompose", "--ring", "Z[t]", "x^4+2*t*x^2+t^2"),
+    ("decompose", "--ring", "Q[t]", "x^4+1/2*t*x^2"),
+    # over the ring: a unit leading coefficient
+    ("decompose", "--ring", "Z", "--", "-x^4-2*x^2+3"),
+    ("decompose", "--ring", "Z", "--", "-x^4-x+1"),
+    ("decompose", "--ring", "Z[sqrt(-6)]", "--", "-x^4-w*x^2"),
+    # over the ring: non-monic quartics with their candidate tables
+    ("decompose", "--ring", "Z", "4*x^4+4*x^3+5*x^2+2*x"),
+    ("decompose", "--ring", "Z[sqrt(-5)]", WITNESS_5),
+    ("decompose", "--ring", "Z[sqrt(-5)]", "--fail-on-indecomposable",
+     WITNESS_5),
+    ("decompose", "--ring", "Z", "2*x^4+x+1"),
+    # indecomposable over the fraction field
+    ("decompose", "--ring", "Z", "x^4+x+1"),
+    ("decompose", "--ring", "Z", "--fail-on-indecomposable", "x^4+x+1"),
+    ("decompose", "--ring", "Z", "x^3+x"),
+    ("decompose", "--ring", "Z", "x^5+x^2"),
+    # the Z[t2,t3] restriction
+    ("decompose", "--ring", "Z[t2,t3]", "x^4+2*t^2*x^2+t^4"),
+    ("decompose", "--ring", "Z[t2,t3]", "x^6+t^3*x^2+t^2"),
+    ("decompose", "--ring", "Z[t2,t3]", "x^4+t*x^2"),
+    # no over-ring procedure
+    ("decompose", "--ring", "Z[t2,t3]", "2*x^4+x^2"),
+    ("decompose", "--ring", "Z", "2*x^6+x^3"),
+    ("decompose", "--ring", "Z[t]", "t^2*x^4+x^2"),
+    # --inner-degree accepted and rejected
+    ("decompose", "--ring", "Z", "--inner-degree", "2", "x^6+3*x^4+3*x^2+5"),
+    ("decompose", "--ring", "Z", "--inner-degree", "3", "x^6+3*x^4+3*x^2+5"),
+    ("decompose", "--ring", "Z", "--inner-degree", "4", "x^6+3*x^4+3*x^2+5"),
+    ("decompose", "--ring", "Z", "--inner-degree", "3",
+     "4*x^4+4*x^3+5*x^2+2*x"),
+    ("decompose", "--ring", "Z", "--inner-degree", "2", "x^3+1"),
+    ("decompose", "--ring", "Z", "--inner-degree", "0", "x^4+x^2"),
+    ("decompose", "--ring", "Q", "--inner-degree", "0", "x^4+x^2"),
+    ("decompose", "--ring", "Q", "--inner-degree", "3", "x^4+x^2"),
+    ("decompose", "--ring", "Q", "--inner-degree", "2", "2*x^4+x^2+7"),
+    # over the field
+    ("decompose", "--ring", "Q", "x^4+x^2"),
+    ("decompose", "--ring", "Q", "x^3+1"),
+    ("decompose", "--ring", "Q", "--full", "x^8"),
+    ("decompose", "--ring", "Q", "--full", "x^5+x+1"),
+    ("decompose", "--ring", "Z", "--over", "field", "2*x^4+x^2"),
+    ("decompose", "--ring", "Q(sqrt(-5))", "x^4+w*x^2"),
+    # quartic
+    ("quartic", "--ring", "Z[sqrt(-5)]", WITNESS_5),
+    ("quartic", "--ring", "Z", "x^4+x^2"),
+    ("quartic", "--ring", "Z", "--fail-on-indecomposable", "x^4+x+1"),
+    ("quartic", "--ring", "Q", "x^4+x^2+1"),
+    ("quartic", "--ring", "Q", "x^4+x+1"),
+    ("quartic", "--ring", "Z[t]", "t*x^4+x^2"),
+    ("quartic", "--ring", "Z", "x^6+x"),
+    # witness inputs that are rejected or equivalent
+    ("witness", "--ring", "Z[sqrt(-6)]", "--element", "6",
+     "--factorization", "2,3", "--factorization", "w,-w"),
+    ("witness", "--ring", "Z", "--element", "6", "--factorization", "2,3",
+     "--factorization", "6"),
+    ("witness", "--ring", "Q", "--element", "6", "--factorization", "2,3",
+     "--factorization", "3,2"),
+    ("witness", "--ring", "Z[sqrt(-5)]"),
+    # check-subring
+    ("check-subring", "--ring", "Z[t2,t3]", "t^3+2"),
+    ("check-subring", "--ring", "Z", "1/2"),
+    ("check-subring", "--ring", "Q", "1/2"),
+    ("check-subring", "--ring", "O(-15)", "1/2+1/2*w"),
+    ("check-subring", "--ring", "Z[sqrt(-5)]", "1/2+1/2*w"),
+    ("check-subring", "--ring", "Z", "x+1"),
+    # bad input
+    ("compose", "2x", "x"),
+    ("compose", "(x", "x"),
+    ("decompose", "--ring", "Z", "1/2*x^4"),
+    ("decompose", "--ring", "F_9", "x^4"),
+    ("decompose", "--ring", "Z[sqrt(-15)]", "x^4"),
+    ("decompose", "--ring", "Z", "x"),
+    ("decompose", "--ring", "Q", "--over", "ring", "x^4"),
+    ("decompose", "--ring", "Z", "--full", "--over", "ring", "x^4"),
+    ("decompose",),
+    ("transmogrify", "x"),
+)
+
+
+def _with_json(argv: tuple) -> tuple:
+    return argv[:1] + ("--json",) + argv[1:]
+
+
+def corpus_argvs() -> list:
+    """The hand-picked vectors plus the benchmark's cli-mixed ones."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "bench"))
+    import workloads
+
+    out = []
+    for argv in ARGVS:
+        out += [argv, _with_json(argv)]
+    for seed in (1, 2, 3):
+        out += [tuple(case.data) for case in workloads.cli_cases(seed)]
+    return list(dict.fromkeys(out))
+
+
+def run_argv(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "code": code}
+
+
+CORPUS = json.loads(DATA.read_text()) if DATA.exists() else []
+
+
+@pytest.mark.parametrize("entry", CORPUS,
+                         ids=[f"{i:03d}-{e['argv'][0]}"
+                              for i, e in enumerate(CORPUS)])
+def test_cli_output_matches_corpus(entry):
+    assert run_argv(entry["argv"]) == entry
+
+
+def test_corpus_is_present():
+    assert len(CORPUS) > 100
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    entries = [run_argv(argv) for argv in corpus_argvs()]
+    DATA.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n")
+    print(f"recorded {len(entries)} entries in {DATA}")

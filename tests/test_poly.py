@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (MINUS_INFINITY, DomainMismatchError, Polynomial,
-                        QQ, ZZ, compose, derivative, divrem_monic,
-                        hadic_digits)
+                        QQ, QT, ZZ, QuadraticField, QuadraticIntRing,
+                        compose, derivative, divrem_monic, hadic_digits)
 
 
 def zpoly(coeffs):
@@ -81,6 +81,39 @@ class TestBasics:
         assert str(zpoly([5])) == "5"
         assert str(zpoly([])) == "0"
         assert str(qpoly([Fraction(1, 2), 0, 1])) == "x^2 + 1/2"
+
+
+def _domain_values(draw_int):
+    """(domain, value) pairs: a coefficient of each kind, or plain 0."""
+    r5, k5 = QuadraticIntRing(-5), QuadraticField(-5)
+    return st.one_of(
+        st.tuples(st.just(ZZ), draw_int),
+        st.tuples(st.just(QQ), st.fractions(max_denominator=5)),
+        st.tuples(st.just(r5), st.tuples(draw_int, draw_int).map(
+            lambda ab: r5.element(*ab))),
+        st.tuples(st.just(k5), st.tuples(draw_int, draw_int).map(
+            lambda ab: k5.element(*ab))),
+        st.tuples(st.just(QT), st.lists(draw_int, max_size=3).map(
+            lambda cs: Polynomial(QQ, cs, "t"))),
+    )
+
+
+class TestEqualityAndHash:
+    @given(_domain_values(st.integers(-3, 3)),
+           _domain_values(st.integers(-3, 3)), st.sampled_from(["x", "y"]))
+    def test_equal_implies_same_hash(self, ours, theirs, var):
+        dom, c = ours
+        p = Polynomial.constant(dom, c, var)
+        for q in (c, theirs[1], 0, Polynomial.zero(dom, var),
+                  Polynomial.constant(dom, c, "x")):
+            if p == q:
+                assert hash(p) == hash(q), (p, q)
+
+    def test_constant_hashes_as_its_coefficient(self):
+        assert Polynomial(QQ, [3], "x") == 3
+        assert hash(Polynomial(QQ, [3], "x")) == hash(3)
+        assert hash(Polynomial.zero(ZZ, "x")) == hash(0)
+        assert len({Polynomial(QQ, [3], "x"), Fraction(3)}) == 1
 
 
 class TestAlgebraLaws:
