@@ -223,8 +223,53 @@ class _ExprParser:
         raise ParseError("expected a number, a symbol, or '('", tok.pos)
 
 
+#: Highest degree in x or in t an expression may reach.  Lowering builds
+#: dense coefficient lists, so the bound is checked on the tree first.
+_MAX_DEGREE = 4096
+
+
+def _degree_bound(node: ExprAST) -> tuple[int, int]:
+    """Upper bounds on the degrees in x and in t of node's value.
+
+    Raises ParseError, at the operator that crosses it, as soon as either
+    bound exceeds _MAX_DEGREE.
+    """
+    if isinstance(node, Num):
+        return 0, 0
+    if isinstance(node, Sym):
+        return int(node.name == "x"), int(node.name == "t")
+    if isinstance(node, Neg):
+        return _degree_bound(node.operand)
+    if isinstance(node, Pow):
+        dx, dt = _degree_bound(node.base)
+        return _capped(dx * node.exponent, dt * node.exponent, node.pos)
+    # walk the left spine of a long chain, as _lower does
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    dx, dt = _degree_bound(node)
+    for op in reversed(spine):
+        rx, rt = _degree_bound(op.right)
+        if op.op == "*":
+            dx, dt = _capped(dx + rx, dt + rt, op.pos)
+        else:
+            dx, dt = max(dx, rx), max(dt, rt)
+    return dx, dt
+
+
+def _capped(dx: int, dt: int, pos: int) -> tuple[int, int]:
+    for var, d in (("x", dx), ("t", dt)):
+        if d > _MAX_DEGREE:
+            raise ParseError(
+                f"degree in {var} may exceed {_MAX_DEGREE}", pos)
+    return dx, dt
+
+
 def parse_expression(text: str) -> ExprAST:
-    return _ExprParser(tokenize(text)).parse()
+    node = _ExprParser(tokenize(text)).parse()
+    _degree_bound(node)
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Deciding and constructing functional decompositions f = g(h(x)).
 
-The monic case over any Q-algebra is solved by a coefficient recursion:
-the coefficient of x^(N-k) in h^n is n*h_{m-k} plus a polynomial in the
-higher coefficients of h, so the top half of f determines a unique monic
-candidate h with h(0) = 0, and the h-adic digits of f then decide the
-question.  Field decomposition reduces to the monic case by a linear
-change; quartics additionally get a closed form and, over Z and the
-imaginary-quadratic orders, an exact over-the-ring decision.
+The monic case over any Q-algebra is solved by a power-series root: the
+top m coefficients of f = g(h) are those of h^n, so rev(h) is the n-th
+root of rev(f) modulo x^m, where rev reverses the coefficient list.  That
+fixes a unique monic candidate h with h(0) = 0, and the h-adic digits of
+f then decide the question.  Field decomposition reduces to the monic
+case by a linear change; quartics additionally get a closed form and,
+over Z and the imaginary-quadratic orders, an exact over-the-ring
+decision.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Optional
 
-from .poly import MINUS_INFINITY, Polynomial, compose, derivative, hadic_digits
+from .poly import MINUS_INFINITY, Polynomial, compose, derivative, divrem_monic
 from .domains import (CapabilityError, SubringDescriptor, Tier,
                       descend_poly, embed_poly, hull_of, require_tier)
 
@@ -122,13 +123,16 @@ def proper_inner_degrees(n: int) -> list[int]:
 def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     """The unique monic h (deg m, h(0)=0) with f = g(h), if one exists.
 
-    Works over any domain that divides exactly by nonzero integers.  The
-    recursion solves for the coefficients of h from the top of f down:
-    with n = deg(f)/m and h = x^m + ... only partially known, the
-    coefficient of x^(deg f - k) in h^n differs from the true one by
-    exactly n times the unknown h_{m-k}.  Once h is fixed, f decomposes
-    through it iff all h-adic digits of f are constants, and those
-    constants are the coefficients of g.
+    Works over any domain that divides exactly by nonzero integers.  With
+    n = deg(f)/m, the top m coefficients of g(h) are those of h^n, so
+    rev(f) = rev(h)^n mod x^m and rev(h) is the power-series n-th root of
+    rev(f) to order m.  J.C.P. Miller's recurrence computes that root in
+    O(m^2) coefficient operations, dividing only by the integers n*k.
+    Once h is fixed, f decomposes through it iff all h-adic digits of f
+    are constants, and those constants are the coefficients of g.  The
+    digits are taken one division at a time, stopping at the first that
+    is not a constant; a full expansion proves f = g(h) exactly, so the
+    pair is not recomposed.
     """
     require_tier(f.domain, Tier.QALGEBRA, "monic decomposition")
     N = f.degree
@@ -139,23 +143,29 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     if not (1 < m < N) or N % m != 0:
         raise ValueError(f"inner degree {m} is not a proper divisor of {N}")
     dom = f.domain
+    zero = dom.zero
     n = N // m
 
-    hc = [dom.zero] * m + [dom.one]
+    # P = A^(1/n) with A_j = f_{N-j}, A_0 = 1:
+    #   P_k = sum_{j=1..k} ((n+1)*j - n*k) * A_j * P_{k-j} / (n*k)
+    A = [f.coefficient(N - j) for j in range(m)]
+    P = [dom.one]
     for k in range(1, m):
-        partial = Polynomial(dom, hc, f.var) ** n
-        delta = f.coefficient(N - k) - partial.coefficient(N - k)
-        hc[m - k] = dom.div_int(delta, n)
-    h = Polynomial(dom, hc, f.var)
+        acc = zero
+        for j in range(1, k + 1):
+            if A[j] != zero:
+                acc = acc + A[j] * P[k - j] * ((n + 1) * j - n * k)
+        P.append(dom.div_int(acc, n * k))
+    h = Polynomial(dom, [zero] + P[::-1], f.var)
 
-    digits = hadic_digits(f, h)
-    if any(not d.is_constant() for d in digits):
-        return None
-    g = Polynomial(dom, [d.constant_term for d in digits], f.var)
-    dec = Decomposition(g, h)
-    if dec.certificate != f:
-        return None
-    return dec
+    digits = []
+    current = f
+    while not current.is_zero():
+        current, r = divrem_monic(current, h)
+        if not r.is_constant():
+            return None
+        digits.append(r.constant_term)
+    return Decomposition(Polynomial(dom, digits, f.var), h)
 
 
 def coefficients_in_QR(dec: Decomposition, sub: SubringDescriptor) -> bool:

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Seven headline guarantees, each rechecked from scratch with its own
+Eight headline guarantees, each rechecked from scratch with its own
 wall-clock budget.  Every test prints a single PASS/FAIL line (visible
 even under pytest's capture) and fails if the budget is exceeded.
 """
@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from polydecomp import (FactorizationPair, Polynomial, QQ, QuadraticField,
-                        QuadraticIntRing, RingDecideStatus, ZT23_IN_ZT, ZZ,
-                        compose, decompose_over_field, embed_poly,
-                        linear_relate, monic_decompose, q_times,
+from polydecomp import (Decomposition, FactorizationPair, Polynomial, QQ,
+                        QuadraticField, QuadraticIntRing, RingDecideStatus,
+                        ZT23_IN_ZT, ZZ, compose, decompose_over_field,
+                        embed_poly, linear_relate, monic_decompose,
+                        proper_inner_degrees, q_times,
                         quartic_field_decompose, quartic_ring_decide,
                         run_demo_q1, run_pipeline, verify_taylor_expansion)
 
@@ -99,6 +100,25 @@ def test_monic_roundtrip(capsys):
             assert dec.g == g and dec.h == h
 
     _report(capsys, "monic-roundtrip-1000", 10.0, body)
+
+
+def test_degree_400_field_decision(capsys):
+    """A monic degree-400 composition over Q, g and h of degree 20, is
+    decided at every proper inner degree: found at 20 only, exactly."""
+
+    rng = random.Random(400)
+    g = Polynomial(QQ, [rng.randint(-9, 9) for _ in range(20)] + [1], "x")
+    h = Polynomial(QQ, [0] + [rng.randint(-9, 9) for _ in range(19)] + [1],
+                   "x")
+    f = compose(g, h)
+
+    def body():
+        found = {m: decompose_over_field(f, m)
+                 for m in proper_inner_degrees(400)}
+        assert found.pop(20) == Decomposition(g, h)
+        assert all(dec is None for dec in found.values())
+
+    _report(capsys, "degree-400-field-decision", 10.0, body)
 
 
 def test_subring_composition_transfer(capsys):

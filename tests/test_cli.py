@@ -100,6 +100,18 @@ class TestGrammar:
         assert parse_poly("*".join(["2"] * 3000), "Z") == \
             Polynomial(ZZ, [2 ** 3000], "x")
 
+    def test_degree_bound_is_checked_before_lowering(self):
+        assert parse_poly("x^4096", "Q").degree == 4096
+        assert parse_poly("2^5000", "Z") == Polynomial(ZZ, [2 ** 5000], "x")
+        with pytest.raises(ParseError) as info:
+            parse_expression("x + (x^2)^2049")
+        assert info.value.pos == 9
+        assert "degree in x may exceed 4096" in str(info.value)
+        with pytest.raises(ParseError) as info:
+            parse_expression("x^4096*t^4096*t")
+        assert info.value.pos == 13
+        assert "degree in t" in str(info.value)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("x ^ 2 ^ 3")
@@ -343,6 +355,17 @@ class TestErrorHandling:
             capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: syntax error at position 100:")
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--ring", "Q", "x^100000000"],
+        ["compose", "--ring", "Q", "(x+1)^3000*(x+1)^3000", "x^2"],
+        ["decompose", "--ring", "Z[t]", "x^4 + t^1000000000"],
+    ])
+    def test_degree_past_the_bound_exits_1(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: syntax error at position ")
+        assert "may exceed 4096" in err and "Traceback" not in err
 
     def test_inner_degree_zero_is_rejected(self, capsys):
         for ring in ("Q", "Z"):

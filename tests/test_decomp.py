@@ -12,7 +12,7 @@ from polydecomp import (CapabilityError, Decomposition, Polynomial,
                         QQ, QT, ZT, ZZ, ZT23_IN_ZT, QZT23_IN_QT,
                         coefficients_in_QR, compose, decompose_fully,
                         decompose_over_field, decompose_over_ring,
-                        embed_poly, linear_relate,
+                        embed_poly, hadic_digits, linear_relate,
                         monic_decompose, normalize_monic_decomposition,
                         proper_inner_degrees, quartic_field_decompose,
                         quartic_ring_decide, verify_taylor_expansion)
@@ -116,6 +116,105 @@ class TestMonicDecompose:
         assert d1 is not None and d2 is not None
         assert d1.h == h and d2.h == h
         assert d1.g != d2.g
+
+
+def reference_monic_decompose(f, m):
+    """The inner factor by repeated full powers, with a full digit expansion.
+
+    The coefficient of x^(N-k) in h^n is n*h_{m-k} plus terms in the
+    higher coefficients of h, so each unknown is solved after recomputing
+    the partial h^n.  Slow, but independent of the power-series root.
+    """
+    dom = f.domain
+    N = f.degree
+    n = N // m
+    hc = [dom.zero] * m + [dom.one]
+    for k in range(1, m):
+        partial = Polynomial(dom, hc, f.var) ** n
+        delta = f.coefficient(N - k) - partial.coefficient(N - k)
+        hc[m - k] = dom.div_int(delta, n)
+    h = Polynomial(dom, hc, f.var)
+    digits = hadic_digits(f, h)
+    if any(not d.is_constant() for d in digits):
+        return None
+    return Decomposition(
+        Polynomial(dom, [d.constant_term for d in digits], f.var), h)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+DOMAIN_ELEMENTS = {
+    "Q": (QQ, small_fractions),
+    "Q(sqrt(-5))": (K5, st.builds(K5.element, small_fractions,
+                                  small_fractions)),
+    "Q[t]": (QT, st.lists(st.integers(-3, 3), max_size=3).map(QT.element)),
+}
+
+
+@st.composite
+def monic_composition(draw, domain):
+    """(g, h) with g, h monic of degree 2..4 over the named domain."""
+    dom, element = DOMAIN_ELEMENTS[domain]
+
+    def monic():
+        deg = draw(st.integers(2, 4))
+        return Polynomial(dom, [draw(element) for _ in range(deg)]
+                          + [dom.one], "x")
+
+    return monic(), monic()
+
+
+class TestInnerFactorByRoot:
+    """The power-series root against the repeated-power recursion."""
+
+    @pytest.mark.parametrize("domain", sorted(DOMAIN_ELEMENTS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_pair_as_the_power_recursion(self, domain, data):
+        g, h = data.draw(monic_composition(domain))
+        f = compose(g, h)
+        dec = monic_decompose(f, h.degree)
+        assert dec is not None
+        assert dec == reference_monic_decompose(f, h.degree)
+        assert dec.h == h - h.constant_term
+        assert compose(dec.g, dec.h) == f
+
+    @pytest.mark.parametrize("domain", sorted(DOMAIN_ELEMENTS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_both_reject_a_perturbed_composition(self, domain, data):
+        # adding c*x leaves the top coefficients, hence the candidate h,
+        # alone; (G - g)(h) = c*x is impossible with deg h >= 2
+        dom, element = DOMAIN_ELEMENTS[domain]
+        g, h = data.draw(monic_composition(domain))
+        c = data.draw(element.filter(lambda c: c != dom.zero))
+        f = compose(g, h) + Polynomial(dom, [dom.zero, c], "x")
+        assert monic_decompose(f, h.degree) is None
+        assert reference_monic_decompose(f, h.degree) is None
+
+    @pytest.mark.parametrize("domain", sorted(DOMAIN_ELEMENTS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_on_random_monic_input(self, domain, data):
+        dom, element = DOMAIN_ELEMENTS[domain]
+        N = data.draw(st.sampled_from([4, 6, 8, 9, 12]))
+        m = data.draw(st.sampled_from(proper_inner_degrees(N)))
+        f = Polynomial(dom, [data.draw(element) for _ in range(N)]
+                       + [dom.one], "x")
+        dec = monic_decompose(f, m)
+        assert dec == reference_monic_decompose(f, m)
+        if dec is not None:
+            assert compose(dec.g, dec.h) == f
+
+    def test_sparse_and_wide_inputs(self):
+        x = qpoly([0, 1])
+        for g, h in ((x ** 5 + 1, x ** 7 - x),
+                     (x ** 2 - 3 * x, x ** 12 + (x ** 11).scale(Fraction(1, 7))),
+                     (x ** 12 + x, x ** 2 + qpoly([0, Fraction(1, 3)]))):
+            f = compose(g, h)
+            dec = monic_decompose(f, h.degree)
+            assert dec == reference_monic_decompose(f, h.degree)
+            assert dec == Decomposition(g, h)
+            assert compose(dec.g, dec.h) == f
 
 
 class TestDecomposeOverField:

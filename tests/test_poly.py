@@ -138,13 +138,33 @@ class TestAlgebraLaws:
         p, q, r = zpoly(a), zpoly(b), zpoly(c)
         assert p * (q + r) == p * q + p * r
 
-    @given(coeff_lists, st.integers(0, 5))
+    @given(coeff_lists,
+           st.integers(0, 5) | st.sampled_from([7, 8, 15, 16, 31, 32]))
     def test_power_matches_repeated_product(self, a, n):
         p = zpoly(a)
         expected = Polynomial.constant(ZZ, 1, "x")
         for _ in range(n):
             expected = expected * p
         assert p ** n == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
+    def test_power_squares_only_while_bits_remain(self, n, monkeypatch):
+        # one multiplication per set bit and one squaring per bit after
+        # the first; squaring past the top bit would be wasted work
+        p = zpoly([1, -2, 1])
+        expected = Polynomial.constant(ZZ, 1, "x")
+        for _ in range(n):
+            expected = expected * p
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        assert p ** n == expected
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
     @given(coeff_lists, st.integers(-20, 20))
     def test_evaluation_is_a_homomorphism(self, a, x0):
