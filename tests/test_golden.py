@@ -135,13 +135,32 @@ ARGVS = (
     ("transmogrify", "x"),
 )
 
+#: Paths that the lead normalisation and the field branch of ``decompose``
+#: take through the library, each also run with --json.  They come after
+#: the benchmark vectors so that earlier entries keep their indices.
+REROUTED_ARGVS = (
+    # a unit lead other than +-1, and non-monic leads over Q[t]
+    ("decompose", "--ring", "O(-3)", "w*x^4+x^2"),
+    ("decompose", "--ring", "Q[t]", "t*x^4+x^2"),
+    ("decompose", "--ring", "Q[t]", "--over", "field", "t*x^4+x^2"),
+    ("decompose", "--ring", "Z[t]", "--over", "field", "2*x^4+x^2"),
+    # w where the ring has no quadratic generator
+    ("decompose", "--ring", "Z[t]", "x^4+w"),
+    ("decompose", "--ring", "Q", "x^4+w"),
+    # the field branch with a non-unit lead, and with lead -1
+    ("decompose", "--ring", "Q(sqrt(-5))", "--inner-degree", "2",
+     "w*x^4+x^2+1"),
+    ("decompose", "--ring", "Z", "--over", "field", "--", "-x^4-x^2"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
 
 
 def corpus_argvs() -> list:
-    """The hand-picked vectors plus the benchmark's cli-mixed ones."""
+    """The hand-picked vectors, the benchmark's cli-mixed ones, then the
+    rerouted paths."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -151,6 +170,8 @@ def corpus_argvs() -> list:
         out += [argv, _with_json(argv)]
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
+    for argv in REROUTED_ARGVS:
+        out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 
 
