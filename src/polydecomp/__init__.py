@@ -16,8 +16,8 @@ from .domains import (CapabilityError, Tier, IntegerRing, RationalField,
                       QuadraticField, PolynomialDomain, SubringDescriptor,
                       ZZ, QQ, ZT, QT, Z_IN_Q, ZT23_IN_ZT, QZT23_IN_QT,
                       descend_element, descend_poly, embed_element,
-                      embed_poly, hull_of, integral_sqrt_descent,
-                      order_in_field, q_times, rational_sqrt, require_tier)
+                      embed_poly, hull_of, order_in_field, q_times,
+                      require_tier)
 from .decomp import (CandidateCheck, Decomposition, NormalizationParams,
                      RingDecideOutcome, RingDecideStatus, coefficients_in_QR,
                      decompose_fully, decompose_over_field,

@@ -26,16 +26,18 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Optional, Union
 
 from .poly import MINUS_INFINITY, Polynomial
 from .poly import compose as poly_compose
-from .domains import (QuadraticInt, QuadraticIntRing, QuadraticRat,
-                      QuadraticField, SubringDescriptor, QQ, QT, ZT, ZZ,
-                      ZT23_IN_ZT, embed_poly, hull_of)
-from .decomp import (decompose_fully, decompose_over_field,
-                     decompose_over_ring, proper_inner_degrees,
-                     quartic_field_decompose, quartic_ring_decide)
+from .domains import (PolynomialDomain, QuadraticInt, QuadraticIntRing,
+                      QuadraticRat, QuadraticField, SubringDescriptor, Tier,
+                      QQ, QT, ZT, ZZ, ZT23_IN_ZT, embed_poly, hull_of,
+                      require_tier)
+from .decomp import (decompose_fully, decompose_over_ring,
+                     proper_inner_degrees, quartic_field_decompose,
+                     quartic_ring_decide)
 from .witness import (FactorizationPair, builtin_examples, run_pipeline,
                       validate_inequivalent)
 
@@ -227,49 +229,73 @@ class _ExprParser:
 #: dense coefficient lists, so the bound is checked on the tree first.
 _MAX_DEGREE = 4096
 
+#: Most bits a constant of an expression may reach.  Squaring doubles the
+#: size of a constant, so a power like 2^k is bounded on the tree too.
+_MAX_BITS = 1 << 20
 
-def _degree_bound(node: ExprAST) -> tuple[int, int]:
-    """Upper bounds on the degrees in x and in t of node's value.
 
-    Raises ParseError, at the operator that crosses it, as soon as either
-    bound exceeds _MAX_DEGREE.
+def _bits(n: int) -> int:
+    """ceil(log2 |n|), and 0 for n = 0."""
+    return max(abs(n) - 1, 0).bit_length()
+
+
+def _degree_bound(node: ExprAST, w_bits: int) -> tuple[int, int, int]:
+    """Upper bounds on the degrees in x and in t of node's value, and on
+    the bit size of its constants, counting w as ``w_bits`` bits.
+
+    Raises ParseError, at the operator that crosses it, as soon as a
+    degree exceeds _MAX_DEGREE or the size exceeds _MAX_BITS.
     """
     if isinstance(node, Num):
-        return 0, 0
+        return 0, 0, _bits(node.value.numerator) + _bits(node.value.denominator)
     if isinstance(node, Sym):
-        return int(node.name == "x"), int(node.name == "t")
+        return (int(node.name == "x"), int(node.name == "t"),
+                w_bits if node.name == "w" else 0)
     if isinstance(node, Neg):
-        return _degree_bound(node.operand)
+        return _degree_bound(node.operand, w_bits)
     if isinstance(node, Pow):
-        dx, dt = _degree_bound(node.base)
-        return _capped(dx * node.exponent, dt * node.exponent, node.pos)
+        dx, dt, b = _degree_bound(node.base, w_bits)
+        e = node.exponent
+        return _capped(dx * e, dt * e, b * e, node.pos)
     # walk the left spine of a long chain, as _lower does
     spine = []
     while isinstance(node, BinOp):
         spine.append(node)
         node = node.left
-    dx, dt = _degree_bound(node)
+    dx, dt, b = _degree_bound(node, w_bits)
     for op in reversed(spine):
-        rx, rt = _degree_bound(op.right)
+        rx, rt, rb = _degree_bound(op.right, w_bits)
         if op.op == "*":
-            dx, dt = _capped(dx + rx, dt + rt, op.pos)
+            dx, dt, b = _capped(dx + rx, dt + rt, b + rb, op.pos)
         else:
-            dx, dt = max(dx, rx), max(dt, rt)
-    return dx, dt
+            dx, dt, b = _capped(max(dx, rx), max(dt, rt), max(b, rb) + 1,
+                                op.pos)
+    return dx, dt, b
 
 
-def _capped(dx: int, dt: int, pos: int) -> tuple[int, int]:
+def _capped(dx: int, dt: int, b: int, pos: int) -> tuple[int, int, int]:
     for var, d in (("x", dx), ("t", dt)):
         if d > _MAX_DEGREE:
             raise ParseError(
                 f"degree in {var} may exceed {_MAX_DEGREE}", pos)
-    return dx, dt
+    if b > _MAX_BITS:
+        raise ParseError(f"a constant may exceed {_MAX_BITS} bits", pos)
+    return dx, dt, b
+
+
+def _parse(text: str, w_bits: int) -> ExprAST:
+    node = _ExprParser(tokenize(text)).parse()
+    _degree_bound(node, w_bits)
+    return node
 
 
 def parse_expression(text: str) -> ExprAST:
-    node = _ExprParser(tokenize(text)).parse()
-    _degree_bound(node)
-    return node
+    """Parse text into a tree whose degrees and constants are bounded.
+
+    No ring is known here, so w counts as one bit; parse_poly counts it
+    for its ring.
+    """
+    return _parse(text, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +308,35 @@ class RingContext:
 
     descriptor: str
     domain: Any                      # where inputs and answers live
-    hull: Any                        # Q-algebra used for parsing and algorithms
-    is_field: bool
-    w_value: Any                     # hull element the symbol w denotes, or None
-    has_t: bool
     restriction: Optional[SubringDescriptor]  # extra membership inside domain
+
+    @cached_property
+    def hull(self) -> Any:
+        """The Q-algebra used for parsing and algorithms."""
+        return hull_of(self.domain)
+
+    @property
+    def is_field(self) -> bool:
+        return self.domain.tier == Tier.FIELD
+
+    @cached_property
+    def w(self) -> Any:
+        """The hull element the symbol w denotes, or None without one."""
+        if isinstance(self.domain, (QuadraticIntRing, QuadraticField)):
+            return self.hull.coerce(self.domain.element(0, 1))
+        return None
+
+    @property
+    def w_bits(self) -> int:
+        """Bits counted for a factor w: about log2|d| + 1."""
+        return abs(self.domain.d).bit_length() + 1 if self.w is not None else 1
+
+    @cached_property
+    def t(self) -> Any:
+        """The hull element the symbol t denotes, or None without one."""
+        if isinstance(self.hull, PolynomialDomain):
+            return self.hull.element([0, 1])
+        return None
 
 
 _SQRT_RING_RE = re.compile(r"^Z\[sqrt\((-?\d+)\)\]$")
@@ -300,41 +350,23 @@ _SUPPORTED = ('"Z", "Q", "Z[sqrt(d)]", "Q(sqrt(d))", "O(d)", '
 def resolve_ring(descriptor: str) -> RingContext:
     """Turn a descriptor string into domains, hull, and symbol bindings."""
     text = "".join(descriptor.split())
-    if text == "Z":
-        return RingContext("Z", ZZ, QQ, False, None, False, None)
-    if text == "Q":
-        return RingContext("Q", QQ, QQ, True, None, False, None)
-    if text == "Z[t]":
-        return RingContext("Z[t]", ZT, QT, False, None, True, None)
-    if text == "Q[t]":
-        return RingContext("Q[t]", QT, QT, False, None, True, None)
-    if text == "Z[t2,t3]":
-        return RingContext("Z[t2,t3]", ZT, QT, False, None, True, ZT23_IN_ZT)
-    m = _SQRT_RING_RE.match(text)
+    named = {"Z": ZZ, "Q": QQ, "Z[t]": ZT, "Q[t]": QT, "Z[t2,t3]": ZT}
+    if text in named:
+        restriction = ZT23_IN_ZT if text == ZT23_IN_ZT.name else None
+        return RingContext(text, named[text], restriction)
+    m = _SQRT_RING_RE.match(text) or _ORDER_RE.match(text)
     if m:
         d = int(m.group(1))
-        if d % 4 == 1:
+        if text.startswith("Z") and d % 4 == 1:
             raise ValueError(
                 f"Z[sqrt({d})] is not supported for d = 1 (mod 4); "
                 f"use O({d}), whose integral basis includes (1+sqrt({d}))/2")
         ring = QuadraticIntRing(d)
-        field = ring.fraction_field()
-        return RingContext(ring.name, ring, field, False,
-                           field.element(0, 1), False, None)
-    m = _ORDER_RE.match(text)
-    if m:
-        d = int(m.group(1))
-        ring = QuadraticIntRing(d)
-        field = ring.fraction_field()
-        w = (field.element(Fraction(1, 2), Fraction(1, 2))
-             if ring.half_basis else field.element(0, 1))
-        return RingContext(ring.name, ring, field, False, w, False, None)
+        return RingContext(ring.name, ring, None)
     m = _SQRT_FIELD_RE.match(text)
     if m:
-        d = int(m.group(1))
-        field = QuadraticField(d)
-        return RingContext(field.name, field, field, True,
-                           field.element(0, 1), False, None)
+        field = QuadraticField(int(m.group(1)))
+        return RingContext(field.name, field, None)
     raise ValueError(f"unknown ring descriptor {descriptor!r}; "
                      f"supported: {_SUPPORTED}")
 
@@ -346,16 +378,11 @@ def _lower(node: ExprAST, ctx: RingContext) -> Polynomial:
     if isinstance(node, Sym):
         if node.name == "x":
             return Polynomial.identity(dom, "x")
-        if node.name == "t":
-            if not ctx.has_t:
-                raise ParseError(
-                    f"symbol t is not defined over {ctx.descriptor}", node.pos)
-            t = Polynomial.identity(dom.base, dom.var)
-            return Polynomial.constant(dom, t, "x")
-        if ctx.w_value is None:
-            raise ParseError(
-                f"symbol w is not defined over {ctx.descriptor}", node.pos)
-        return Polynomial.constant(dom, ctx.w_value, "x")
+        value = ctx.t if node.name == "t" else ctx.w
+        if value is None:
+            raise ParseError(f"symbol {node.name} is not defined over "
+                             f"{ctx.descriptor}", node.pos)
+        return Polynomial.constant(dom, value, "x")
     if isinstance(node, Neg):
         return -_lower(node.operand, ctx)
     if isinstance(node, BinOp):
@@ -388,7 +415,7 @@ def parse_poly(text: str, ring: Union[str, RingContext]) -> Polynomial:
     the Z[t2,t3] descriptor), otherwise the parse is rejected.
     """
     ctx = resolve_ring(ring) if isinstance(ring, str) else ring
-    p = _lower(parse_expression(text), ctx)
+    p = _lower(_parse(text, ctx.w_bits), ctx)
     coeffs = []
     for k, c in enumerate(p.coeffs):
         cc = ctx.domain.descend(c)
@@ -505,20 +532,28 @@ def _field_evidence(dec, field_name: str) -> dict:
 
 
 def _ring_result(command: str, ctx: RingContext, outcome,
-                 degrees: Optional[list], fail: bool) -> CommandResult:
+                 degrees: Optional[list], fail: bool,
+                 over_field: bool = False) -> CommandResult:
     """Render an over-ring outcome.
 
     An outcome without a candidate search (monic up to a unit) gets the
-    short form; a candidate search gets both verdicts and its table.
+    short form; a candidate search gets both verdicts and its table.  With
+    ``over_field`` the outcome is a decision over the hull, and its
+    verdicts name the hull instead of the ring.
     """
     dec, fd = outcome.decomposition, outcome.field_evidence
     desc, field = ctx.descriptor, ctx.hull.name
     g, h = (dec.g, dec.h) if dec is not None else (None, None)
+    status = outcome.status.value
     if outcome.candidates is None:
         if dec is not None:
             evidence = {"g_text": str(g), "h_text": str(h),
                         "inner_degree": h.degree}
-            lines = [f"decomposable over {desc}:", f"  g = {g}", f"  h = {h}"]
+            lines = [f"decomposable over {field if over_field else desc}:",
+                     f"  g = {g}", f"  h = {h}"]
+            if over_field:
+                evidence["field"] = field
+                status = "decomposable_over_field"
         elif fd is not None:
             evidence = _field_evidence(fd, field)
             lines = [f"indecomposable over {desc}",
@@ -526,7 +561,8 @@ def _ring_result(command: str, ctx: RingContext, outcome,
                      f"g = {fd.g}, h = {fd.h})"]
         else:
             evidence = {"field": field, "inner_degrees_tried": degrees}
-            lines = [f"indecomposable over {field} (hence over {desc})"]
+            lines = [f"indecomposable over {field}"
+                     + ("" if over_field else f" (hence over {desc})")]
     else:
         evidence = {"candidates": _candidates_json(outcome.candidates)}
         if fd is not None:
@@ -542,7 +578,7 @@ def _ring_result(command: str, ctx: RingContext, outcome,
         if outcome.candidates:
             lines.extend(_candidate_lines(outcome.candidates))
     code = 2 if fail and dec is None else 0
-    payload = _payload(command, desc, outcome.status.value, g, h, evidence)
+    payload = _payload(command, desc, status, g, h, evidence)
     return CommandResult(payload, lines, code)
 
 
@@ -586,25 +622,15 @@ def _cmd_decompose(ns) -> CommandResult:
             return CommandResult(
                 _payload("decompose", ctx.descriptor, status,
                          evidence=evidence), lines, code)
-        for m in degrees:
-            dec = decompose_over_field(fh, m)
-            if dec is not None:
-                evidence = {"g_text": str(dec.g), "h_text": str(dec.h),
-                            "inner_degree": m, "field": ctx.hull.name}
-                lines = [f"decomposable over {ctx.hull.name}:",
-                         f"  g = {dec.g}", f"  h = {dec.h}"]
-                return CommandResult(
-                    _payload("decompose", ctx.descriptor,
-                             "decomposable_over_field", dec.g, dec.h,
-                             evidence), lines)
-        lines = [f"indecomposable over {ctx.hull.name}"]
-        code = 2 if ns.fail_on_indecomposable else 0
-        return CommandResult(
-            _payload("decompose", ctx.descriptor, "indecomposable_over_field",
-                     evidence={"inner_degrees_tried": degrees,
-                               "field": ctx.hull.name}), lines, code)
+        # decompose_over_ring would blame the missing over-ring procedure
+        # for a non-monic f over Q[t]; over the hull, the missing field
+        # division is the reason
+        if not fh.is_monic():
+            require_tier(fh.domain, Tier.FIELD, "non-monic decomposition")
+        return _ring_result("decompose", ctx, decompose_over_ring(fh, degrees),
+                            degrees, ns.fail_on_indecomposable, over_field=True)
 
-    outcome = decompose_over_ring(f, degrees, ctx.restriction, ctx.descriptor)
+    outcome = decompose_over_ring(f, degrees, ctx.restriction)
     return _ring_result("decompose", ctx, outcome, degrees,
                         ns.fail_on_indecomposable)
 
@@ -729,7 +755,7 @@ def _witness_result(command: str, pipeline: tuple, intro: list,
 
 def _cmd_check_subring(ns) -> CommandResult:
     ctx = resolve_ring(ns.ring)
-    p = _lower(parse_expression(ns.element), ctx)
+    p = _lower(_parse(ns.element, ctx.w_bits), ctx)
     if not p.is_constant():
         raise ValueError("check-subring expects a coefficient-ring element, "
                          "not a polynomial in x")

@@ -324,37 +324,28 @@ def quartic_ring_decide(f: Polynomial, bound: int = 10 ** 6) -> RingDecideOutcom
                              found, dec, tuple(candidates))
 
 
-def decompose_over_ring(f: Polynomial, degrees: Iterable[int],
-                        restriction: Optional[SubringDescriptor] = None,
-                        name: Optional[str] = None) -> RingDecideOutcome:
+def decompose_over_ring(
+        f: Polynomial, degrees: Iterable[int],
+        restriction: Optional[SubringDescriptor] = None) -> RingDecideOutcome:
     """Decide f = g(h) with every coefficient in the coefficient ring of f.
 
-    A unit leading coefficient is divided out first and multiplied back
-    into g.  A monic f is solved over the hull of the ring for each inner
-    degree in ``degrees``, in order; the first pair that descends into
-    the ring, and whose coefficients pass ``restriction`` when one is
-    given, decides.  When no pair descends, the first hull pair is the
-    field evidence.  A non-monic quartic over a ring with divisor
-    enumeration goes to :func:`quartic_ring_decide`.  Anything else raises
-    CapabilityError, naming the ring as ``name`` (default: its own name).
+    When f is monic, its ring is a field, or its leading coefficient is a
+    unit, f is decomposed over the hull of the ring for each inner degree
+    in ``degrees``, in order, by :func:`decompose_over_field`; the first
+    pair that descends into the ring, and whose coefficients pass
+    ``restriction`` when one is given, decides.  When no pair descends,
+    the first hull pair is the field evidence.  A non-monic quartic over a
+    ring with divisor enumeration goes to :func:`quartic_ring_decide`.
+    Anything else raises CapabilityError, whose message names the
+    restriction, when one is given, in place of the ring.
     """
     ring = f.domain
-    unit = None
-    if not f.is_monic() and hasattr(ring, "is_unit") \
-            and ring.is_unit(f.leading_coefficient):
-        unit = f.leading_coefficient
-        f = f.scale(ring.divides_exact(unit, ring.one))
-
-    if f.is_monic():
-        def times_unit(dec):
-            if unit is None or dec is None:
-                return dec
-            return Decomposition(dec.g.scale(unit), dec.h)
-
+    if f.is_monic() or ring.tier == Tier.FIELD or (
+            hasattr(ring, "is_unit") and ring.is_unit(f.leading_coefficient)):
         fh = embed_poly(f, hull_of(ring))
         field_dec = None
         for m in degrees:
-            dec = monic_decompose(fh, m)
+            dec = decompose_over_field(fh, m)
             if dec is None:
                 continue
             if field_dec is None:
@@ -366,11 +357,11 @@ def decompose_over_ring(f: Polynomial, degrees: Iterable[int],
             found = Decomposition(g, h)
             if restriction is None or coefficients_in_QR(found, restriction):
                 return RingDecideOutcome(
-                    RingDecideStatus.DECOMPOSABLE_OVER_RING,
-                    times_unit(found), times_unit(field_dec), None)
+                    RingDecideStatus.DECOMPOSABLE_OVER_RING, found, field_dec,
+                    None)
         status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if field_dec is None
                   else RingDecideStatus.INDECOMPOSABLE_OVER_RING)
-        return RingDecideOutcome(status, None, times_unit(field_dec), None)
+        return RingDecideOutcome(status, None, field_dec, None)
 
     if f.degree == 4 and hasattr(ring, "divisors_up_to_associates") \
             and restriction is None:
@@ -378,9 +369,10 @@ def decompose_over_ring(f: Polynomial, degrees: Iterable[int],
             raise ValueError("a quartic only admits inner degree 2")
         return quartic_ring_decide(f)
 
+    name = restriction.name if restriction is not None else ring.name
     raise CapabilityError(
         f"no over-ring decision procedure for a non-monic polynomial of "
-        f"degree {f.degree} over {name or ring.name}; monic polynomials and "
+        f"degree {f.degree} over {name}; monic polynomials and "
         f"quartics over Z or an imaginary-quadratic order are decidable")
 
 

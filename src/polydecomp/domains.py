@@ -18,7 +18,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional
 
-from .poly import Polynomial
+from .poly import Polynomial, power
 
 
 class Tier(IntEnum):
@@ -60,21 +60,6 @@ def _int_divisors(n: int) -> list[int]:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 class IntegerRing:
@@ -148,7 +133,7 @@ class IntegerRing:
     def is_irreducible(self, x: int) -> bool:
         if x == 0 or self.is_unit(x):
             raise ValueError("irreducibility is undefined for zero and units")
-        return _is_prime(abs(x))
+        return len(_int_divisors(x)) == 2
 
     def fraction_field(self) -> "RationalField":
         return QQ
@@ -269,14 +254,7 @@ class QuadraticInt:
     def __pow__(self, n: int) -> "QuadraticInt":
         if n < 0:
             raise ValueError("negative power in a ring")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadraticInt):
@@ -359,8 +337,12 @@ class QuadraticIntRing:
         """x as an element of the order, or None when it is not integral."""
         if self.is_element(x):
             return x
-        if isinstance(x, QuadraticRat) and x.field.d == self.d:
-            return self.from_field(x)
+        if not isinstance(x, QuadraticRat) or x.field.d != self.d:
+            return None
+        # r + s*sqrt(d) = (r - s) + 2s*(1+sqrt(d))/2 in the half basis
+        a, b = (x.r - x.s, 2 * x.s) if self.half_basis else (x.r, x.s)
+        if a.denominator == 1 and b.denominator == 1:
+            return QuadraticInt(self, a.numerator, b.numerator)
         return None
 
     def norm(self, x: QuadraticInt) -> int:
@@ -476,24 +458,6 @@ class QuadraticIntRing:
     def q_algebra_hull(self) -> "QuadraticField":
         return QuadraticField(self.d)
 
-    def to_field(self, x: QuadraticInt) -> "QuadraticRat":
-        r, s = self.coerce(x).sqrt_coords()
-        return QuadraticRat(self.fraction_field(), r, s)
-
-    def from_field(self, y: "QuadraticRat") -> Optional[QuadraticInt]:
-        """Descend a field element into the order, or None if it is not integral."""
-        if not isinstance(y, QuadraticRat) or y.field.d != self.d:
-            raise TypeError("element of a different quadratic field")
-        if self.half_basis:
-            b = 2 * y.s
-            a = y.r - y.s
-            if b.denominator == 1 and a.denominator == 1:
-                return QuadraticInt(self, a.numerator, b.numerator)
-            return None
-        if y.r.denominator == 1 and y.s.denominator == 1:
-            return QuadraticInt(self, y.r.numerator, y.s.numerator)
-        return None
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuadraticIntRing) and other.d == self.d
 
@@ -562,15 +526,8 @@ class QuadraticRat:
 
     def __pow__(self, n: int) -> "QuadraticRat":
         if n < 0:
-            return self.field.one / (self ** (-n))
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self.field.one / power(self, -n, self.field.one)
+        return power(self, n, self.field.one)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadraticRat):
@@ -685,52 +642,6 @@ def _format_two_coords(first: Any, second: Any, fmt: Callable[[Any], str]) -> st
     if wpart.startswith("-"):
         return f"{fmt(first)}-{wpart[1:]}"
     return f"{fmt(first)}+{wpart}"
-
-
-def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """The nonnegative rational square root of q, when one exists."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    pn = math.isqrt(q.numerator)
-    pd = math.isqrt(q.denominator)
-    if pn * pn == q.numerator and pd * pd == q.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-def integral_sqrt_descent(x: QuadraticRat) -> Optional[QuadraticRat]:
-    """A square root of x inside Q(sqrt(d)), or None when none exists.
-
-    Writing x = r + s*sqrt(d) and a candidate root y = p + q*sqrt(d), the
-    coordinate equations p^2 + q^2 d = r, 2pq = s reduce to rational square
-    roots of norm(x) and of (r +/- sqrt(norm(x)))/2.
-    """
-    field = x.field
-    if x.r == 0 and x.s == 0:
-        return field.zero
-    t = rational_sqrt(x.norm())
-    if t is None:
-        return None
-    for psq in ((x.r + t) / 2, (x.r - t) / 2):
-        p = rational_sqrt(psq)
-        if p is None:
-            continue
-        if p != 0:
-            q = x.s / (2 * p)
-            cand = QuadraticRat(field, p, q)
-        elif x.s == 0:
-            # x = r < 0: the root is purely imaginary, q^2 * d = r
-            qsq = x.r / field.d
-            q = rational_sqrt(qsq)
-            if q is None:
-                continue
-            cand = QuadraticRat(field, 0, q)
-        else:
-            continue
-        if cand * cand == x:
-            return cand
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +777,7 @@ class SubringDescriptor:
 Z_IN_Q = SubringDescriptor("Z_in_Q", QQ, lambda x: x.denominator == 1)
 
 ZT23_IN_ZT = SubringDescriptor(
-    "Zt23_in_Zt", ZT, lambda p: p.coefficient(1) == 0)
+    "Z[t2,t3]", ZT, lambda p: p.coefficient(1) == 0)
 
 QZT23_IN_QT = SubringDescriptor(
     "QZt23_in_Qt", QT, lambda p: p.coefficient(1) == 0)
@@ -877,7 +788,7 @@ def order_in_field(d: int) -> SubringDescriptor:
     ring = QuadraticIntRing(d)
     field = ring.fraction_field()
     return SubringDescriptor(f"O_{d}_in_QsqrtD", field,
-                             lambda x: ring.from_field(x) is not None)
+                             lambda x: ring.descend(x) is not None)
 
 
 def q_times(ring: Any) -> SubringDescriptor:
@@ -888,8 +799,8 @@ def q_times(ring: Any) -> SubringDescriptor:
     the rational polynomials with no linear term.
     """
     if isinstance(ring, SubringDescriptor):
-        if ring.name == "Zt23_in_Zt":
-            return SubringDescriptor("QtimesR_of(Zt23_in_Zt)", QT,
+        if ring is ZT23_IN_ZT:
+            return SubringDescriptor(f"QtimesR_of({ring.name})", QT,
                                      QZT23_IN_QT._predicate)
         raise ValueError(f"no rational span rule for descriptor {ring.name}")
     hull = hull_of(ring)

@@ -185,15 +185,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.domain, self.domain.one, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, Polynomial.constant(self.domain, self.domain.one, self.var))
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by var**k."""
@@ -280,6 +272,22 @@ def _format_term(domain: Any, c: Any, i: int, var: str) -> str:
 
 
 # -- free functions for the core operations --------------------------------
+
+def power(x: Any, n: int, one: Any) -> Any:
+    """x**n for n >= 0 by square-and-multiply, starting from ``one``.
+
+    Squares only while bits of n remain, so the last, largest square is
+    never computed and then thrown away.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
 
 def compose(g: Polynomial, h: Polynomial) -> Polynomial:
     """g(h(x)), computed by Horner over the shared coefficient domain."""

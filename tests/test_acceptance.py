@@ -170,7 +170,7 @@ def _oracle_quartic_over_r5(f: Polynomial) -> bool:
     """
     ring = f.domain
     field = ring.fraction_field()
-    D, E, C, B = (ring.to_field(f.coefficient(k)) for k in (4, 3, 2, 1))
+    D, E, C, B = (field.coerce(f.coefficient(k)) for k in (4, 3, 2, 1))
     n = ring.norm(f.coefficient(4))
     m = math.isqrt(n)
     for a in range(-math.isqrt(m), math.isqrt(m) + 1):
@@ -183,7 +183,7 @@ def _oracle_quartic_over_r5(f: Polynomial) -> bool:
             q = (C - p * v * v) / u
             if B != q * v:
                 continue
-            if all(ring.from_field(z) is not None for z in (p, v, q)):
+            if all(ring.descend(z) is not None for z in (p, v, q)):
                 return True
     return False
 
@@ -322,7 +322,8 @@ def test_quadratic_ring_arithmetic(capsys):
             assert R5.divides_exact(x, x * y) == y
             z = R5.element(rng.randint(-9, 9), rng.randint(-9, 9))
             got = R5.divides_exact(x, z)
-            landed = R5.from_field(R5.to_field(z) / R5.to_field(x))
+            landed = R5.descend(R5.fraction_field().coerce(z)
+                                / R5.fraction_field().coerce(x))
             assert (got is None) == (landed is None)
             if got is not None:
                 assert got * x == z and got == landed

@@ -8,6 +8,7 @@ import pytest
 
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, ZZ,
                         main, parse_expression, parse_poly, resolve_ring)
+from polydecomp import cli
 from polydecomp.cli import ParseError, format_result, run, build_parser
 
 R5 = QuadraticIntRing(-5)
@@ -111,6 +112,24 @@ class TestGrammar:
             parse_expression("x^4096*t^4096*t")
         assert info.value.pos == 13
         assert "degree in t" in str(info.value)
+
+    def test_constant_size_is_bounded_before_lowering(self):
+        for base in ("1", "0", "(-1)", "-1"):
+            parse_expression(f"{base}^10000000000")
+        assert parse_poly("(-1)^10000000001", "Z") == Polynomial(ZZ, [-1], "x")
+        assert parse_poly("0^10000000000+1", "Z") == Polynomial(ZZ, [1], "x")
+        parse_expression("2^1048576")
+        for text, pos in (("2^1048577", 1), ("x+2^1048576*2", 11),
+                          ("(3/2)^1048576", 5), ("2^1048576+1", 9)):
+            with pytest.raises(ParseError) as info:
+                parse_expression(text)
+            assert info.value.pos == pos, text
+            assert "may exceed 1048576 bits" in str(info.value)
+        # w counts one bit without a ring and about log2|d| + 1 with one
+        parse_expression("w^262145")
+        with pytest.raises(ParseError) as info:
+            parse_poly("w^262145", "Z[sqrt(-5)]")
+        assert info.value.pos == 1
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -366,6 +385,20 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert err.startswith("error: syntax error at position ")
         assert "may exceed 4096" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--ring", "Z", "x^4+2^10000000000"],
+        ["decompose", "--ring", "Z[sqrt(-5)]", "x^4+w^10000000000"],
+    ])
+    def test_constant_past_the_bound_exits_1(self, argv, capsys, monkeypatch):
+        def no_lowering(node, ctx):
+            raise AssertionError("lowered an expression past the bound")
+
+        monkeypatch.setattr(cli, "_lower", no_lowering)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: syntax error at position 5:")
+        assert "may exceed 1048576 bits" in err and "Traceback" not in err
 
     def test_inner_degree_zero_is_rejected(self, capsys):
         for ring in ("Q", "Z"):

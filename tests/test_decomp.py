@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (CapabilityError, Decomposition, Polynomial,
-                        QuadraticField, QuadraticIntRing, RingDecideStatus,
-                        QQ, QT, ZT, ZZ, ZT23_IN_ZT, QZT23_IN_QT,
-                        coefficients_in_QR, compose, decompose_fully,
-                        decompose_over_field, decompose_over_ring,
-                        embed_poly, hadic_digits, linear_relate,
+                        QuadraticField, QuadraticIntRing, RingDecideOutcome,
+                        RingDecideStatus, QQ, QT, ZT, ZZ, ZT23_IN_ZT,
+                        QZT23_IN_QT, coefficients_in_QR, compose,
+                        decompose_fully, decompose_over_field,
+                        decompose_over_ring, descend_poly, embed_poly,
+                        hadic_digits, hull_of, linear_relate,
                         monic_decompose, normalize_monic_decomposition,
                         proper_inner_degrees, quartic_field_decompose,
                         quartic_ring_decide, verify_taylor_expansion)
@@ -396,7 +397,109 @@ class TestDecomposeOverRing:
             decompose_over_ring(f, [2, 3])
         with pytest.raises(CapabilityError, match="over Z\\[t2,t3\\];"):
             decompose_over_ring(Polynomial(ZT, [0, 0, 1, 0, 2], "x"), [2],
-                                ZT23_IN_ZT, "Z[t2,t3]")
+                                ZT23_IN_ZT)
+
+
+def parent_unit_lead_decide(f, degrees):
+    """The over-ring decision as it was with the lead divided out first.
+
+    A unit lead is divided out, the monic f is solved over the hull for
+    each inner degree, and the unit is multiplied back into both g's.
+    """
+    ring = f.domain
+    unit = None
+    if not f.is_monic():
+        unit = f.leading_coefficient
+        f = f.scale(ring.divides_exact(unit, ring.one))
+
+    def times_unit(dec):
+        if unit is None or dec is None:
+            return dec
+        return Decomposition(dec.g.scale(unit), dec.h)
+
+    fh = embed_poly(f, hull_of(ring))
+    field_dec = None
+    for m in degrees:
+        dec = monic_decompose(fh, m)
+        if dec is None:
+            continue
+        if field_dec is None:
+            field_dec = dec
+        g = descend_poly(dec.g, ring)
+        h = descend_poly(dec.h, ring)
+        if g is not None and h is not None:
+            return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
+                                     times_unit(Decomposition(g, h)),
+                                     times_unit(field_dec), None)
+    status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if field_dec is None
+              else RingDecideStatus.INDECOMPOSABLE_OVER_RING)
+    return RingDecideOutcome(status, None, times_unit(field_dec), None)
+
+
+def parent_field_loop(fh, degrees):
+    """The decompose command's own loop over a field: the first pair found,
+    as the outcome the library gives for it."""
+    for m in degrees:
+        dec = decompose_over_field(fh, m)
+        if dec is not None:
+            return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
+                                     dec, dec, None)
+    return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
+                             None, None, None)
+
+
+O3 = QuadraticIntRing(-3)
+small_ints = st.integers(-3, 3)
+UNIT_LEAD_RINGS = {
+    "Z": (ZZ, small_ints),
+    "O(-3)": (O3, st.builds(O3.element, small_ints, small_ints)),
+    "Z[sqrt(-5)]": (R5, st.builds(R5.element, small_ints, small_ints)),
+}
+FIELDS = {name: DOMAIN_ELEMENTS[name] for name in ("Q", "Q(sqrt(-5))")}
+
+
+@st.composite
+def led_composition(draw, dom, element, leads):
+    """g(h), sometimes plus c*x, with g and h of degree 2..3 led by leads."""
+    def factor():
+        deg = draw(st.integers(2, 3))
+        return Polynomial(dom, [draw(element) for _ in range(deg)]
+                          + [draw(leads)], "x")
+
+    f = compose(factor(), factor())
+    if draw(st.booleans()):
+        f = f + Polynomial(dom, [dom.zero, draw(element)], "x")
+    return f
+
+
+class TestOneLeadNormalisation:
+    """decompose_over_ring against the two paths it replaced."""
+
+    @pytest.mark.parametrize("ring", sorted(UNIT_LEAD_RINGS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_lead_matches_the_pre_division(self, ring, data):
+        dom, element = UNIT_LEAD_RINGS[ring]
+        f = data.draw(led_composition(dom, element,
+                                      st.sampled_from(dom.units())))
+        degrees = proper_inner_degrees(f.degree)
+        out = decompose_over_ring(f, degrees)
+        assert out == parent_unit_lead_decide(f, degrees)
+        if out.decomposition is not None:
+            assert out.decomposition.certificate == f
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_field_lead_matches_the_command_loop(self, field, data):
+        dom, element = FIELDS[field]
+        f = data.draw(led_composition(
+            dom, element, element.filter(lambda c: c != dom.zero)))
+        degrees = proper_inner_degrees(f.degree)
+        out = decompose_over_ring(f, degrees)
+        assert out == parent_field_loop(f, degrees)
+        if out.decomposition is not None:
+            assert out.decomposition.certificate == f
 
 
 class TestNormalization:

@@ -9,8 +9,8 @@ from polydecomp import (CapabilityError, Polynomial, QuadraticField,
                         QuadraticIntRing, QuadraticRat, Tier,
                         QQ, QT, ZT, ZZ, Z_IN_Q, ZT23_IN_ZT, QZT23_IN_QT,
                         descend_element, descend_poly, embed_element,
-                        embed_poly, hull_of, integral_sqrt_descent,
-                        order_in_field, q_times, rational_sqrt, require_tier)
+                        embed_poly, hull_of, order_in_field, q_times,
+                        require_tier)
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -252,32 +252,19 @@ class TestFieldElements:
 
     def test_to_and_from_field(self):
         x = w5(3, -4)
-        y = R5.to_field(x)
-        assert R5.from_field(y) == x
-        assert R5.from_field(K5.element(Fraction(1, 2))) is None
+        y = R5.fraction_field().coerce(x)
+        assert R5.descend(y) == x
+        assert R5.descend(K5.element(Fraction(1, 2))) is None
 
     def test_half_basis_descent(self):
         w = O15.element(0, 1)
-        y = O15.to_field(w)
+        y = O15.fraction_field().coerce(w)
         assert y == K15.element(Fraction(1, 2), Fraction(1, 2))
-        assert O15.from_field(y) == w
+        assert O15.descend(y) == w
         # integral but with half coordinates in the field
         z = K15.element(Fraction(3, 2), Fraction(1, 2))
-        assert O15.from_field(z) == O15.element(1, 1)
-        assert O15.from_field(K15.element(Fraction(1, 2), 0)) is None
-
-    def test_sqrt_descent(self):
-        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert rational_sqrt(Fraction(2)) is None
-        # sqrt(-4 - 2w) = +-(1 - w) in Q(sqrt(-5))
-        target = K5.element(-4, -2)
-        root = integral_sqrt_descent(target)
-        assert root is not None and root * root == target
-        assert root in (K5.element(1, -1), K5.element(-1, 1))
-        assert integral_sqrt_descent(K5.element(1, 1)) is None
-        # purely imaginary square root: sqrt(-5) = w
-        root = integral_sqrt_descent(K5.element(-5))
-        assert root is not None and root * root == K5.element(-5)
+        assert O15.descend(z) == O15.element(1, 1)
+        assert O15.descend(K15.element(Fraction(1, 2), 0)) is None
 
     def test_format(self):
         assert str(K5.element(Fraction(1, 2), Fraction(1, 2))) == "1/2+1/2*w"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (MINUS_INFINITY, DomainMismatchError, Polynomial,
-                        QQ, QT, ZZ, QuadraticField, QuadraticIntRing,
+                        QQ, QT, ZZ, QuadraticField, QuadraticIntRing, Tier,
                         compose, derivative, divrem_monic, hadic_digits)
 
 
@@ -164,6 +164,40 @@ class TestAlgebraLaws:
 
         monkeypatch.setattr(Polynomial, "__mul__", counting)
         assert p ** n == expected
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+    @given(st.sampled_from([QuadraticIntRing(-5), QuadraticField(-5),
+                            QuadraticIntRing(-15)]),
+           st.integers(-4, 4), st.integers(-4, 4),
+           st.integers(0, 5) | st.sampled_from([7, 8, 15, 16, 31, 32]))
+    def test_element_power_matches_repeated_product(self, dom, a, b, n):
+        x = dom.element(a, b)
+        expected = dom.one
+        for _ in range(n):
+            expected = expected * x
+        assert x ** n == expected
+        if dom.tier == Tier.FIELD and x != dom.zero:
+            assert x ** -n * expected == dom.one
+
+    @pytest.mark.parametrize("dom", [QuadraticIntRing(-5), QuadraticField(-5)],
+                             ids=["QuadraticInt", "QuadraticRat"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
+    def test_element_power_squares_only_while_bits_remain(self, dom, n,
+                                                          monkeypatch):
+        x = dom.element(1, -2)
+        expected = dom.one
+        for _ in range(n):
+            expected = expected * x
+        cls = type(x)
+        calls = []
+        mul = cls.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        assert x ** n == expected
         assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
 
     @given(coeff_lists, st.integers(-20, 20))

@@ -125,12 +125,13 @@ class TestBuildWitness:
         ell, a, p_s = w5(2), w5(1, 1), w5(1, -1)
         data = build_witness_poly(ell, a, p_s)
         c = K5.element(Fraction(1, 2), Fraction(1, 2))
-        d = R5.to_field(p_s * p_s)
-        ellf = R5.to_field(ell)
+        d = R5.fraction_field().coerce(p_s * p_s)
+        ellf = R5.fraction_field().coerce(ell)
         g = Polynomial(K5, [K5.element(0), ellf, d], "x")
         h = Polynomial(K5, [K5.element(0), c, K5.element(1)], "x")
         lifted = compose(g, h)
-        assert [R5.to_field(x) for x in data.f.coeffs] == list(lifted.coeffs)
+        assert ([R5.fraction_field().coerce(x) for x in data.f.coeffs]
+                == list(lifted.coeffs))
 
     def test_plain_integers_need_explicit_ring(self):
         with pytest.raises(ValueError):
