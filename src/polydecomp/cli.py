@@ -536,8 +536,8 @@ def _ring_result(command: str, ctx: RingContext, outcome,
                  over_field: bool = False) -> CommandResult:
     """Render an over-ring outcome.
 
-    An outcome without a candidate search (monic up to a unit) gets the
-    short form; a candidate search gets both verdicts and its table.  With
+    An outcome without a candidate search (monic, over a field, or with
+    a unit lead) gets the short form; a candidate search gets both verdicts and its table.  With
     ``over_field`` the outcome is a decision over the hull, and its
     verdicts name the hull instead of the ring.
     """
