@@ -153,14 +153,35 @@ REROUTED_ARGVS = (
     ("decompose", "--ring", "Z", "--over", "field", "--", "-x^4-x^2"),
 )
 
+#: Evaluation order of the expression parser and which error comes first,
+#: each also run with --json.  They come after the rerouted paths so that
+#: earlier entries keep their indices.
+ORDER_ARGVS = (
+    # the degree bound beats an undefined w to its left
+    ("decompose", "--ring", "Z", "w+x^5000"),
+    # a syntax error beats the degree bound
+    ("decompose", "--ring", "Z", "x^5000+(x"),
+    # an undefined w found while lowering beats the membership check
+    ("decompose", "--ring", "Z", "1/2*x^4+w"),
+    # the constant bound beats w
+    ("decompose", "--ring", "Z", "w*2^1048577"),
+    # the degree bound reads the shape, not the value
+    ("decompose", "--ring", "Q", "(x-x)^5000+x^4"),
+    # unary minus, power, product and sum on the value path
+    ("decompose", "--ring", "Q", "--", "-(x+1)^2*3-x^4+2*x^2-1/2"),
+    ("compose", "--ring", "Z[sqrt(-5)]", "--", "-w*x^2-(1-w)*x", "x^2-w"),
+    # check-subring lowers its input directly
+    ("check-subring", "--ring", "Z", "w^2"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
 
 
 def corpus_argvs() -> list:
-    """The hand-picked vectors, the benchmark's cli-mixed ones, then the
-    rerouted paths."""
+    """The hand-picked vectors, the benchmark's cli-mixed ones, the
+    rerouted paths, then the evaluation-order vectors."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -170,7 +191,7 @@ def corpus_argvs() -> list:
         out += [argv, _with_json(argv)]
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
-    for argv in REROUTED_ARGVS:
+    for argv in REROUTED_ARGVS + ORDER_ARGVS:
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 
@@ -195,6 +216,11 @@ def test_cli_output_matches_corpus(entry):
 
 def test_corpus_is_present():
     assert len(CORPUS) > 100
+
+
+def test_corpus_matches_the_argument_vectors():
+    """An argument vector added without re-recording would never run."""
+    assert [e["argv"] for e in CORPUS] == [list(a) for a in corpus_argvs()]
 
 
 if __name__ == "__main__":
