@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import random
 import re
 import sys
@@ -59,40 +60,13 @@ class Token:
     pos: int
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int
+#: A compiled expression: (op, arg, pos) instructions in postfix order.
+#: op is "num" (arg a Fraction), "sym" (arg "x", "t" or "w"), "neg", "+",
+#: "-", "*" or "^" (arg the exponent); pos is where the source wrote it.
+Program = list[tuple[str, Any, int]]
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ExprAST"
-    pos: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ExprAST"
-    right: "ExprAST"
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAST"
-    exponent: int
-    pos: int
-
-
-ExprAST = Union[Num, Sym, Neg, BinOp, Pow]
+_DIGITS = "0123456789"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -103,9 +77,9 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("num", text[i:j], i))
             i = j
@@ -126,16 +100,19 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-#: Deepest parenthesis nesting the parser accepts.  Parsing and lowering
-#: recurse once per level, so a bound keeps both inside Python's stack.
+#: Deepest parenthesis nesting the parser accepts.  Only the parser
+#: recurses, once per level, so a bound keeps it inside Python's stack.
 _MAX_NESTING = 100
 
 
 class _ExprParser:
+    """Recursive descent that compiles tokens to a postfix Program."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.program: Program = []
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -145,41 +122,43 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def parse(self) -> ExprAST:
-        node = self.expr()
+    def parse(self) -> Program:
+        self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError("unexpected trailing input", tok.pos)
-        return node
+        return self.program
 
-    def expr(self) -> ExprAST:
+    def expr(self) -> None:
         tok = self.peek()
         if tok.kind == "-":
             self.take()
-            node: ExprAST = Neg(self.term(), tok.pos)
+            self.term()
+            self.program.append(("neg", None, tok.pos))
         else:
-            node = self.term()
+            self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            node = BinOp(op.kind, node, self.term(), op.pos)
-        return node
+            self.term()
+            self.program.append((op.kind, None, op.pos))
 
-    def term(self) -> ExprAST:
-        node = self.factor()
+    def term(self) -> None:
+        self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "*":
                 self.take()
-                node = BinOp("*", node, self.factor(), tok.pos)
+                self.factor()
+                self.program.append(("*", None, tok.pos))
             elif tok.kind in ("num", "name", "("):
                 raise ParseError(
                     "implicit multiplication is not allowed; insert '*'",
                     tok.pos)
             else:
-                return node
+                return
 
-    def factor(self) -> ExprAST:
-        node = self.base()
+    def factor(self) -> None:
+        self.base()
         tok = self.peek()
         if tok.kind == "^":
             self.take()
@@ -188,13 +167,13 @@ class _ExprParser:
                 raise ParseError(
                     "exponent must be a nonnegative integer literal", etok.pos)
             self.take()
-            node = Pow(node, int(etok.text), tok.pos)
-        return node
+            self.program.append(("^", int(etok.text), tok.pos))
 
-    def base(self) -> ExprAST:
+    def base(self) -> None:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
+            value = Fraction(int(tok.text))
             if self.peek().kind == "/":
                 self.take()
                 dtok = self.peek()
@@ -204,33 +183,33 @@ class _ExprParser:
                 self.take()
                 if int(dtok.text) == 0:
                     raise ParseError("denominator is zero", dtok.pos)
-                return Num(Fraction(int(tok.text), int(dtok.text)), tok.pos)
-            return Num(Fraction(int(tok.text)), tok.pos)
-        if tok.kind == "name":
+                value /= int(dtok.text)
+            self.program.append(("num", value, tok.pos))
+        elif tok.kind == "name":
             self.take()
-            return Sym(tok.text, tok.pos)
-        if tok.kind == "(":
+            self.program.append(("sym", tok.text, tok.pos))
+        elif tok.kind == "(":
             self.take()
             self.depth += 1
             if self.depth > _MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {_MAX_NESTING}", tok.pos)
-            node = self.expr()
+            self.expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
             self.take()
             self.depth -= 1
-            return node
-        raise ParseError("expected a number, a symbol, or '('", tok.pos)
+        else:
+            raise ParseError("expected a number, a symbol, or '('", tok.pos)
 
 
 #: Highest degree in x or in t an expression may reach.  Lowering builds
-#: dense coefficient lists, so the bound is checked on the tree first.
+#: dense coefficient lists, so the bound is checked on the program first.
 _MAX_DEGREE = 4096
 
 #: Most bits a constant of an expression may reach.  Squaring doubles the
-#: size of a constant, so a power like 2^k is bounded on the tree too.
+#: size of a constant, so a power like 2^k is bounded on the program too.
 _MAX_BITS = 1 << 20
 
 
@@ -239,38 +218,31 @@ def _bits(n: int) -> int:
     return max(abs(n) - 1, 0).bit_length()
 
 
-def _degree_bound(node: ExprAST, w_bits: int) -> tuple[int, int, int]:
-    """Upper bounds on the degrees in x and in t of node's value, and on
-    the bit size of its constants, counting w as ``w_bits`` bits.
+def _degree_bound(program: Program, w_bits: int) -> tuple[int, int, int]:
+    """Upper bounds on the degrees in x and in t of the program's value,
+    and on the bit size of its constants, counting w as ``w_bits`` bits.
 
     Raises ParseError, at the operator that crosses it, as soon as a
     degree exceeds _MAX_DEGREE or the size exceeds _MAX_BITS.
     """
-    if isinstance(node, Num):
-        return 0, 0, _bits(node.value.numerator) + _bits(node.value.denominator)
-    if isinstance(node, Sym):
-        return (int(node.name == "x"), int(node.name == "t"),
-                w_bits if node.name == "w" else 0)
-    if isinstance(node, Neg):
-        return _degree_bound(node.operand, w_bits)
-    if isinstance(node, Pow):
-        dx, dt, b = _degree_bound(node.base, w_bits)
-        e = node.exponent
-        return _capped(dx * e, dt * e, b * e, node.pos)
-    # walk the left spine of a long chain, as _lower does
-    spine = []
-    while isinstance(node, BinOp):
-        spine.append(node)
-        node = node.left
-    dx, dt, b = _degree_bound(node, w_bits)
-    for op in reversed(spine):
-        rx, rt, rb = _degree_bound(op.right, w_bits)
-        if op.op == "*":
-            dx, dt, b = _capped(dx + rx, dt + rt, b + rb, op.pos)
-        else:
-            dx, dt, b = _capped(max(dx, rx), max(dt, rt), max(b, rb) + 1,
-                                op.pos)
-    return dx, dt, b
+    stack = []
+    for op, arg, pos in program:
+        if op == "num":
+            stack.append((0, 0, _bits(arg.numerator) + _bits(arg.denominator)))
+        elif op == "sym":
+            stack.append((int(arg == "x"), int(arg == "t"),
+                          w_bits if arg == "w" else 0))
+        elif op == "^":
+            dx, dt, b = stack.pop()
+            stack.append(_capped(dx * arg, dt * arg, b * arg, pos))
+        elif op != "neg":
+            (rx, rt, rb), (dx, dt, b) = stack.pop(), stack.pop()
+            if op == "*":
+                stack.append(_capped(dx + rx, dt + rt, b + rb, pos))
+            else:
+                stack.append(_capped(max(dx, rx), max(dt, rt),
+                                     max(b, rb) + 1, pos))
+    return stack.pop()
 
 
 def _capped(dx: int, dt: int, b: int, pos: int) -> tuple[int, int, int]:
@@ -283,14 +255,15 @@ def _capped(dx: int, dt: int, b: int, pos: int) -> tuple[int, int, int]:
     return dx, dt, b
 
 
-def _parse(text: str, w_bits: int) -> ExprAST:
-    node = _ExprParser(tokenize(text)).parse()
-    _degree_bound(node, w_bits)
-    return node
+def _parse(text: str, w_bits: int) -> Program:
+    program = _ExprParser(tokenize(text)).parse()
+    _degree_bound(program, w_bits)
+    return program
 
 
-def parse_expression(text: str) -> ExprAST:
-    """Parse text into a tree whose degrees and constants are bounded.
+def parse_expression(text: str) -> Program:
+    """Compile text into a postfix Program whose degrees and constants
+    are bounded.
 
     No ring is known here, so w counts as one bit; parse_poly counts it
     for its ring.
@@ -371,40 +344,33 @@ def resolve_ring(descriptor: str) -> RingContext:
                      f"supported: {_SUPPORTED}")
 
 
-def _lower(node: ExprAST, ctx: RingContext) -> Polynomial:
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _lower(program: Program, ctx: RingContext) -> Polynomial:
+    """Evaluate a program over the hull of ctx."""
     dom = ctx.hull
-    if isinstance(node, Num):
-        return Polynomial.constant(dom, dom.coerce(node.value), "x")
-    if isinstance(node, Sym):
-        if node.name == "x":
-            return Polynomial.identity(dom, "x")
-        value = ctx.t if node.name == "t" else ctx.w
-        if value is None:
-            raise ParseError(f"symbol {node.name} is not defined over "
-                             f"{ctx.descriptor}", node.pos)
-        return Polynomial.constant(dom, value, "x")
-    if isinstance(node, Neg):
-        return -_lower(node.operand, ctx)
-    if isinstance(node, BinOp):
-        # a chain a+b+...+z is left-nested as deep as it is long, so walk
-        # its left spine instead of recursing down it
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.left
-        acc = _lower(node, ctx)
-        for op in reversed(spine):
-            right = _lower(op.right, ctx)
-            if op.op == "+":
-                acc = acc + right
-            elif op.op == "-":
-                acc = acc - right
-            else:
-                acc = acc * right
-        return acc
-    if isinstance(node, Pow):
-        return _lower(node.base, ctx) ** node.exponent
-    raise TypeError(f"unknown AST node {node!r}")
+    stack = []
+    for op, arg, pos in program:
+        if op == "num":
+            stack.append(Polynomial.constant(dom, dom.coerce(arg), "x"))
+        elif op == "sym":
+            if arg == "x":
+                stack.append(Polynomial.identity(dom, "x"))
+                continue
+            value = ctx.t if arg == "t" else ctx.w
+            if value is None:
+                raise ParseError(f"symbol {arg} is not defined over "
+                                 f"{ctx.descriptor}", pos)
+            stack.append(Polynomial.constant(dom, value, "x"))
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "^":
+            stack.append(stack.pop() ** arg)
+        else:
+            right, left = stack.pop(), stack.pop()
+            stack.append(_ARITHMETIC[op](left, right))
+    return stack.pop()
 
 
 def parse_poly(text: str, ring: Union[str, RingContext]) -> Polynomial:

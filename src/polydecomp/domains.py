@@ -337,10 +337,15 @@ class QuadraticIntRing:
         """x as an element of the order, or None when it is not integral."""
         if self.is_element(x):
             return x
-        if not isinstance(x, QuadraticRat) or x.field.d != self.d:
+        if isinstance(x, QuadraticRat):
+            if x.field.d != self.d:
+                return None
+            # r + s*sqrt(d) = (r - s) + 2s*(1+sqrt(d))/2 in the half basis
+            a, b = (x.r - x.s, 2 * x.s) if self.half_basis else (x.r, x.s)
+        elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            a, b = Fraction(x), Fraction(0)
+        else:
             return None
-        # r + s*sqrt(d) = (r - s) + 2s*(1+sqrt(d))/2 in the half basis
-        a, b = (x.r - x.s, 2 * x.s) if self.half_basis else (x.r, x.s)
         if a.denominator == 1 and b.denominator == 1:
             return QuadraticInt(self, a.numerator, b.numerator)
         return None

@@ -72,30 +72,28 @@ def _check_pair(pair: FactorizationPair) -> None:
                 f"the {side} list does not multiply to the element")
 
 
-def _max_matching(ring: Any, first: tuple, second: tuple) -> int:
-    """Size of a maximum matching of first against second by associateness."""
-    adjacency = [[j for j, q in enumerate(second) if ring.are_associates(p, q)]
-                 for p in first]
-    match_of = [-1] * len(second)
+def _cancel_associates(ring: Any, first: tuple,
+                       second: tuple) -> tuple[list, list]:
+    """What is left of both lists after cancelling associate pairs.
 
-    def augment(i: int, seen: set) -> bool:
-        for j in adjacency[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_of[j] == -1 or augment(match_of[j], seen):
-                match_of[j] = i
-                return True
-        return False
-
-    return sum(1 for i in range(len(first)) if augment(i, set()))
+    Associateness is an equivalence relation, so cancelling greedily, in
+    order, leaves as little as a maximum matching would.
+    """
+    left, right = [], list(second)
+    for p in first:
+        j = next((j for j, q in enumerate(right)
+                  if ring.are_associates(p, q)), None)
+        if j is None:
+            left.append(p)
+        else:
+            del right[j]
+    return left, right
 
 
 def validate_inequivalent(pair: FactorizationPair) -> bool:
     """True iff no bijection matches the two lists up to associates."""
-    if len(pair.first) != len(pair.second):
-        return True
-    return _max_matching(pair.ring, pair.first, pair.second) < len(pair.first)
+    left, right = _cancel_associates(pair.ring, pair.first, pair.second)
+    return bool(left or right)
 
 
 def strip_common_associates(pair: FactorizationPair) -> FactorizationPair:
@@ -106,19 +104,7 @@ def strip_common_associates(pair: FactorizationPair) -> FactorizationPair:
     which means the factorizations were equivalent all along.
     """
     ring = pair.ring
-    first = list(pair.first)
-    second = list(pair.second)
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(first):
-            j = next((j for j, q in enumerate(second)
-                      if ring.are_associates(p, q)), None)
-            if j is not None:
-                del first[i]
-                del second[j]
-                changed = True
-                break
+    first, second = _cancel_associates(ring, pair.first, pair.second)
     if not first or not second:
         raise ValueError("the factorizations are equivalent; nothing remains "
                          "after cancelling associates")

@@ -131,6 +131,14 @@ class TestGrammar:
             parse_poly("w^262145", "Z[sqrt(-5)]")
         assert info.value.pos == 1
 
+    def test_only_ascii_digits_are_digits(self):
+        for text in ("x^\u00b2", "x^\u0664+x^\u0662", "\uff13*x"):
+            with pytest.raises(ParseError) as info:
+                parse_expression(text)
+            pos = 0 if text[0] != "x" else 2
+            assert info.value.pos == pos, text
+            assert f"unexpected character {text[pos]!r}" in str(info.value)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("x ^ 2 ^ 3")
@@ -374,6 +382,12 @@ class TestErrorHandling:
             capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: syntax error at position 100:")
+
+    def test_non_ascii_digit_exits_1(self, capsys):
+        code, out, err = run_cli(["decompose", "x^\u00b2"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: syntax error at position 2: "
+                       "unexpected character '\u00b2'\n")
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--ring", "Q", "x^100000000"],

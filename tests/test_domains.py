@@ -305,9 +305,12 @@ class TestEmbedDescend:
             (ZZ, Fraction(4), 4), (ZZ, Fraction(1, 2), None),
             (ZZ, K5.element(1), None),
             (QQ, Fraction(1, 2), Fraction(1, 2)), (QQ, K5.one, None),
-            (R5, K5.element(2, -3), w5(2, -3)), (R5, 3, None),
+            (R5, K5.element(2, -3), w5(2, -3)), (R5, 3, w5(3, 0)),
+            (R5, Fraction(-6, 2), w5(-3, 0)), (R5, Fraction(1, 2), None),
+            (R5, True, None), (R5, K15.one, None),
             (O15, K15.element(Fraction(3, 2), Fraction(1, 2)),
              O15.element(1, 1)),
+            (O15, 7, O15.element(7, 0)), (O15, Fraction(5, 3), None),
             (K5, w5(1, 1), K5.element(1, 1)), (K5, K15.one, None),
             (ZT, t * 2, Polynomial(ZZ, [0, 1], "t")), (ZT, t, None),
             (ZT, Polynomial(QQ, [1], "s"), None), (QT, t, t),

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydecomp import (FactorizationPair, Polynomial, QuadraticField,
                         QuadraticIntRing, RingDecideStatus, WitnessData, ZZ,
@@ -63,6 +65,88 @@ class TestInequivalence:
         # both lists repeat a factor with different multiplicity
         p = FactorizationPair(ZZ, 8, (2, 2, 2), (-2, 2, 2))
         assert not validate_inequivalent(p)
+
+
+def reference_max_matching(ring, first, second):
+    """Size of a maximum matching by associateness, by augmenting paths."""
+    adjacency = [[j for j, q in enumerate(second) if ring.are_associates(p, q)]
+                 for p in first]
+    match_of = [-1] * len(second)
+
+    def augment(i, seen):
+        for j in adjacency[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_of[j] == -1 or augment(match_of[j], seen):
+                match_of[j] = i
+                return True
+        return False
+
+    return sum(1 for i in range(len(first)) if augment(i, set()))
+
+
+def o15(a, b=0):
+    return O15.element(a, b)
+
+
+#: Per ring: irreducibles, and pairs of factor lists with associate
+#: products (o15(-1, 2) is sqrt(-15)).
+ASSOCIATE_BLOCKS = {
+    "Z": (ZZ, (2, 3, 5, 7), ()),
+    "Z[sqrt(-5)]": (
+        R5, (2, 3, 7, w5(1, 1), w5(1, -1), w5(2, 1), w5(2, -1), w5(3, 1),
+             w5(3, -1)),
+        (((2, 3), (w5(1, 1), w5(1, -1))), ((3, 3), (w5(2, 1), w5(2, -1))),
+         ((2, 7), (w5(3, 1), w5(3, -1))))),
+    "O(-15)": (
+        O15, (2, 3, 5, o15(0, 1), o15(1, -1), o15(-1, 2)),
+        (((2, 2), (o15(0, 1), o15(1, -1))), ((3, 5), (o15(-1, 2),) * 2))),
+}
+
+
+@st.composite
+def factorization_pairs(draw, ring_name):
+    """Two factorizations of one element, shuffled and twisted by units.
+
+    Each block puts an irreducible on both sides, or one side of a
+    relation on each, so some pairs are inequivalent."""
+    ring, atoms, relations = ASSOCIATE_BLOCKS[ring_name]
+    unit = st.sampled_from(ring.units()).map(ring.coerce)
+    first, second = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if relations and draw(st.booleans()):
+            block = draw(st.sampled_from(relations))
+            left, right = draw(st.sampled_from(block)), draw(st.sampled_from(block))
+        else:
+            left = right = (draw(st.sampled_from(atoms)),)
+        first += [ring.coerce(x) * draw(unit) for x in left]
+        second += [ring.coerce(x) * draw(unit) for x in right]
+    first, second = draw(st.permutations(first)), draw(st.permutations(second))
+    element = ring.one
+    for x in first:
+        element = element * x
+    return FactorizationPair(ring, element, tuple(first), tuple(second))
+
+
+class TestOneCancellation:
+    @pytest.mark.parametrize("ring_name", sorted(ASSOCIATE_BLOCKS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_cancellation_agrees_with_maximum_matching(self, ring_name,
+                                                              data):
+        pair = data.draw(factorization_pairs(ring_name))
+        n = len(pair.first)
+        by_matching = (len(pair.second) != n or
+                       reference_max_matching(pair.ring, pair.first,
+                                           pair.second) < n)
+        assert validate_inequivalent(pair) == by_matching
+        try:
+            strip_common_associates(pair)
+        except ValueError:
+            assert not by_matching
+        else:
+            assert by_matching
 
 
 class TestStripping:
