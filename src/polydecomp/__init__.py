@@ -18,13 +18,12 @@ from .domains import (CapabilityError, Tier, IntegerRing, RationalField,
                       descend_element, descend_poly, embed_element,
                       embed_poly, hull_of, order_in_field, q_times,
                       require_tier)
-from .decomp import (CandidateCheck, Decomposition, NormalizationParams,
-                     RingDecideOutcome, RingDecideStatus, coefficients_in_QR,
-                     decompose_fully, decompose_over_field,
-                     decompose_over_ring, linear_relate,
-                     monic_decompose, normalize_monic_decomposition,
-                     proper_inner_degrees, quartic_field_decompose,
-                     quartic_ring_decide, verify_taylor_expansion)
+from .decomp import (CandidateCheck, Decomposition, RingDecideOutcome,
+                     RingDecideStatus, coefficients_in_QR, decompose_fully,
+                     decompose_over_field, decompose_over_ring, linear_relate,
+                     monic_decompose, proper_inner_degrees,
+                     quartic_field_decompose, quartic_ring_decide,
+                     verify_taylor_expansion)
 from .witness import (Clause, FactorizationPair, WitnessData, WitnessReport,
                       build_witness_poly, builtin_examples,
                       derive_witness_params, run_pipeline,

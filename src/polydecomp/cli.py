@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional, Union
 
-from .poly import MINUS_INFINITY, Polynomial
+from .poly import Polynomial
 from .poly import compose as poly_compose
 from .domains import (PolynomialDomain, QuadraticInt, QuadraticIntRing,
                       QuadraticRat, QuadraticField, SubringDescriptor, Tier,
@@ -122,6 +122,19 @@ class _ExprParser:
         self.i += 1
         return tok
 
+    def number(self) -> int:
+        """Take a "num" token and return its value.
+
+        int() refuses digit strings past the interpreter's conversion limit
+        (4300 digits by default), which is a syntax error here.
+        """
+        tok = self.take()
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"number literal of {len(tok.text)} digits is "
+                             f"too long", tok.pos) from None
+
     def parse(self) -> Program:
         self.expr()
         tok = self.peek()
@@ -166,24 +179,22 @@ class _ExprParser:
             if etok.kind != "num":
                 raise ParseError(
                     "exponent must be a nonnegative integer literal", etok.pos)
-            self.take()
-            self.program.append(("^", int(etok.text), tok.pos))
+            self.program.append(("^", self.number(), tok.pos))
 
     def base(self) -> None:
         tok = self.peek()
         if tok.kind == "num":
-            self.take()
-            value = Fraction(int(tok.text))
+            value = Fraction(self.number())
             if self.peek().kind == "/":
                 self.take()
                 dtok = self.peek()
                 if dtok.kind != "num":
                     raise ParseError(
                         "denominator must be an unsigned integer", dtok.pos)
-                self.take()
-                if int(dtok.text) == 0:
+                denominator = self.number()
+                if denominator == 0:
                     raise ParseError("denominator is zero", dtok.pos)
-                value /= int(dtok.text)
+                value /= denominator
             self.program.append(("num", value, tok.pos))
         elif tok.kind == "name":
             self.take()
@@ -552,7 +563,7 @@ def _cmd_decompose(ns) -> CommandResult:
     ctx = resolve_ring(ns.ring)
     f = parse_poly(ns.poly, ctx)
     N = f.degree
-    if N is MINUS_INFINITY or N < 2:
+    if N < 2:
         raise ValueError("nothing to decompose: degree is below 2")
 
     over = ns.over

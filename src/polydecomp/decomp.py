@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Optional
 
-from .poly import MINUS_INFINITY, Polynomial, compose, derivative, divrem_monic
+from .poly import Polynomial, compose, derivative, divrem_monic
 from .domains import (CapabilityError, SubringDescriptor, Tier,
                       descend_poly, embed_poly, hull_of, require_tier)
 
@@ -32,9 +32,9 @@ class Decomposition:
     __slots__ = ("g", "h", "_certificate")
 
     def __init__(self, g: Polynomial, h: Polynomial):
-        if g.degree is MINUS_INFINITY or g.degree < 2:
+        if g.degree < 2:
             raise ValueError("outer factor must have degree at least 2")
-        if h.degree is MINUS_INFINITY or h.degree < 2:
+        if h.degree < 2:
             raise ValueError("inner factor must have degree at least 2")
         self.g = g
         self.h = h
@@ -60,20 +60,6 @@ class Decomposition:
 
     def __repr__(self) -> str:
         return f"Decomposition(g={self.g!s}, h={self.h!s})"
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Record of the linear change absorbed while making a pair monic.
-
-    u and v are the leading coefficients of the original outer and inner
-    factors; the inserted linear map is x -> v*x + H(0), and constant_shift
-    is the value f(0) moved out of the outer factor.
-    """
-
-    u: Any
-    v: Any
-    constant_shift: Any
 
 
 class RingDecideStatus(str, Enum):
@@ -136,7 +122,7 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     """
     require_tier(f.domain, Tier.QALGEBRA, "monic decomposition")
     N = f.degree
-    if N is MINUS_INFINITY or N < 4:
+    if N < 4:
         raise ValueError("degree must be at least 4")
     if not f.is_monic():
         raise ValueError("polynomial must be monic")
@@ -173,44 +159,6 @@ def coefficients_in_QR(dec: Decomposition, sub: SubringDescriptor) -> bool:
     return all(sub.membership(c) for c in dec.g.coeffs + dec.h.coeffs)
 
 
-def normalize_monic_decomposition(
-        f: Polynomial, G: Polynomial, H: Polynomial,
-) -> tuple[Decomposition, NormalizationParams]:
-    """Turn an arbitrary decomposition of a monic f into the normal form.
-
-    Given f = G(H) with f monic, returns monic g, h with g(0) = h(0) = 0
-    and g(h) = f - f(0), by inserting the linear map x -> v*x + H(0)
-    between the factors:
-
-        g = G(v*x + H(0)) - f(0),    h = u * v^(deg G - 1) * (H - H(0)),
-
-    where u, v are the leading coefficients of G, H (so u*v^(deg G) = 1).
-    """
-    if G.degree is MINUS_INFINITY or G.degree < 2 \
-            or H.degree is MINUS_INFINITY or H.degree < 2:
-        raise ValueError("both factors must have degree at least 2")
-    if compose(G, H) != f:
-        raise ValueError("composition mismatch: f is not G(H)")
-    if not f.is_monic():
-        raise ValueError("f must be monic")
-    dom = f.domain
-    u = G.leading_coefficient
-    v = H.leading_coefficient
-    if u * v ** G.degree != dom.one:
-        raise ValueError("leading coefficients violate u * v^(deg G) = 1")
-    H0 = H.constant_term
-    f0 = f.constant_term
-    lam = Polynomial(dom, [H0, v], f.var)
-    g = compose(G, lam) - f0
-    h = (H - H0).scale(u * v ** (G.degree - 1))
-    dec = Decomposition(g, h)
-    if not (g.is_monic() and h.is_monic()
-            and g.constant_term == dom.zero and h.constant_term == dom.zero
-            and dec.certificate == f - f0):
-        raise ValueError("normalization failed to reach the monic normal form")
-    return dec, NormalizationParams(u=u, v=v, constant_shift=f0)
-
-
 def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     """Decompose f with inner degree m, allowing any leading coefficient.
 
@@ -219,7 +167,7 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     a Q-algebra; a non-monic leading coefficient requires a field.
     """
     N = f.degree
-    if N is MINUS_INFINITY or N < 4:
+    if N < 4:
         raise ValueError("degree must be at least 4")
     if f.is_monic():
         return monic_decompose(f, m)
@@ -294,30 +242,24 @@ def quartic_ring_decide(f: Polynomial, bound: int = 10 ** 6) -> RingDecideOutcom
     lead = f.leading_coefficient
 
     candidates = []
-    witness_u = None
+    found = None
     for u in ring.divisors_up_to_associates(lead, bound=bound):
         uK = field.coerce(u)
-        cond_i = ring.divides_exact(u * u, lead) is not None
-        cond_ii = ring.descend(field.div(E, uK)) is not None
-        cond_iii = ring.descend(uK * C) is not None
-        check = CandidateCheck(u, cond_i, cond_ii, cond_iii)
+        D_by_u2 = ring.divides_exact(u * u, lead)
+        E_by_u = ring.descend(field.div(E, uK))
+        uC = ring.descend(uK * C)
+        check = CandidateCheck(u, D_by_u2 is not None, E_by_u is not None,
+                               uC is not None)
         candidates.append(check)
-        if check.passed and witness_u is None:
-            witness_u = u
+        if check.passed and found is None:
+            found = Decomposition(
+                Polynomial(ring, [f.constant_term, E_by_u, D_by_u2], f.var),
+                Polynomial(ring, [ring.zero, uC, u], f.var))
 
-    if witness_u is None:
+    if found is None:
         return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_RING,
                                  None, dec, tuple(candidates))
 
-    u = witness_u
-    uK = field.coerce(u)
-    g_ring = Polynomial(ring, [
-        f.constant_term,
-        ring.descend(field.div(E, uK)),
-        ring.divides_exact(u * u, lead),
-    ], f.var)
-    h_ring = Polynomial(ring, [ring.zero, ring.descend(uK * C), u], f.var)
-    found = Decomposition(g_ring, h_ring)
     if found.certificate != f:
         raise AssertionError("ring decision produced a non-recomposing pair")
     return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
@@ -383,7 +325,7 @@ def linear_relate(h: Polynomial, H: Polynomial) -> Optional[tuple]:
     relation must hold, which is what makes the inner factor of a
     decomposition essentially unique.
     """
-    if h.degree != H.degree or h.degree is MINUS_INFINITY or h.degree < 1:
+    if h.degree != H.degree or h.degree < 1:
         raise ValueError("both polynomials must share a degree >= 1")
     require_tier(h.domain, Tier.FIELD, "relating inner factors")
     dom = h.domain
@@ -433,7 +375,7 @@ def decompose_fully(f: Polynomial) -> list[Polynomial]:
     canonical: equivalent chains related by linear insertions exist.
     """
     N = f.degree
-    if N is MINUS_INFINITY or N < 2:
+    if N < 2:
         raise ValueError("degree must be at least 2")
     if N < 4:
         return [f]

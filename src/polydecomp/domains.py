@@ -723,10 +723,7 @@ QT = PolynomialDomain(QQ, "t", "Q[t]", Tier.QALGEBRA)
 
 def hull_of(domain: Any) -> Any:
     """The smallest implemented Q-algebra containing the domain."""
-    hull = getattr(domain, "q_algebra_hull", None)
-    if hull is None:
-        raise CapabilityError(f"{domain.name} has no Q-algebra hull here")
-    return hull()
+    return domain.q_algebra_hull()
 
 
 def embed_element(x: Any, src: Any, dst: Any) -> Any:

@@ -2,8 +2,9 @@
 
 A polynomial stores its coefficients low-to-high: ``coeffs[i]`` is the
 coefficient of ``var**i``.  The coefficient domain is any object exposing
-``zero``, ``one``, ``coerce`` and whose elements support ``+ - *`` and ``==``
-exactly (no floating point is involved anywhere).
+``zero``, ``one``, ``coerce``, ``is_element`` and ``format_element``, and
+whose elements support ``+ - *`` and ``==`` exactly (no floating point is
+involved anywhere).
 """
 
 from __future__ import annotations
@@ -15,41 +16,8 @@ class DomainMismatchError(TypeError):
     """Operands live over different coefficient domains (or variables)."""
 
 
-class _MinusInfinity:
-    """Degree of the zero polynomial: strictly below every integer."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "_MinusInfinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other: object) -> bool:
-        return other is not self
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return other is self
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("polydecomp.MINUS_INFINITY")
-
-    def __repr__(self) -> str:
-        return "MINUS_INFINITY"
-
-
 #: Degree of the zero polynomial.
-MINUS_INFINITY = _MinusInfinity()
+MINUS_INFINITY = float("-inf")
 
 
 class Polynomial:
@@ -125,11 +93,10 @@ class Polynomial:
             return self.coeffs[k]
         return self.domain.zero
 
-    def map_coefficients(self, func, domain: Any = None, var: str | None = None) -> "Polynomial":
+    def map_coefficients(self, func, domain: Any = None) -> "Polynomial":
         """Apply ``func`` to every coefficient, optionally changing domain."""
         target = domain if domain is not None else self.domain
-        return Polynomial(target, [func(c) for c in self.coeffs],
-                          var if var is not None else self.var)
+        return Polynomial(target, [func(c) for c in self.coeffs], self.var)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.domain != other.domain or self.var != other.var:
@@ -140,7 +107,7 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Any) -> "Polynomial":
-        if not isinstance(other, Polynomial) or _is_element_of(other, self.domain):
+        if not isinstance(other, Polynomial) or self.domain.is_element(other):
             other = Polynomial.constant(self.domain, self.domain.coerce(other), self.var)
         self._check_compatible(other)
         n = max(len(self.coeffs), len(other.coeffs))
@@ -161,7 +128,7 @@ class Polynomial:
         return Polynomial(self.domain, [-c for c in self.coeffs], self.var)
 
     def __mul__(self, other: Any) -> "Polynomial":
-        if not isinstance(other, Polynomial) or _is_element_of(other, self.domain):
+        if not isinstance(other, Polynomial) or self.domain.is_element(other):
             return self.scale(self.domain.coerce(other))
         self._check_compatible(other)
         if not self.coeffs or not other.coeffs:
@@ -187,12 +154,6 @@ class Polynomial:
             raise ValueError("negative polynomial power")
         return power(self, n, Polynomial.constant(self.domain, self.domain.one, self.var))
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by var**k."""
-        if not self.coeffs:
-            return self
-        return Polynomial(self.domain, (self.domain.zero,) * k + self.coeffs, self.var)
-
     # -- evaluation / composition -----------------------------------------
 
     def evaluate(self, x0: Any) -> Any:
@@ -210,7 +171,7 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
-            if other == 0 or _is_element_of(other, self.domain):
+            if other == 0 or self.domain.is_element(other):
                 try:
                     other = Polynomial.constant(self.domain, self.domain.coerce(other), self.var)
                 except (TypeError, ValueError):
@@ -250,13 +211,8 @@ class Polynomial:
         return f"Polynomial({self.domain!r}, {list(self.coeffs)!r}, var={self.var!r})"
 
 
-def _is_element_of(value: Any, domain: Any) -> bool:
-    checker = getattr(domain, "is_element", None)
-    return bool(checker and checker(value))
-
-
 def _format_term(domain: Any, c: Any, i: int, var: str) -> str:
-    cstr = domain.format_element(c) if hasattr(domain, "format_element") else str(c)
+    cstr = domain.format_element(c)
     # parenthesize coefficients with interior + or - so the output reparses
     needs_parens = any(s in cstr[1:] for s in "+-")
     if i == 0:
@@ -313,7 +269,7 @@ def divrem_monic(f: Polynomial, h: Polynomial) -> tuple[Polynomial, Polynomial]:
     """
     f._check_compatible(h)
     m = h.degree
-    if m is MINUS_INFINITY or m < 1 or not h.is_monic():
+    if m < 1 or not h.is_monic():
         raise ValueError("divisor must be monic of degree >= 1")
     z = f.domain.zero
     rem = list(f.coeffs)

@@ -150,6 +150,26 @@ class WitnessData:
     f: Polynomial       # over the ring
 
 
+def _relation_failures(ring: Any, ell: Any, a: Any, p_s: Any) -> list:
+    """Which of ell | a*p_s, ell ∤ a, ell ∤ p_s fail, as readable lines."""
+    failures = []
+    if ring.divides_exact(ell, a * p_s) is None:
+        failures.append("ell does not divide a*p_s")
+    if ring.divides_exact(ell, a) is not None:
+        failures.append("ell divides a")
+    if ring.divides_exact(ell, p_s) is not None:
+        failures.append("ell divides p_s")
+    return failures
+
+
+def _expansion(field: Any, ell: Any, c: Any, d: Any) -> Polynomial:
+    """(d x^2 + ell x) o (x^2 + c x) over the field."""
+    outer = Polynomial(field, [field.zero, field.coerce(ell), field.coerce(d)],
+                       "x")
+    inner = Polynomial(field, [field.zero, c, field.one], "x")
+    return compose(outer, inner)
+
+
 def build_witness_poly(ell: Any, a: Any, p_s: Any,
                        ring: Any = None) -> WitnessData:
     """Assemble the quartic from a triple satisfying the divisibility facts.
@@ -172,23 +192,14 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
 
     if ring.norm(ell) == 0 or ring.is_unit(ell):
         raise ValueError("ell must be a nonzero nonunit")
-    if ring.divides_exact(ell, a * p_s) is None:
-        raise ValueError("ell must divide a * p_s")
-    if ring.divides_exact(ell, a) is not None:
-        raise ValueError("ell must not divide a")
-    if ring.divides_exact(ell, p_s) is not None:
-        raise ValueError("ell must not divide p_s")
+    failures = _relation_failures(ring, ell, a, p_s)
+    if failures:
+        raise ValueError("; ".join(failures))
 
     field = hull_of(ring)
-    ellK = field.coerce(ell)
-    c = field.div(field.coerce(a), ellK)
+    c = field.div(field.coerce(a), field.coerce(ell))
     d = p_s * p_s
-
-    dK = field.coerce(d)
-    outer = Polynomial(field, [field.zero, ellK, dK], "x")
-    inner = Polynomial(field, [field.zero, c, field.one], "x")
-    fK = compose(outer, inner)
-    f = descend_poly(fK, ring)
+    f = descend_poly(_expansion(field, ell, c, d), ring)
     if f is None:
         raise ValueError("a coefficient of the quartic escaped the ring; "
                          "the divisibility preconditions do not hold")
@@ -216,7 +227,9 @@ class WitnessReport:
 def verify_witness(w: WitnessData) -> WitnessReport:
     """Re-derive everything the construction promises and report per clause.
 
-    Clause 1: the quartic decomposes over the field with inner x^2 + c x.
+    Clause 1: the quartic decomposes over the field with inner x^2 + c x;
+    the pair read is the over-ring decision's field evidence, or the closed
+    form's when that decision raised.
     Clause 2: the over-ring decision returns indecomposable-over-ring.
     Clause 3: the stored ingredients satisfy their divisibility relations
     and f really is the expansion of (d x^2 + ell x) o (x^2 + c x).
@@ -224,68 +237,54 @@ def verify_witness(w: WitnessData) -> WitnessReport:
     """
     ring = w.ring
     field = hull_of(ring)
-    clauses = []
-
     fK = embed_poly(w.f, field)
-    dec = None
-    try:
-        dec = quartic_field_decompose(fK)
-    except ValueError as exc:
-        clauses.append(Clause("field_decomposition", False, str(exc)))
-    if dec is not None:
-        inner_ok = dec.h.coefficient(1) == w.c
-        clauses.append(Clause(
-            "field_decomposition", inner_ok,
-            f"inner factor {dec.h} {'matches' if inner_ok else 'differs from'}"
-            f" x^2 + c*x"))
-    elif not clauses:
-        clauses.append(Clause("field_decomposition", False,
-                              "the quartic does not decompose over the field"))
 
-    outcome = None
     try:
         outcome = quartic_ring_decide(w.f)
-        ring_ok = outcome.status is RingDecideStatus.INDECOMPOSABLE_OVER_RING
-        clauses.append(Clause("ring_indecomposability", ring_ok,
-                              f"over-ring decision: {outcome.status.value}"))
     except (ValueError, TypeError) as exc:
-        clauses.append(Clause("ring_indecomposability", False, str(exc)))
+        outcome = None
+        ring_clause = Clause("ring_indecomposability", False, str(exc))
+    else:
+        ring_clause = Clause(
+            "ring_indecomposability",
+            outcome.status is RingDecideStatus.INDECOMPOSABLE_OVER_RING,
+            f"over-ring decision: {outcome.status.value}")
 
-    relations_ok = True
-    details = []
-    if ring.divides_exact(w.ell, w.a * w.p_s) is None:
-        relations_ok = False
-        details.append("ell does not divide a*p_s")
-    if ring.divides_exact(w.ell, w.a) is not None:
-        relations_ok = False
-        details.append("ell divides a")
-    if ring.divides_exact(w.ell, w.p_s) is not None:
-        relations_ok = False
-        details.append("ell divides p_s")
+    field_clause = Clause("field_decomposition", False,
+                          "the quartic does not decompose over the field")
+    if outcome is not None:
+        dec = outcome.field_evidence
+    else:
+        try:
+            dec = quartic_field_decompose(fK)
+        except ValueError as exc:
+            dec, field_clause = None, Clause("field_decomposition", False,
+                                             str(exc))
+    if dec is not None:
+        inner_ok = dec.h.coefficient(1) == w.c
+        field_clause = Clause(
+            "field_decomposition", inner_ok,
+            f"inner factor {dec.h} {'matches' if inner_ok else 'differs from'}"
+            f" x^2 + c*x")
+
+    details = _relation_failures(ring, w.ell, w.a, w.p_s)
     try:
         if not (ring.is_irreducible(w.ell) and ring.is_irreducible(w.p_s)):
-            relations_ok = False
             details.append("ell or p_s is reducible")
         elif ring.are_associates(w.ell, w.p_s):
-            relations_ok = False
             details.append("ell and p_s are associates")
     except ValueError as exc:
-        relations_ok = False
         details.append(str(exc))
     if w.d != w.p_s * w.p_s:
-        relations_ok = False
         details.append("d is not p_s^2")
-    ellK = field.coerce(w.ell)
-    dK = field.coerce(w.d)
-    expansion = compose(Polynomial(field, [field.zero, ellK, dK], "x"),
-                        Polynomial(field, [field.zero, w.c, field.one], "x"))
-    if fK != expansion:
-        relations_ok = False
+    if fK != _expansion(field, w.ell, w.c, w.d):
         details.append("f is not the expansion of (d x^2 + ell x) o (x^2 + c x)")
-    clauses.append(Clause("ingredient_relations", relations_ok,
-                          "; ".join(details) if details else "all relations hold"))
+    relations_clause = Clause(
+        "ingredient_relations", not details,
+        "; ".join(details) if details else "all relations hold")
 
-    return WitnessReport(tuple(clauses), dec, outcome)
+    return WitnessReport((field_clause, ring_clause, relations_clause),
+                         dec, outcome)
 
 
 def builtin_examples() -> list[FactorizationPair]:

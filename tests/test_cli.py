@@ -139,6 +139,13 @@ class TestGrammar:
             assert info.value.pos == pos, text
             assert f"unexpected character {text[pos]!r}" in str(info.value)
 
+    def test_literal_at_the_digit_limit_parses(self):
+        # CPython converts at most 4300 digits with int() by default
+        digits = "1" * 4300
+        f = parse_poly(f"x^4+{digits}*x+1/{digits}", "Q")
+        assert f.coefficient(1) == int(digits)
+        assert f.coefficient(0) == Fraction(1, int(digits))
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_expression("x ^ 2 ^ 3")
@@ -388,6 +395,22 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert err == ("error: syntax error at position 2: "
                        "unexpected character '\u00b2'\n")
+
+    @pytest.mark.parametrize("text, pos", [
+        ("x^4+" + "1" * 4301, 4),
+        ("x^4+1/" + "1" * 4301, 6),
+        ("x^" + "1" * 4301, 2),
+    ])
+    def test_over_long_literal_exits_1(self, text, pos, capsys):
+        code, out, err = run_cli(["decompose", text], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: syntax error at position {pos}: "
+                       f"number literal of 4301 digits is too long\n")
+
+    def test_zero_polynomial_has_nothing_to_decompose(self, capsys):
+        code, out, err = run_cli(["decompose", "x-x"], capsys)
+        assert code == 1 and out == ""
+        assert "nothing to decompose" in err
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--ring", "Q", "x^100000000"],

@@ -12,11 +12,11 @@ from polydecomp import (CapabilityError, Decomposition, Polynomial,
                         RingDecideStatus, QQ, QT, ZT, ZZ, ZT23_IN_ZT,
                         QZT23_IN_QT, coefficients_in_QR, compose,
                         decompose_fully, decompose_over_field,
-                        decompose_over_ring, descend_poly, embed_poly,
-                        hadic_digits, hull_of, linear_relate,
-                        monic_decompose, normalize_monic_decomposition,
-                        proper_inner_degrees, quartic_field_decompose,
-                        quartic_ring_decide, verify_taylor_expansion)
+                        decompose_over_ring, descend_poly, divrem_monic,
+                        embed_poly, hadic_digits, hull_of, linear_relate,
+                        monic_decompose, proper_inner_degrees,
+                        quartic_field_decompose, quartic_ring_decide,
+                        verify_taylor_expansion)
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -57,6 +57,24 @@ class TestDecompositionObject:
             Decomposition(qpoly([0, 1]), qpoly([0, 0, 1]))
         with pytest.raises(ValueError):
             Decomposition(qpoly([0, 0, 1]), qpoly([3]))
+
+
+class TestZeroPolynomial:
+    """The zero polynomial has degree MINUS_INFINITY, below every guard."""
+
+    @pytest.mark.parametrize("call", [
+        lambda zero: Decomposition(zero, qpoly([0, 0, 1])),
+        lambda zero: Decomposition(qpoly([0, 0, 1]), zero),
+        lambda zero: monic_decompose(zero, 2),
+        lambda zero: decompose_over_field(zero, 2),
+        lambda zero: decompose_fully(zero),
+        lambda zero: divrem_monic(qpoly([0, 0, 1]), zero),
+        lambda zero: linear_relate(zero, zero),
+    ], ids=["outer", "inner", "monic_decompose", "decompose_over_field",
+            "decompose_fully", "divrem_monic", "linear_relate"])
+    def test_every_degree_guard_rejects_zero(self, call):
+        with pytest.raises(ValueError, match="degree"):
+            call(qpoly([]))
 
 
 class TestMonicDecompose:
@@ -500,63 +518,6 @@ class TestOneLeadNormalisation:
         assert out == parent_field_loop(f, degrees)
         if out.decomposition is not None:
             assert out.decomposition.certificate == f
-
-
-class TestNormalization:
-    def test_scaled_pair_normal_form(self):
-        # G = 4x^2, H = x^2/2 composes to x^4; normal form is (x^2, x^2)
-        G = qpoly([0, 0, 4])
-        H = qpoly([0, 0, Fraction(1, 2)])
-        f = compose(G, H)
-        assert f == qpoly([0, 0, 0, 0, 1])
-        dec, params = normalize_monic_decomposition(f, G, H)
-        assert dec.g == qpoly([0, 0, 1])
-        assert dec.h == qpoly([0, 0, 1])
-        assert params.u == 4
-        assert params.v == Fraction(1, 2)
-
-    def test_inserted_linear_maps_normalize_away(self):
-        # f = (g o lam^-1) o (lam o h) for lam = v*x + b: any such
-        # presentation normalizes back to the canonical monic pair
-        rng = random.Random(53)
-        x = Polynomial.identity(QQ, "x")
-        for _ in range(120):
-            g = qpoly([rng.randint(-5, 5), rng.randint(-5, 5), 1])
-            h = qpoly([rng.randint(-5, 5), rng.randint(-5, 5), 0, 1])
-            f = compose(g, h)
-            v = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3]))
-            b = Fraction(rng.randint(-4, 4))
-            lam = v * x + b
-            lam_inv = (x - b) * (1 / v)
-            G = compose(g, lam_inv)
-            H = compose(lam, h)
-            assert compose(G, H) == f
-            dec, params = normalize_monic_decomposition(f, G, H)
-            base, _ = normalize_monic_decomposition(f, g, h)
-            assert dec == base
-            assert params.u == G.leading_coefficient
-            assert params.v == H.leading_coefficient
-            assert params.u * params.v ** G.degree == 1
-
-    def test_normalized_pair_is_canonical(self):
-        # two linearly related presentations normalize to the same pair
-        g = qpoly([3, -2, 1])
-        h = qpoly([1, 4, 1])
-        f = compose(g, h)
-        a, b = Fraction(3), Fraction(-2)
-        lin = qpoly([b, a])
-        lin_inv = qpoly([Fraction(2, 3), Fraction(1, 3)])
-        G = compose(g, lin_inv)
-        H = compose(lin, h)
-        assert compose(G, H) == f
-        dec1, _ = normalize_monic_decomposition(f, g, h)
-        dec2, _ = normalize_monic_decomposition(f, G, H)
-        assert dec1 == dec2
-
-    def test_rejects_non_composition(self):
-        with pytest.raises(ValueError):
-            normalize_monic_decomposition(qpoly([0, 0, 0, 0, 1]),
-                                          qpoly([0, 0, 1]), qpoly([0, 1, 1]))
 
 
 class TestLinearRelate:

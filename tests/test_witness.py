@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from polydecomp import (FactorizationPair, Polynomial, QuadraticField,
                         QuadraticIntRing, RingDecideStatus, WitnessData, ZZ,
                         build_witness_poly, builtin_examples, compose,
-                        derive_witness_params, quartic_ring_decide,
+                        derive_witness_params, embed_poly, hull_of,
+                        quartic_field_decompose, quartic_ring_decide,
                         run_pipeline, strip_common_associates,
                         validate_inequivalent, verify_witness)
+from polydecomp import witness
+from polydecomp.witness import Clause, WitnessReport
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -305,6 +308,125 @@ class TestVerifyWitness:
                            f=compose(g, h))
         report = verify_witness(fake)
         assert len(report.clauses) == 3
+
+
+def reference_verify_witness(w):
+    """verify_witness as it was before it read the ring decision's field
+    evidence: it runs the closed form itself and spells out every relation
+    and the expansion inline."""
+    ring = w.ring
+    field = hull_of(ring)
+    clauses = []
+    fK = embed_poly(w.f, field)
+    dec = None
+    try:
+        dec = quartic_field_decompose(fK)
+    except ValueError as exc:
+        clauses.append(Clause("field_decomposition", False, str(exc)))
+    if dec is not None:
+        inner_ok = dec.h.coefficient(1) == w.c
+        clauses.append(Clause(
+            "field_decomposition", inner_ok,
+            f"inner factor {dec.h} {'matches' if inner_ok else 'differs from'}"
+            f" x^2 + c*x"))
+    elif not clauses:
+        clauses.append(Clause("field_decomposition", False,
+                              "the quartic does not decompose over the field"))
+    outcome = None
+    try:
+        outcome = quartic_ring_decide(w.f)
+        ring_ok = outcome.status is RingDecideStatus.INDECOMPOSABLE_OVER_RING
+        clauses.append(Clause("ring_indecomposability", ring_ok,
+                              f"over-ring decision: {outcome.status.value}"))
+    except (ValueError, TypeError) as exc:
+        clauses.append(Clause("ring_indecomposability", False, str(exc)))
+    details = []
+    if ring.divides_exact(w.ell, w.a * w.p_s) is None:
+        details.append("ell does not divide a*p_s")
+    if ring.divides_exact(w.ell, w.a) is not None:
+        details.append("ell divides a")
+    if ring.divides_exact(w.ell, w.p_s) is not None:
+        details.append("ell divides p_s")
+    try:
+        if not (ring.is_irreducible(w.ell) and ring.is_irreducible(w.p_s)):
+            details.append("ell or p_s is reducible")
+        elif ring.are_associates(w.ell, w.p_s):
+            details.append("ell and p_s are associates")
+    except ValueError as exc:
+        details.append(str(exc))
+    if w.d != w.p_s * w.p_s:
+        details.append("d is not p_s^2")
+    expansion = compose(
+        Polynomial(field, [field.zero, field.coerce(w.ell), field.coerce(w.d)],
+                   "x"),
+        Polynomial(field, [field.zero, w.c, field.one], "x"))
+    if fK != expansion:
+        details.append("f is not the expansion of (d x^2 + ell x) o (x^2 + c x)")
+    clauses.append(Clause("ingredient_relations", not details,
+                          "; ".join(details) if details else "all relations hold"))
+    return WitnessReport(tuple(clauses), dec, outcome)
+
+
+def _tampered(data, rng):
+    """data with one ingredient or coefficient changed, or unchanged."""
+    ring, field = data.ring, hull_of(data.ring)
+    change = rng.randrange(6)
+    if change == 0:
+        return WitnessData(data.ring, data.ell * 3, data.a, data.p_s,
+                           data.c, data.d, data.f)
+    if change == 1:
+        return WitnessData(data.ring, data.ell, data.a, data.p_s,
+                           data.c + field.one, data.d, data.f)
+    if change == 2:
+        return WitnessData(data.ring, data.ell, data.a, data.p_s,
+                           data.c, data.d + ring.one, data.f)
+    if change == 3:
+        return WitnessData(data.ring, data.ell, data.p_s, data.a,
+                           data.c, data.d, data.f)
+    if change == 4:
+        k = rng.randrange(5)
+        bumped = Polynomial(ring, [c + ring.one if i == k else c
+                                   for i, c in enumerate(data.f.coeffs)], "x")
+        return WitnessData(data.ring, data.ell, data.a, data.p_s,
+                           data.c, data.d, bumped)
+    return data
+
+
+class TestVerifyOnce:
+    def test_report_matches_the_reference(self):
+        rng = random.Random(71)
+        cases = []
+        for pair in builtin_examples():
+            _, data, _ = run_pipeline(pair)
+            cases += [data] + [_tampered(data, rng) for _ in range(12)]
+        # over Z, a lead past the divisor search bound makes the ring
+        # decision raise, so the field pair comes from the closed form
+        cases.append(build_witness_poly(2018, 2, 1009, ring=ZZ))
+        g = Polynomial(ZZ, [0, 1, 2], "x")
+        h = Polynomial(ZZ, [0, 3, 1], "x")
+        cases.append(WitnessData(ring=ZZ, ell=1, a=6, p_s=3, c=Fraction(3),
+                                 d=9, f=compose(g, h)))
+        cases.append(WitnessData(ring=ZZ, ell=2, a=1, p_s=1, c=Fraction(1),
+                                 d=1, f=Polynomial(ZZ, [0, 1, 0, 0, 1], "x")))
+        for data in cases:
+            assert verify_witness(data) == reference_verify_witness(data)
+
+    def test_closed_form_runs_only_when_the_ring_decision_raised(
+            self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return quartic_field_decompose(f)
+
+        monkeypatch.setattr(witness, "quartic_field_decompose", counted)
+        for pair in builtin_examples():
+            assert run_pipeline(pair)[2].passed
+        assert calls == []
+        report = verify_witness(build_witness_poly(2018, 2, 1009, ring=ZZ))
+        assert len(calls) == 1
+        assert report.clauses[0].passed
+        assert "divisor search bound exceeded" in report.clauses[1].detail
 
 
 class TestPipeline:
