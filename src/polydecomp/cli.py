@@ -13,8 +13,9 @@ over a ring chosen by a descriptor string: "Z", "Q", "Z[sqrt(-5)]",
 quadratic generator of the ambient ring (sqrt(d), or (1+sqrt(d))/2 for the
 O(d) rings); t is the polynomial indeterminate of the t-rings.  Expressions
 are evaluated exactly over the rational hull of the ring and then checked
-coefficient by coefficient for membership, so "4/2" is a fine integer and
-"1/2+1/2*w" names the half-basis generator of O(-15).
+coefficient by coefficient for membership, so "4/2" is a fine integer,
+while "1/2+1/2*w" over O(-15) is 3/4+1/4*sqrt(-15), not a member: w
+already is the half-basis generator there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Optional, Union
 
 from .poly import Polynomial
@@ -35,7 +36,7 @@ from .poly import compose as poly_compose
 from .domains import (PolynomialDomain, QuadraticInt, QuadraticIntRing,
                       QuadraticRat, QuadraticField, SubringDescriptor, Tier,
                       QQ, QT, ZT, ZZ, ZT23_IN_ZT, embed_poly, hull_of,
-                      require_tier)
+                      require_tier, _decimal)
 from .decomp import (decompose_fully, decompose_over_ring,
                      proper_inner_degrees, quartic_field_decompose,
                      quartic_ring_decide)
@@ -424,10 +425,12 @@ def _parse_ring_element(text: str, ctx: RingContext) -> Any:
 def coeff_pair(c: Any) -> list[str]:
     """Serialize one coefficient as an exact [main, w-part] string pair."""
     if isinstance(c, QuadraticInt):
-        return [str(c.a), str(c.b)]
+        return [_decimal(c.a), _decimal(c.b)]
     if isinstance(c, QuadraticRat):
-        return [str(c.r), str(c.s)]
-    return [str(c), "0"]
+        return [_decimal(c.r), _decimal(c.s)]
+    if isinstance(c, Polynomial):
+        return [str(c), "0"]
+    return [_decimal(c), "0"]
 
 
 def poly_pairs(p: Optional[Polynomial]) -> Optional[list]:
@@ -882,7 +885,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = _Parser(
         prog="polydecomp",
         description="Exact functional decomposition of polynomials over "

@@ -203,7 +203,7 @@ def quartic_field_decompose(f: Polynomial) -> Optional[Decomposition]:
     return Decomposition(g, h)
 
 
-def quartic_ring_decide(f: Polynomial, bound: int = 10 ** 6) -> RingDecideOutcome:
+def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     """Decide degree-4 decomposability over the coefficient ring itself.
 
     The fraction field K sees at most one decomposition shape,
@@ -243,7 +243,7 @@ def quartic_ring_decide(f: Polynomial, bound: int = 10 ** 6) -> RingDecideOutcom
 
     candidates = []
     found = None
-    for u in ring.divisors_up_to_associates(lead, bound=bound):
+    for u in ring.divisors_up_to_associates(lead):
         uK = field.coerce(u)
         D_by_u2 = ring.divides_exact(u * u, lead)
         E_by_u = ring.descend(field.div(E, uK))
@@ -342,7 +342,7 @@ def verify_taylor_expansion(G: Polynomial, h: Polynomial, h0: Polynomial,
 
     Always true over a Q-algebra; exposed so the identity (which drives
     the uniqueness argument for equal-degree inner factors) can be
-    exercised directly by tests and from the command line.
+    exercised directly by library callers and tests.  No command runs it.
     """
     require_tier(G.domain, Tier.QALGEBRA, "Taylor expansion")
     dom = G.domain

@@ -48,6 +48,30 @@ def require_tier(domain: Any, tier: Tier, operation: str) -> None:
 # rational integers and rationals
 # ---------------------------------------------------------------------------
 
+def _decimal(x: Any) -> str:
+    """str(x) for an int or a Fraction, past CPython's 4300-digit cap.
+
+    Long integers are split in two by a power of ten about half their
+    length, and each half is converted on its own.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return _decimal(x.numerator)
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    if x < 0:
+        return "-" + _decimal(-x)
+    if x.bit_length() <= 4096:          # at most 1234 digits
+        return str(x)
+    k = x.bit_length() * 3 // 20        # about half of its 0.301*bits digits
+    high, low = divmod(x, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+#: Largest |x| (over Z) or norm (over an order) whose divisors are searched;
+#: trial division keeps the search interactive up to here.
+_DIVISOR_BOUND = 10 ** 6
+
+
 def _int_divisors(n: int) -> list[int]:
     """Positive divisors of |n| in ascending order (n nonzero)."""
     n = abs(n)
@@ -83,7 +107,7 @@ class IntegerRing:
         return isinstance(v, int) and not isinstance(v, bool)
 
     def format_element(self, x: int) -> str:
-        return str(x)
+        return _decimal(x)
 
     def descend(self, x: Any) -> Optional[int]:
         """x as an integer, or None when it is not one."""
@@ -123,11 +147,13 @@ class IntegerRing:
             return [0]
         return [-k, k]
 
-    def divisors_up_to_associates(self, x: int, bound: int = 10 ** 6) -> list[int]:
+    def divisors_up_to_associates(self, x: int) -> list[int]:
         if x == 0:
             raise ValueError("zero has no divisor list")
-        if abs(x) > bound:
-            raise ValueError(f"divisor search bound exceeded: |{x}| > {bound}")
+        if abs(x) > _DIVISOR_BOUND:
+            raise ValueError(
+                f"divisor search bound exceeded: |{_decimal(x)}| > "
+                f"{_DIVISOR_BOUND}")
         return _int_divisors(x)
 
     def is_irreducible(self, x: int) -> bool:
@@ -164,7 +190,7 @@ class RationalField:
         return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
     def format_element(self, x: Fraction) -> str:
-        return str(x)
+        return _decimal(x)
 
     def descend(self, x: Any) -> Optional[Any]:
         return x if self.is_element(x) else None
@@ -265,9 +291,11 @@ class QuadraticInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.ring.d, self.a, self.b))
+        # as QuadraticRat hashes, so equal ring and field elements agree
+        r, s = self.sqrt_coords()
+        if s == 0:
+            return hash(r)
+        return hash((self.ring.d, r, s))
 
     def conjugate(self) -> "QuadraticInt":
         if self.ring.half_basis:
@@ -331,7 +359,7 @@ class QuadraticIntRing:
         return QuadraticInt(self, a, b)
 
     def format_element(self, x: QuadraticInt) -> str:
-        return _format_two_coords(x.a, x.b, str)
+        return _format_two_coords(x.a, x.b)
 
     def descend(self, x: Any) -> Optional[QuadraticInt]:
         """x as an element of the order, or None when it is not integral."""
@@ -352,9 +380,6 @@ class QuadraticIntRing:
 
     def norm(self, x: QuadraticInt) -> int:
         return self.coerce(x).norm()
-
-    def conjugate(self, x: QuadraticInt) -> QuadraticInt:
-        return self.coerce(x).conjugate()
 
     def divides_exact(self, x: QuadraticInt, y: QuadraticInt) -> Optional[QuadraticInt]:
         """y / x when the quotient lies in the ring, else None."""
@@ -394,53 +419,45 @@ class QuadraticIntRing:
         return max((x * u for u in self.units()), key=lambda z: (z.a, z.b))
 
     def elements_of_norm(self, k: int) -> list[QuadraticInt]:
-        """All ring elements of norm exactly k (complete since d < 0)."""
+        """All ring elements of norm exactly k (complete since d < 0).
+
+        Both bases share one norm form: 4*norm(a + b*w) is
+        (2a + q*b)^2 + D*b^2, with q = 1, D = |d| for w = (1+sqrt(d))/2
+        and q = 0, D = 4|d| for w = sqrt(d).
+        """
         if k < 0:
             return []
         if k == 0:
             return [self.zero]
+        q, D = (1, -self.d) if self.half_basis else (0, -4 * self.d)
         found = []
-        absd = -self.d
-        if self.half_basis:
-            # norm(a + b*w) = ((2a+b)^2 + |d| b^2) / 4
-            bmax = math.isqrt(4 * k // absd)
-            for b in range(-bmax, bmax + 1):
-                rest = 4 * k - absd * b * b
-                if rest < 0:
-                    continue
-                e = math.isqrt(rest)
-                if e * e != rest or (e - b) % 2 != 0:
-                    continue
-                found.append(QuadraticInt(self, (e - b) // 2, b))
-                if e != 0:
-                    found.append(QuadraticInt(self, (-e - b) // 2, b))
-        else:
-            bmax = math.isqrt(k // absd)
-            for b in range(-bmax, bmax + 1):
-                rest = k - absd * b * b
-                a = math.isqrt(rest)
-                if a * a != rest:
-                    continue
-                found.append(QuadraticInt(self, a, b))
-                if a != 0:
-                    found.append(QuadraticInt(self, -a, b))
+        bmax = math.isqrt(4 * k // D)
+        for b in range(-bmax, bmax + 1):
+            rest = 4 * k - D * b * b
+            e = math.isqrt(rest)
+            if e * e != rest or (e - q * b) % 2 != 0:
+                continue
+            found.append(QuadraticInt(self, (e - q * b) // 2, b))
+            if e != 0:
+                found.append(QuadraticInt(self, (-e - q * b) // 2, b))
         found.sort(key=lambda z: (z.a, z.b))
         return found
 
-    def divisors_up_to_associates(self, x: QuadraticInt,
-                                  bound: int = 10 ** 6) -> list[QuadraticInt]:
+    def divisors_up_to_associates(self, x: QuadraticInt) -> list[QuadraticInt]:
         """One representative per associate class of divisors of x.
 
         Includes the unit class and the class of x itself.  Searches
         elements of every norm dividing norm(x), so it is complete; the
-        bound keeps the search total at interactive scale.
+        bound on norm(x) keeps the search total at interactive scale.
         """
         x = self.coerce(x)
         n = x.norm()
         if n == 0:
             raise ValueError("zero has no divisor list")
-        if n > bound:
-            raise ValueError(f"divisor search bound exceeded: norm {n} > {bound}")
+        if n > _DIVISOR_BOUND:
+            raise ValueError(
+                f"divisor search bound exceeded: norm {_decimal(n)} > "
+                f"{_DIVISOR_BOUND}")
         reps = {}
         for k in _int_divisors(n):
             for cand in self.elements_of_norm(k):
@@ -526,9 +543,6 @@ class QuadraticRat:
             raise ZeroDivisionError(f"division by zero in {self.field.name}")
         return self * QuadraticRat(self.field, o.r / n, -o.s / n)
 
-    def __rtruediv__(self, other: Any) -> "QuadraticRat":
-        return self._wrap(other) / self
-
     def __pow__(self, n: int) -> "QuadraticRat":
         if n < 0:
             return self.field.one / power(self, -n, self.field.one)
@@ -603,7 +617,7 @@ class QuadraticField:
         return QuadraticRat(self, r, s)
 
     def format_element(self, x: QuadraticRat) -> str:
-        return _format_two_coords(x.r, x.s, str)
+        return _format_two_coords(x.r, x.s)
 
     def descend(self, x: Any) -> Optional[QuadraticRat]:
         try:
@@ -630,23 +644,23 @@ class QuadraticField:
         return f"QuadraticField({self.d})"
 
 
-def _format_two_coords(first: Any, second: Any, fmt: Callable[[Any], str]) -> str:
+def _format_two_coords(first: Any, second: Any) -> str:
     """Render first + second*w compatibly with the expression grammar."""
     if second == 0:
-        return fmt(first)
+        return _decimal(first)
     if second == 1:
         wpart = "w"
     elif second == -1:
         wpart = "-w"
     elif second < 0:
-        wpart = f"-{fmt(-second)}*w"
+        wpart = f"-{_decimal(-second)}*w"
     else:
-        wpart = f"{fmt(second)}*w"
+        wpart = f"{_decimal(second)}*w"
     if first == 0:
         return wpart
     if wpart.startswith("-"):
-        return f"{fmt(first)}-{wpart[1:]}"
-    return f"{fmt(first)}+{wpart}"
+        return f"{_decimal(first)}-{wpart[1:]}"
+    return f"{_decimal(first)}+{wpart}"
 
 
 # ---------------------------------------------------------------------------

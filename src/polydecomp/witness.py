@@ -32,7 +32,8 @@ class FactorizationPair:
     The ring is carried explicitly so plain integers work as factors
     alongside quadratic integers.  Construction checks that both lists
     are irreducible factorizations of the element; a pair that exists
-    has passed that check, so consumers do not repeat it.
+    has passed that check (a stripped pair through its input), so
+    consumers do not repeat it.
     """
 
     ring: Any
@@ -108,8 +109,14 @@ def strip_common_associates(pair: FactorizationPair) -> FactorizationPair:
     if not first or not second:
         raise ValueError("the factorizations are equivalent; nothing remains "
                          "after cancelling associates")
-    return FactorizationPair(ring, _product(ring, first),
-                             tuple(first), tuple(second))
+    # Every survivor passed _check_pair in the input, and cancelling
+    # associate pairs keeps the two products associate, so the stripped
+    # pair is built without checking it again.
+    stripped = object.__new__(FactorizationPair)
+    for name, value in (("ring", ring), ("element", _product(ring, first)),
+                        ("first", tuple(first)), ("second", tuple(second))):
+        object.__setattr__(stripped, name, value)
+    return stripped
 
 
 def derive_witness_params(pair: FactorizationPair) -> tuple:
@@ -122,16 +129,13 @@ def derive_witness_params(pair: FactorizationPair) -> tuple:
     ring = pair.ring
     ell = pair.first[0]
     prefix = ring.one
-    for s, p in enumerate(pair.second, start=1):
+    for p in pair.second:
         if ring.divides_exact(ell, prefix * p) is not None:
-            a = prefix
-            if ring.divides_exact(ell, a) is not None:
-                raise ValueError("internal: minimality of s violated")
             if ring.divides_exact(ell, p) is not None:
                 raise ValueError(
                     "ell divides a single factor of the other list; the "
                     "factorizations were not stripped of common associates")
-            return (ell, a, p)
+            return (ell, prefix, p)
         prefix = prefix * p
     raise ValueError("ell does not divide the opposite product; the input "
                      "is not a factorization pair")

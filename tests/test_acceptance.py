@@ -22,6 +22,8 @@ from polydecomp import (Decomposition, FactorizationPair, Polynomial, QQ,
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
+R6 = QuadraticIntRing(-6)
+O15 = QuadraticIntRing(-15)
 
 
 def _report(capsys, name: str, budget: float, body) -> None:
@@ -155,7 +157,7 @@ def test_rational_span_identity(capsys):
     _report(capsys, "rational-span-identity-1000", 1.0, body)
 
 
-def _oracle_quartic_over_r5(f: Polynomial) -> bool:
+def _oracle_quartic(f: Polynomial) -> bool:
     """Bounded exhaustive decision, independent of the library's criterion.
 
     Shifting the inner part by its constant term shows a quartic splits as
@@ -166,18 +168,21 @@ def _oracle_quartic_over_r5(f: Polynomial) -> bool:
 
     and the constant term is absorbed by r.  For each candidate u the
     remaining unknowns are forced, so it suffices to scan every u with
-    norm(u)^2 <= norm(D) and test membership plus the B equation.
+    norm(u)^2 <= norm(D) and test membership plus the B equation.  Either
+    integral basis has |a|, |b| <= 2*sqrt(norm(u)) for u = a + b*w, so a
+    box of coordinates holds every candidate; the ring's own norm filters.
     """
     ring = f.domain
     field = ring.fraction_field()
     D, E, C, B = (field.coerce(f.coefficient(k)) for k in (4, 3, 2, 1))
     n = ring.norm(f.coefficient(4))
-    m = math.isqrt(n)
-    for a in range(-math.isqrt(m), math.isqrt(m) + 1):
-        for b in range(-math.isqrt(m // 5), math.isqrt(m // 5) + 1):
-            if (a, b) == (0, 0) or (a * a + 5 * b * b) ** 2 > n:
+    r = 2 * math.isqrt(math.isqrt(n)) + 2
+    for a in range(-r, r + 1):
+        for b in range(-r, r + 1):
+            u = ring.element(a, b)
+            if (a, b) == (0, 0) or ring.norm(u) ** 2 > n:
                 continue
-            u = field.element(a, b)
+            u = field.coerce(u)
             p = D / (u * u)
             v = u * E / (D + D)
             q = (C - p * v * v) / u
@@ -190,7 +195,8 @@ def _oracle_quartic_over_r5(f: Polynomial) -> bool:
 
 def test_quartic_decision_agreement(capsys):
     """The closed-form quartic paths agree with generic decomposition over
-    two fields, and with brute-force search over Z[sqrt(-5)]."""
+    two fields, and with brute-force search over Z[sqrt(-5)], Z[sqrt(-6)]
+    and O(-15)."""
 
     def body():
         rng = random.Random(5)
@@ -232,26 +238,27 @@ def test_quartic_decision_agreement(capsys):
         field_cases(QQ, qcoeff, 1000)
         field_cases(K5, kcoeff, 1000)
 
-        def relt(lo, hi):
-            return R5.element(rng.randint(lo, hi), rng.randint(lo, hi))
-
         cases = []
-        for _ in range(200):
-            g = Polynomial(R5, [relt(-2, 2), relt(-2, 2),
-                                _nonzero(lambda: relt(-2, 2))], "x")
-            h = Polynomial(R5, [relt(-2, 2), relt(-2, 2),
-                                _nonzero(lambda: relt(-2, 2))], "x")
-            cases.append((compose(g, h), True))
-        for _ in range(200):
-            f = Polynomial(R5, [relt(-3, 3) for _ in range(4)]
-                           + [_nonzero(lambda: relt(-3, 3))], "x")
-            cases.append((f, False))
+        for ring, trials in ((R5, 200), (R6, 100), (O15, 100)):
+            def relt(lo, hi):
+                return ring.element(rng.randint(lo, hi), rng.randint(lo, hi))
+
+            for _ in range(trials):
+                g = Polynomial(ring, [relt(-2, 2), relt(-2, 2),
+                                      _nonzero(lambda: relt(-2, 2))], "x")
+                h = Polynomial(ring, [relt(-2, 2), relt(-2, 2),
+                                      _nonzero(lambda: relt(-2, 2))], "x")
+                cases.append((compose(g, h), True))
+            for _ in range(trials):
+                f = Polynomial(ring, [relt(-3, 3) for _ in range(4)]
+                               + [_nonzero(lambda: relt(-3, 3))], "x")
+                cases.append((f, False))
 
         for f, built_by_composition in cases:
             outcome = quartic_ring_decide(f)
             decided = (outcome.status
                        is RingDecideStatus.DECOMPOSABLE_OVER_RING)
-            assert decided == _oracle_quartic_over_r5(f)
+            assert decided == _oracle_quartic(f)
             if built_by_composition:
                 assert decided
             if decided:

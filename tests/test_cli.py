@@ -407,6 +407,23 @@ class TestErrorHandling:
         assert err == (f"error: syntax error at position {pos}: "
                        f"number literal of 4301 digits is too long\n")
 
+    def test_outputs_past_the_digit_limit_render(self, capsys):
+        # 2^20000 has 6021 digits, past CPython's 4300-digit int/str limit,
+        # so the printed constant is read back one digit at a time
+        code, out, err = run_cli(
+            ["compose", "--ring", "Z", "x+2^20000", "x"], capsys)
+        assert code == 0 and err == ""
+        constant = out.strip().split(" + ")[1]
+        value = 0
+        for digit in constant:
+            value = value * 10 + "0123456789".index(digit)
+        assert len(constant) == 6021 and value == 2 ** 20000
+        code, out, err = run_cli(
+            ["compose", "--ring", "Z", "--json", "x+2^20000", "x"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["evidence"]["composition"][0] \
+            == [constant, "0"]
+
     def test_zero_polynomial_has_nothing_to_decompose(self, capsys):
         code, out, err = run_cli(["decompose", "x-x"], capsys)
         assert code == 1 and out == ""
@@ -460,6 +477,13 @@ class TestErrorHandling:
 
 
 class TestFormatResult:
+    def test_parser_is_built_once(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        # parsing leaves no state behind in the shared parser
+        assert parser.parse_args(["compose", "--json", "x^2", "x"]).json
+        assert not parser.parse_args(["compose", "x^2", "x"]).json
+
     def test_json_and_text_modes(self):
         ns = build_parser().parse_args(["compose", "x^2", "x^2"])
         result = run(ns)

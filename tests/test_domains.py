@@ -177,16 +177,18 @@ class TestDividesAndDivisors:
         assert R5.divides_exact(w5(1, -1), w5(-4, -2)) == w5(1, -1)
 
     def test_elements_of_norm_against_brute_force(self):
-        for ring in (R5, O15):
-            for k in range(0, 50):
-                brute = []
-                for a in range(-30, 31):
-                    for b in range(-30, 31):
-                        x = ring.element(a, b)
-                        if ring.norm(x) == k:
-                            brute.append(x)
-                assert sorted((x.a, x.b) for x in brute) \
-                    == [(x.a, x.b) for x in ring.elements_of_norm(k)]
+        # |a|, |b| <= 30 holds for every element of norm <= 300 in these
+        # rings; the tightest is O(-3), where |a| reaches 27
+        for d in (-1, -2, -5, -6, -3, -7, -15):
+            ring = QuadraticIntRing(d)
+            by_norm = {}
+            for a in range(-30, 31):
+                for b in range(-30, 31):
+                    by_norm.setdefault(ring.norm(ring.element(a, b)), []) \
+                        .append((a, b))
+            for k in range(301):
+                assert [(x.a, x.b) for x in ring.elements_of_norm(k)] \
+                    == sorted(by_norm.get(k, [])), (d, k)
 
     def test_norm_two_and_three_empty_in_r5(self):
         assert R5.elements_of_norm(2) == []
@@ -376,11 +378,9 @@ class TestSubringDescriptors:
 
 class TestCapLimits:
     def test_divisor_bound_is_enforced(self):
-        big = w5(2 ** 20)                  # norm 2^40 > default bound
+        big = w5(2 ** 20)                  # norm 2^40 > the divisor bound
         with pytest.raises(ValueError):
             R5.divisors_up_to_associates(big)
-        assert R5.divisors_up_to_associates(w5(6), bound=10 ** 8) \
-            == R5.divisors_up_to_associates(w5(6))
 
     def test_divisors_of_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (MINUS_INFINITY, DomainMismatchError, Polynomial,
@@ -83,16 +83,28 @@ class TestBasics:
         assert str(qpoly([Fraction(1, 2), 0, 1])) == "x^2 + 1/2"
 
 
+O3, K3 = QuadraticIntRing(-3), QuadraticField(-3)
+O15, K15 = QuadraticIntRing(-15), QuadraticField(-15)
+
+
 def _domain_values(draw_int):
-    """(domain, value) pairs: a coefficient of each kind, or plain 0."""
+    """(domain, value) pairs: a coefficient of each kind, or plain 0.
+
+    Over O(-3) and O(-15) the ring element a + b*w is drawn both as
+    itself and as its image in the field, so equal ring/field pairs occur.
+    """
     r5, k5 = QuadraticIntRing(-5), QuadraticField(-5)
+    pairs = st.tuples(draw_int, draw_int)
+    half_basis = [
+        st.tuples(st.just(dom), pairs.map(
+            lambda ab, ring=ring, dom=dom: dom.coerce(ring.element(*ab))))
+        for ring, field in ((O3, K3), (O15, K15)) for dom in (ring, field)]
     return st.one_of(
         st.tuples(st.just(ZZ), draw_int),
         st.tuples(st.just(QQ), st.fractions(max_denominator=5)),
-        st.tuples(st.just(r5), st.tuples(draw_int, draw_int).map(
-            lambda ab: r5.element(*ab))),
-        st.tuples(st.just(k5), st.tuples(draw_int, draw_int).map(
-            lambda ab: k5.element(*ab))),
+        st.tuples(st.just(r5), pairs.map(lambda ab: r5.element(*ab))),
+        st.tuples(st.just(k5), pairs.map(lambda ab: k5.element(*ab))),
+        *half_basis,
         st.tuples(st.just(QT), st.lists(draw_int, max_size=3).map(
             lambda cs: Polynomial(QQ, cs, "t"))),
     )
@@ -101,13 +113,18 @@ def _domain_values(draw_int):
 class TestEqualityAndHash:
     @given(_domain_values(st.integers(-3, 3)),
            _domain_values(st.integers(-3, 3)), st.sampled_from(["x", "y"]))
+    @example((O15, O15.element(0, 1)),
+             (K15, K15.element(Fraction(1, 2), Fraction(1, 2))), "x")
+    @example((O3, O3.element(1, 1)),
+             (K3, K3.element(Fraction(3, 2), Fraction(1, 2))), "x")
     def test_equal_implies_same_hash(self, ours, theirs, var):
         dom, c = ours
         p = Polynomial.constant(dom, c, var)
-        for q in (c, theirs[1], 0, Polynomial.zero(dom, var),
-                  Polynomial.constant(dom, c, "x")):
-            if p == q:
-                assert hash(p) == hash(q), (p, q)
+        pairs = [(p, q) for q in (c, theirs[1], 0, Polynomial.zero(dom, var),
+                                  Polynomial.constant(dom, c, "x"))]
+        for x, y in pairs + [(c, theirs[1])]:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
 
     def test_constant_hashes_as_its_coefficient(self):
         assert Polynomial(QQ, [3], "x") == 3

@@ -172,6 +172,22 @@ class TestStripping:
         with pytest.raises(ValueError):
             strip_common_associates(p)
 
+    def test_stripping_checks_no_factor_again(self, monkeypatch):
+        pairs = builtin_examples()
+        calls = []
+        original = QuadraticIntRing.is_irreducible
+
+        def counted(ring, x):
+            calls.append(x)
+            return original(ring, x)
+
+        monkeypatch.setattr(QuadraticIntRing, "is_irreducible", counted)
+        for pair in pairs:
+            s = strip_common_associates(pair)
+            assert (s.element, s.first, s.second) \
+                == (pair.element, pair.first, pair.second)
+        assert calls == []
+
 
 class TestDeriveParams:
     def test_classic_example(self):
