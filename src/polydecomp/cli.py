@@ -495,14 +495,15 @@ def _cmd_compose(ns) -> CommandResult:
     G = parse_poly(ns.outer, ctx)
     H = parse_poly(ns.inner, ctx)
     f = poly_compose(G, H)
+    f_text = str(f)
     evidence = {
         "g_text": str(G),
         "h_text": str(H),
         "composition": poly_pairs(f),
-        "composition_text": str(f),
+        "composition_text": f_text,
     }
     payload = _payload("compose", ctx.descriptor, "ok", G, H, evidence)
-    return CommandResult(payload, [str(f)])
+    return CommandResult(payload, [f_text])
 
 
 def _field_evidence(dec, field_name: str) -> dict:

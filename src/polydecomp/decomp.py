@@ -12,12 +12,14 @@ decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Iterable, Optional
 
-from .poly import Polynomial, compose, derivative, divrem_monic
-from .domains import (CapabilityError, SubringDescriptor, Tier,
+from .poly import Polynomial, compose, derivative
+from .domains import (QQ, CapabilityError, SubringDescriptor, Tier,
                       descend_poly, embed_poly, hull_of, require_tier)
 
 
@@ -119,6 +121,13 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     digits are taken one division at a time, stopping at the first that
     is not a constant; a full expansion proves f = g(h) exactly, so the
     pair is not recomposed.
+
+    Over Q both steps run on plain integers.  With lam the lcm of the
+    denominators of f, F(x) = lam^N f(x/lam) is monic in Z[x], and
+    f = g(h) iff F = G(H) with H(x) = lam^m h(x/lam) and
+    G(y) = lam^N g(y/lam^m).  A monic F in Z[x] only decomposes with
+    H and G in Z[x], so a root coefficient that is not an integer
+    rejects the degree at once (docs/math_notes.md, section 1).
     """
     require_tier(f.domain, Tier.QALGEBRA, "monic decomposition")
     N = f.degree
@@ -129,29 +138,89 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     if not (1 < m < N) or N % m != 0:
         raise ValueError(f"inner degree {m} is not a proper divisor of {N}")
     dom = f.domain
-    zero = dom.zero
+    if dom == QQ:
+        # unpack a list, not a generator: CPython packs a generator into a
+        # tuple by resizing it, and keeps one more such tuple per call on
+        # its free list, so memory grows with the number of calls
+        lam = math.lcm(*[c.denominator for c in f.coeffs])
+        F = [0] * N + [1]
+        scale = 1
+        for k in range(N - 1, -1, -1):
+            scale *= lam
+            c = f.coeffs[k]
+            F[k] = c.numerator * (scale // c.denominator)
+        found = _root_and_digits(F, m, 0, 1, _div_exact)
+    else:
+        lam = 1
+        found = _root_and_digits(list(f.coeffs), m, dom.zero, dom.one,
+                                 dom.div_int)
+    if found is None:
+        return None
+    G, H = found
+    if lam != 1:
+        H = [Fraction(c, lam ** (m - k)) for k, c in enumerate(H)]
+        G = [Fraction(c, lam ** (N - m * j)) for j, c in enumerate(G)]
+    return Decomposition(Polynomial(dom, G, f.var), Polynomial(dom, H, f.var))
+
+
+def _div_exact(a: int, b: int) -> Optional[int]:
+    """a / b when b divides a, else None."""
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _root_and_digits(F: list, m: int, zero: Any, one: Any,
+                     div_int) -> Optional[tuple[list, list]]:
+    """Coefficient lists (G, H) with F = G(H), H monic of degree m with
+    H(0) = 0, or None when F does not factor with inner degree m.
+
+    F lists the coefficients of a monic polynomial low to high.
+    ``div_int(a, k)`` divides by a positive integer, and returns None
+    when the quotient leaves the coefficient ring, which rejects m.
+    """
+    N = len(F) - 1
     n = N // m
 
-    # P = A^(1/n) with A_j = f_{N-j}, A_0 = 1:
+    # P = A^(1/n) with A_j = F_{N-j}, A_0 = 1:
     #   P_k = sum_{j=1..k} ((n+1)*j - n*k) * A_j * P_{k-j} / (n*k)
-    A = [f.coefficient(N - j) for j in range(m)]
-    P = [dom.one]
+    A = F[N:N - m:-1]
+    P = [one]
     for k in range(1, m):
         acc = zero
         for j in range(1, k + 1):
             if A[j] != zero:
                 acc = acc + A[j] * P[k - j] * ((n + 1) * j - n * k)
-        P.append(dom.div_int(acc, n * k))
-    h = Polynomial(dom, [zero] + P[::-1], f.var)
-
-    digits = []
-    current = f
-    while not current.is_zero():
-        current, r = divrem_monic(current, h)
-        if not r.is_constant():
+        p = div_int(acc, n * k)
+        if p is None:
             return None
-        digits.append(r.constant_term)
-    return Decomposition(Polynomial(dom, digits, f.var), h)
+        P.append(p)
+    H = [zero] + P[::-1]
+
+    # H-adic digits, lowest first.  Each division by the monic H splits
+    # the current polynomial at degree m; walking the upper part from the
+    # top, an entry is final, and is the quotient's, once the entries
+    # above it have subtracted their multiples of H's lower terms.
+    terms = [(j, c) for j, c in enumerate(H[:m]) if c != zero]
+    G = []
+    rem = F
+    while rem:
+        quo = rem[m:]
+        rem = rem[:m]
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k]
+            if c == zero:
+                continue
+            for j, hj in terms:
+                i = k + j - m
+                if i >= 0:
+                    quo[i] = quo[i] - c * hj
+                else:
+                    rem[i + m] = rem[i + m] - c * hj
+        if any(c != zero for c in rem[1:]):
+            return None
+        G.append(rem[0])
+        rem = quo
+    return G, H
 
 
 def coefficients_in_QR(dec: Decomposition, sub: SubringDescriptor) -> bool:

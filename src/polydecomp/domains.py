@@ -86,6 +86,49 @@ def _int_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+#: Trial divisors for primality: the primes below 100.
+_SMALL_PRIMES = tuple(p for p in range(2, 100)
+                      if all(p % q for q in range(2, p)))
+
+#: Miller-Rabin to the first 13 prime bases is exact below this bound
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+#: Math. Comp. 86, 2017).
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n >= 2 is prime.
+
+    Trial division by the primes below 100, then deterministic
+    Miller-Rabin.  A witness proves n composite at any size; a strong
+    probable prime at or above the bound raises ValueError.
+    """
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"primality is decided only below {_MR_EXACT_BELOW}; "
+            f"{_decimal(n)} is a strong probable prime to the first 13 "
+            f"prime bases")
+    return True
+
+
 class IntegerRing:
     """The rational integers Z, with the unit group {1, -1}."""
 
@@ -159,7 +202,7 @@ class IntegerRing:
     def is_irreducible(self, x: int) -> bool:
         if x == 0 or self.is_unit(x):
             raise ValueError("irreducibility is undefined for zero and units")
-        return len(_int_divisors(x)) == 2
+        return _is_prime(abs(x))
 
     def fraction_field(self) -> "RationalField":
         return QQ

@@ -67,7 +67,8 @@ def _check_pair(pair: FactorizationPair) -> None:
             if ring.norm(x) == 0 or ring.is_unit(x):
                 raise ValueError(f"{side} list contains a unit or zero: {x}")
             if not ring.is_irreducible(x):
-                raise ValueError(f"{side} list contains a reducible factor: {x}")
+                raise ValueError(f"{side} list contains a reducible factor: "
+                                 f"{ring.format_element(x)}")
         if not ring.are_associates(_product(ring, factors), pair.element):
             raise ValueError(
                 f"the {side} list does not multiply to the element")

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Eight headline guarantees, each rechecked from scratch with its own
+Nine headline guarantees, each rechecked from scratch with its own
 wall-clock budget.  Every test prints a single PASS/FAIL line (visible
 even under pytest's capture) and fails if the budget is exceeded.
 """
@@ -121,6 +121,25 @@ def test_degree_400_field_decision(capsys):
         assert all(dec is None for dec in found.values())
 
     _report(capsys, "degree-400-field-decision", 10.0, body)
+
+
+def test_degree_1024_field_decision(capsys):
+    """A monic degree-1024 composition over Q, g and h of degree 32, is
+    decided at every proper inner degree: found at 32 only, exactly."""
+
+    rng = random.Random(1024)
+    g = Polynomial(QQ, [rng.randint(-9, 9) for _ in range(32)] + [1], "x")
+    h = Polynomial(QQ, [0] + [rng.randint(-9, 9) for _ in range(31)] + [1],
+                   "x")
+    f = compose(g, h)
+
+    def body():
+        found = {m: decompose_over_field(f, m)
+                 for m in proper_inner_degrees(1024)}
+        assert found.pop(32) == Decomposition(g, h)
+        assert all(dec is None for dec in found.values())
+
+    _report(capsys, "degree-1024-field-decision", 2.0, body)
 
 
 def test_subring_composition_transfer(capsys):

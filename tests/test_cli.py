@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -423,6 +424,66 @@ class TestErrorHandling:
         assert code == 0 and err == ""
         assert json.loads(out)["evidence"]["composition"][0] \
             == [constant, "0"]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_compose_renders_the_composition_once(self, as_json, capsys,
+                                                  monkeypatch):
+        # the constant 2^100000 is rendered for g's pairs, g's text, f's
+        # pairs and f's text, and f's text serves both output modes
+        from polydecomp import domains
+        big = 2 ** 100000
+        calls = []
+        original = domains._decimal
+
+        def counted(x):
+            if x == big:
+                calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(domains, "_decimal", counted)
+        monkeypatch.setattr(cli, "_decimal", counted)
+        argv = ["compose", "--ring", "Z", "x+2^100000", "x"]
+        code, out, err = run_cli(argv + ["--json"] if as_json else argv,
+                                 capsys)
+        assert code == 0 and err == ""
+        assert len(calls) == 4
+
+    def test_witness_over_z_with_a_19_digit_factor_decides(self, capsys):
+        # 1000000000000000027 = 7^2 * 20347 * 1000003 * 1003003; deciding
+        # it must not trial-divide to its square root
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["witness", "--ring", "Z", "--element", "2000000000000000054",
+             "--factorization", "2,1000000000000000027",
+             "--factorization=-2,-1000000000000000027"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == ("error: first list contains a reducible factor: "
+                       "1000000000000000027\n")
+
+    def test_witness_over_z_names_a_long_reducible_factor(self, capsys):
+        # 2^15000 has 4516 digits, past CPython's int/str limit
+        code, out, err = run_cli(
+            ["witness", "--ring", "Z", "--element", "2^15001",
+             "--factorization", "2^15000,2", "--factorization", "2,2^15000"],
+            capsys)
+        assert code == 1 and out == ""
+        prefix = "error: first list contains a reducible factor: "
+        assert err.startswith(prefix) and err.endswith("\n")
+        digits = err[len(prefix):-1]
+        value = 0
+        for digit in digits:
+            value = value * 10 + "0123456789".index(digit)
+        assert len(digits) == 4516 and value == 2 ** 15000
+
+    def test_witness_over_z_past_the_primality_bound_exits_1(self, capsys):
+        p = 2 ** 89 - 1
+        code, out, err = run_cli(
+            ["witness", "--ring", "Z", "--element", str(2 * p),
+             "--factorization", f"2,{p}", f"--factorization=-2,-{p}"],
+            capsys)
+        assert code == 1 and out == ""
+        assert "3317044064679887385961981" in err
 
     def test_zero_polynomial_has_nothing_to_decompose(self, capsys):
         code, out, err = run_cli(["decompose", "x-x"], capsys)

@@ -1,5 +1,6 @@
 """Decomposition algorithms: recursion, h-adic test, quartics, uniqueness."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from polydecomp import (CapabilityError, Decomposition, Polynomial,
                         monic_decompose, proper_inner_degrees,
                         quartic_field_decompose, quartic_ring_decide,
                         verify_taylor_expansion)
+from polydecomp import decomp
+from polydecomp.decomp import _div_exact
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -234,6 +237,102 @@ class TestInnerFactorByRoot:
             assert dec == reference_monic_decompose(f, h.degree)
             assert dec == Decomposition(g, h)
             assert compose(dec.g, dec.h) == f
+
+
+#: Denominators up to 10^6; the large primes make the lcm of a few of
+#: them, hence the integer lift, large.
+wide_denominators = st.one_of(
+    st.integers(1, 10 ** 6),
+    st.sampled_from([1, 2, 3, 7, 999_983, 999_979, 999_961, 10 ** 6]))
+wide_fractions = st.builds(Fraction, st.integers(-9, 9), wide_denominators)
+
+
+@st.composite
+def wide_composition(draw, lead=1):
+    """(g, h) over Q with wide denominators, g of lead ``lead``, h monic."""
+    def poly(lc):
+        deg = draw(st.integers(2, 4))
+        return qpoly([draw(wide_fractions) for _ in range(deg)] + [lc])
+
+    return poly(lead), poly(1)
+
+
+class TestIntegerPath:
+    """Over Q the root and the digits run on the integer lift of f."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_compositions_match_the_reference(self, data):
+        g, h = data.draw(wide_composition())
+        f = compose(g, h)
+        dec = monic_decompose(f, h.degree)
+        assert dec is not None
+        assert dec == reference_monic_decompose(f, h.degree)
+        assert dec.h == h - h.constant_term
+        assert compose(dec.g, dec.h) == f
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_compositions_are_rejected(self, data):
+        g, h = data.draw(wide_composition())
+        c = data.draw(wide_fractions.filter(lambda c: c != 0))
+        f = compose(g, h) + qpoly([0, c])
+        assert monic_decompose(f, h.degree) is None
+        assert reference_monic_decompose(f, h.degree) is None
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_monic_input_matches_the_reference(self, data):
+        N = data.draw(st.sampled_from([4, 6, 8, 9, 12]))
+        m = data.draw(st.sampled_from(proper_inner_degrees(N)))
+        f = qpoly([data.draw(wide_fractions) for _ in range(N)] + [1])
+        dec = monic_decompose(f, m)
+        assert dec == reference_monic_decompose(f, m)
+        if dec is not None:
+            assert compose(dec.g, dec.h) == f
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_monic_input_through_the_field_path(self, data):
+        lead = data.draw(wide_fractions.filter(lambda c: c != 0))
+        g, h = data.draw(wide_composition(lead))
+        f = compose(g, h)
+        dec = decompose_over_field(f, h.degree)
+        assert dec is not None
+        assert dec.h == h - h.constant_term
+        assert compose(dec.g, dec.h) == f
+        c = data.draw(wide_fractions.filter(lambda c: c != 0))
+        assert decompose_over_field(f + qpoly([0, c]), h.degree) is None
+
+    def test_a_non_integral_root_rejects_at_once(self, monkeypatch):
+        # x^6 + x^5 is its own integer lift, and the first root
+        # coefficient over m = 3 is 1/2: one division decides
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return _div_exact(a, b)
+
+        monkeypatch.setattr(decomp, "_div_exact", counted)
+        assert monic_decompose(qpoly([0, 0, 0, 0, 0, 1, 1]), 3) is None
+        assert calls == [(1, 2)]
+
+    def test_exact_division(self):
+        assert _div_exact(12, 4) == 3
+        assert _div_exact(-12, 4) == -3
+        assert _div_exact(0, 7) == 0
+        assert _div_exact(7, 2) is None
+        assert _div_exact(-7, 2) is None
+
+    def test_large_lcm_maps_back_exactly(self):
+        # lcm 999983 * 999979 * 999961; F's constant term is about
+        # lcm^12, yet the pair comes back in lowest terms
+        g = qpoly([Fraction(1, 999_983), Fraction(-2, 999_979), 0, 1])
+        h = qpoly([0, Fraction(5, 999_961), 0, 1])
+        f = compose(g, h)
+        dec = monic_decompose(f, 3)
+        assert dec == Decomposition(g, h)
+        assert dec == reference_monic_decompose(f, 3)
 
 
 class TestDecomposeOverField:
@@ -598,6 +697,29 @@ class TestDecomposeFully:
                 acc = compose(c, acc)
             assert acc == f
             assert all(cc.degree >= 2 for cc in chain)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ritt_first_theorem_on_prime_degree_chains(self, data):
+        # factors of prime degree are indecomposable, so the chain is
+        # complete, and every complete chain of f (Ritt's first theorem)
+        # has the same multiset of degrees
+        degrees = data.draw(st.lists(st.sampled_from([2, 3, 5]), min_size=2,
+                                     max_size=4).filter(
+            lambda ds: math.prod(ds) <= 60))
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        chain = [qpoly([data.draw(coeff) for _ in range(d)]
+                       + [data.draw(coeff.filter(lambda c: c != 0))])
+                 for d in degrees]
+        f = chain[-1]
+        for c in reversed(chain[:-1]):
+            f = compose(c, f)
+        found = decompose_fully(f)
+        assert sorted(c.degree for c in found) == sorted(degrees)
+        acc = found[-1]
+        for c in reversed(found[:-1]):
+            acc = compose(c, acc)
+        assert acc == f
 
     def test_indecomposable_stays_whole(self):
         f = qpoly([0, 1, 0, 0, 1])

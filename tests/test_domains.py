@@ -21,6 +21,16 @@ GAUSS = QuadraticIntRing(-1)
 O3 = QuadraticIntRing(-3)
 
 
+#: Every Carmichael number below 10^6: composite, yet a Fermat
+#: pseudoprime to every base prime to it.
+CARMICHAEL_BELOW_1E6 = [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+    46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401,
+    172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561, 399001,
+    410041, 449065, 488881, 512461, 530881, 552721, 656601, 658801, 670033,
+    748657, 825265, 838201, 852841, 997633]
+
+
 def w5(a, b=0):
     return R5.element(a, b)
 
@@ -51,6 +61,58 @@ class TestIntegerRing:
             ZZ.is_irreducible(1)
         with pytest.raises(ValueError):
             ZZ.is_irreducible(0)
+
+    def test_irreducibles_agree_with_trial_division_below_1e5(self):
+        limit = 10 ** 5
+        composite = bytearray(limit)
+        for p in range(2, 317):
+            if not composite[p]:
+                composite[p * p::p] = b"\1" * len(range(p * p, limit, p))
+        for x in range(2, limit):
+            prime = not composite[x]
+            assert ZZ.is_irreducible(x) is prime, x
+            assert ZZ.is_irreducible(-x) is prime, x
+
+    @pytest.mark.parametrize("n", [
+        3215031751,                   # strong pseudoprime to 2, 3, 5, 7
+        2152302898747,                # ... to the primes up to 11
+        3474749660383,                # ... up to 13
+        341550071728321,              # ... up to 17
+        3825123056546413051,          # ... up to 23
+        318665857834031151167461,     # ... up to 37
+        (2 ** 61 - 1) * (2 ** 31 - 1),   # past the bound, still refuted
+    ] + CARMICHAEL_BELOW_1E6)
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not ZZ.is_irreducible(n)
+        assert not ZZ.is_irreducible(-n)
+
+    def test_carmichael_list_meets_korselt(self):
+        for n in CARMICHAEL_BELOW_1E6:
+            factors, rest, p = [], n, 2
+            while rest > 1:
+                while rest % p == 0:
+                    factors.append(p)
+                    rest //= p
+                p += 1
+            assert len(factors) >= 3 and len(set(factors)) == len(factors)
+            assert all((n - 1) % (q - 1) == 0 for q in factors), n
+
+    @pytest.mark.parametrize("p", [
+        2 ** 31 - 1, 10 ** 9 + 7, 999999999989, 2 ** 61 - 1,
+        10 ** 24 + 7,
+        3317044064679887385961813,    # the largest prime below the bound
+    ])
+    def test_primes_below_the_bound(self, p):
+        assert ZZ.is_irreducible(p)
+        assert ZZ.is_irreducible(-p)
+
+    @pytest.mark.parametrize("n", [
+        3317044064679887385961981,    # strong pseudoprime to the 13 bases
+        2 ** 89 - 1,                  # a Mersenne prime past the bound
+    ])
+    def test_probable_primes_past_the_bound_are_undecided(self, n):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            ZZ.is_irreducible(n)
 
     def test_elements_of_norm(self):
         assert ZZ.elements_of_norm(0) == [0]
