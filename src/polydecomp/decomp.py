@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any, Iterable, Optional
 
-from .poly import Polynomial, compose, derivative
+from .poly import Polynomial, _divrem_monic_in_place, compose, derivative
 from .domains import (QQ, CapabilityError, SubringDescriptor, Tier,
                       descend_poly, embed_poly, hull_of, require_tier)
 
@@ -122,12 +122,13 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     is not a constant; a full expansion proves f = g(h) exactly, so the
     pair is not recomposed.
 
-    Over Q both steps run on plain integers.  With lam the lcm of the
-    denominators of f, F(x) = lam^N f(x/lam) is monic in Z[x], and
-    f = g(h) iff F = G(H) with H(x) = lam^m h(x/lam) and
-    G(y) = lam^N g(y/lam^m).  A monic F in Z[x] only decomposes with
-    H and G in Z[x], so a root coefficient that is not an integer
-    rejects the degree at once (docs/math_notes.md, section 1).
+    Over Q both steps run on plain integers.  With lam a positive
+    integer such that every lam^(N-k) f_k is integral, F(x) =
+    lam^N f(x/lam) is monic in Z[x], and f = g(h) iff F = G(H) with
+    H(x) = lam^m h(x/lam) and G(y) = lam^N g(y/lam^m).  A monic F in
+    Z[x] only decomposes with H and G in Z[x], so a root coefficient
+    that is not an integer rejects the degree at once, and the digits
+    are taken by integer division (docs/math_notes.md, section 1).
     """
     require_tier(f.domain, Tier.QALGEBRA, "monic decomposition")
     N = f.degree
@@ -139,28 +140,57 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
         raise ValueError(f"inner degree {m} is not a proper divisor of {N}")
     dom = f.domain
     if dom == QQ:
-        # unpack a list, not a generator: CPython packs a generator into a
-        # tuple by resizing it, and keeps one more such tuple per call on
-        # its free list, so memory grows with the number of calls
-        lam = math.lcm(*[c.denominator for c in f.coeffs])
+        lam = _integral_scale(f)
         F = [0] * N + [1]
         scale = 1
         for k in range(N - 1, -1, -1):
             scale *= lam
             c = f.coeffs[k]
             F[k] = c.numerator * (scale // c.denominator)
-        found = _root_and_digits(F, m, 0, 1, _div_exact)
+        zero, one, div_int = 0, 1, _div_exact
     else:
         lam = 1
-        found = _root_and_digits(list(f.coeffs), m, dom.zero, dom.one,
-                                 dom.div_int)
-    if found is None:
+        F = list(f.coeffs)
+        zero, one, div_int = dom.zero, dom.one, dom.div_int
+    H = _inner_root(F, m, zero, one, div_int)
+    if H is None:
         return None
-    G, H = found
+
+    # H-adic digits, lowest first, one division at a time
+    G = []
+    rem = F
+    while rem:
+        _divrem_monic_in_place(rem, H, zero)
+        if any(c != zero for c in rem[1:m]):
+            return None
+        G.append(rem[0])
+        rem = rem[m:]
     if lam != 1:
         H = [Fraction(c, lam ** (m - k)) for k, c in enumerate(H)]
         G = [Fraction(c, lam ** (N - m * j)) for j, c in enumerate(G)]
     return Decomposition(Polynomial(dom, G, f.var), Polynomial(dom, H, f.var))
+
+
+def _integral_scale(f: Polynomial) -> int:
+    """A positive integer lam with lam^(N-k) f_k integral for every k,
+    for f monic of degree N over Q.
+
+    Walking down from the top, each denominator d_k multiplies lam by
+    only the part of it that lam^(N-k) does not already cover.  So lam
+    divides the lcm of the denominators, and is often far smaller: a
+    prime met high in f covers its powers in the lower coefficients,
+    whose exponents N-k are larger.
+    """
+    N = f.degree
+    lam = 1
+    for k in range(N - 1, -1, -1):
+        d = f.coeffs[k].denominator
+        if lam % d:
+            # no prime divides d more often than d has bits, so
+            # d | lam^(N-k) iff d | lam^e
+            e = min(N - k, d.bit_length())
+            lam *= d // math.gcd(d, pow(lam, e, d))
+    return lam
 
 
 def _div_exact(a: int, b: int) -> Optional[int]:
@@ -169,14 +199,15 @@ def _div_exact(a: int, b: int) -> Optional[int]:
     return None if r else q
 
 
-def _root_and_digits(F: list, m: int, zero: Any, one: Any,
-                     div_int) -> Optional[tuple[list, list]]:
-    """Coefficient lists (G, H) with F = G(H), H monic of degree m with
-    H(0) = 0, or None when F does not factor with inner degree m.
+def _inner_root(F: list, m: int, zero: Any, one: Any,
+                div_int) -> Optional[list]:
+    """Coefficients of the monic H of degree m with H(0) = 0 whose n-th
+    power agrees with F in its top m coefficients, or None when the root
+    leaves the coefficient ring.
 
-    F lists the coefficients of a monic polynomial low to high.
-    ``div_int(a, k)`` divides by a positive integer, and returns None
-    when the quotient leaves the coefficient ring, which rejects m.
+    F lists the coefficients of a monic polynomial of degree N = n*m low
+    to high.  ``div_int(a, k)`` divides by a positive integer, and
+    returns None when the quotient leaves the coefficient ring.
     """
     N = len(F) - 1
     n = N // m
@@ -194,33 +225,7 @@ def _root_and_digits(F: list, m: int, zero: Any, one: Any,
         if p is None:
             return None
         P.append(p)
-    H = [zero] + P[::-1]
-
-    # H-adic digits, lowest first.  Each division by the monic H splits
-    # the current polynomial at degree m; walking the upper part from the
-    # top, an entry is final, and is the quotient's, once the entries
-    # above it have subtracted their multiples of H's lower terms.
-    terms = [(j, c) for j, c in enumerate(H[:m]) if c != zero]
-    G = []
-    rem = F
-    while rem:
-        quo = rem[m:]
-        rem = rem[:m]
-        for k in range(len(quo) - 1, -1, -1):
-            c = quo[k]
-            if c == zero:
-                continue
-            for j, hj in terms:
-                i = k + j - m
-                if i >= 0:
-                    quo[i] = quo[i] - c * hj
-                else:
-                    rem[i + m] = rem[i + m] - c * hj
-        if any(c != zero for c in rem[1:]):
-            return None
-        G.append(rem[0])
-        rem = quo
-    return G, H
+    return [zero] + P[::-1]
 
 
 def coefficients_in_QR(dec: Decomposition, sub: SubringDescriptor) -> bool:

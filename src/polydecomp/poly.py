@@ -9,7 +9,7 @@ involved anywhere).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 
 class DomainMismatchError(TypeError):
@@ -271,20 +271,29 @@ def divrem_monic(f: Polynomial, h: Polynomial) -> tuple[Polynomial, Polynomial]:
     m = h.degree
     if m < 1 or not h.is_monic():
         raise ValueError("divisor must be monic of degree >= 1")
-    z = f.domain.zero
     rem = list(f.coeffs)
-    if len(rem) <= m:
-        return Polynomial.zero(f.domain, f.var), f
-    q = [z] * (len(rem) - m)
+    _divrem_monic_in_place(rem, h.coeffs, f.domain.zero)
+    return (Polynomial(f.domain, rem[m:], f.var),
+            Polynomial(f.domain, rem[:m], f.var))
+
+
+def _divrem_monic_in_place(rem: list, h: Sequence[Any], zero: Any) -> None:
+    """Divide the coefficient list ``rem`` (low to high) by a monic ``h``
+    of degree m >= 1: afterwards ``rem[:m]`` is the remainder and
+    ``rem[m:]`` the quotient.
+
+    Walking down from the top, an entry is final, and is the quotient's,
+    once the entries above it have subtracted their multiples of h.  The
+    lead of h would only clear that entry, so it is skipped, and so are
+    the zero coefficients of h.
+    """
+    m = len(h) - 1
+    terms = [(j, hj) for j, hj in enumerate(h[:m]) if hj != zero]
     for k in range(len(rem) - 1, m - 1, -1):
         c = rem[k]
-        if c == z:
-            continue
-        q[k - m] = c
-        for j in range(m + 1):
-            rem[k - m + j] = rem[k - m + j] - c * h.coeffs[j]
-    return (Polynomial(f.domain, q, f.var),
-            Polynomial(f.domain, rem[:m], f.var))
+        if c != zero:
+            for j, hj in terms:
+                rem[k - m + j] = rem[k - m + j] - c * hj
 
 
 def hadic_digits(f: Polynomial, h: Polynomial) -> list[Polynomial]:

@@ -324,15 +324,36 @@ class TestIntegerPath:
         assert _div_exact(7, 2) is None
         assert _div_exact(-7, 2) is None
 
-    def test_large_lcm_maps_back_exactly(self):
-        # lcm 999983 * 999979 * 999961; F's constant term is about
-        # lcm^12, yet the pair comes back in lowest terms
+    def test_large_scale_maps_back_exactly(self):
+        # the scale is 999983 * 999979 * 999961 and F's constant term
+        # has 156 digits, yet the pair comes back in lowest terms
         g = qpoly([Fraction(1, 999_983), Fraction(-2, 999_979), 0, 1])
         h = qpoly([0, Fraction(5, 999_961), 0, 1])
         f = compose(g, h)
+        assert decomp._integral_scale(f) == 999_983 * 999_979 * 999_961
         dec = monic_decompose(f, 3)
         assert dec == Decomposition(g, h)
         assert dec == reference_monic_decompose(f, 3)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_scale_clears_every_denominator(self, data):
+        N = data.draw(st.integers(4, 12))
+        f = qpoly([data.draw(wide_fractions) for _ in range(N)] + [1])
+        lam = decomp._integral_scale(f)
+        assert lam >= 1
+        assert all((lam ** (N - k) * c).denominator == 1
+                   for k, c in enumerate(f.coeffs))
+        assert math.lcm(*(c.denominator for c in f.coeffs)) % lam == 0
+
+    def test_the_scale_stays_below_the_lcm(self):
+        # f = x^4 + 2/3 x^3 + 4/9 x^2 + 1/9 x: the 3 that f_3 needs
+        # covers the 9s below it, so the scale is 3 and not the lcm 9
+        g = qpoly([0, Fraction(1, 3), 1])
+        h = qpoly([0, Fraction(1, 3), 1])
+        f = compose(g, h)
+        assert decomp._integral_scale(f) == 3
+        assert monic_decompose(f, 2) == Decomposition(g, h)
 
 
 class TestDecomposeOverField:
