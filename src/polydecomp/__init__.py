@@ -12,8 +12,8 @@ factorizations of a single ring element.
 from .poly import (MINUS_INFINITY, DomainMismatchError, Polynomial, compose,
                    derivative, divrem_monic, hadic_digits)
 from .domains import (CapabilityError, Tier, IntegerRing, RationalField,
-                      QuadraticInt, QuadraticIntRing, QuadraticRat,
-                      QuadraticField, PolynomialDomain, SubringDescriptor,
+                      QuadraticElement, QuadraticIntRing, QuadraticField,
+                      PolynomialDomain, SubringDescriptor,
                       ZZ, QQ, ZT, QT, Z_IN_Q, ZT23_IN_ZT, QZT23_IN_QT,
                       descend_element, descend_poly, embed_element,
                       embed_poly, hull_of, order_in_field, q_times,

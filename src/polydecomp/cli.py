@@ -33,8 +33,8 @@ from typing import Any, Optional, Union
 
 from .poly import Polynomial
 from .poly import compose as poly_compose
-from .domains import (PolynomialDomain, QuadraticInt, QuadraticIntRing,
-                      QuadraticRat, QuadraticField, SubringDescriptor, Tier,
+from .domains import (PolynomialDomain, QuadraticElement, QuadraticIntRing,
+                      QuadraticField, SubringDescriptor, Tier,
                       QQ, QT, ZT, ZZ, ZT23_IN_ZT, embed_poly, hull_of,
                       require_tier, _decimal)
 from .decomp import (decompose_fully, decompose_over_ring,
@@ -424,10 +424,8 @@ def _parse_ring_element(text: str, ctx: RingContext) -> Any:
 
 def coeff_pair(c: Any) -> list[str]:
     """Serialize one coefficient as an exact [main, w-part] string pair."""
-    if isinstance(c, QuadraticInt):
-        return [_decimal(c.a), _decimal(c.b)]
-    if isinstance(c, QuadraticRat):
-        return [_decimal(c.r), _decimal(c.s)]
+    if isinstance(c, QuadraticElement):
+        return [_decimal(v) for v in c.dom.display_coords(c)]
     if isinstance(c, Polynomial):
         return [str(c), "0"]
     return [_decimal(c), "0"]
@@ -604,9 +602,9 @@ def _cmd_decompose(ns) -> CommandResult:
                 _payload("decompose", ctx.descriptor, status,
                          evidence=evidence), lines, code)
         # decompose_over_ring would blame the missing over-ring procedure
-        # for a non-monic f over Q[t]; over the hull, the missing field
+        # for a non-unit lead over Q[t]; over the hull, the missing field
         # division is the reason
-        if not fh.is_monic():
+        if not fh.domain.is_unit(fh.leading_coefficient):
             require_tier(fh.domain, Tier.FIELD, "non-monic decomposition")
         return _ring_result("decompose", ctx, decompose_over_ring(fh, degrees),
                             degrees, ns.fail_on_indecomposable, over_field=True)

@@ -237,17 +237,19 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     """Decompose f with inner degree m, allowing any leading coefficient.
 
     Reduces to the monic case via f~ = (f - f(0)) / lc(f) and conjugates
-    the answer back, so compose(g, h) = f exactly.  Monic input needs only
-    a Q-algebra; a non-monic leading coefficient requires a field.
+    the answer back, so compose(g, h) = f exactly.  A unit leading
+    coefficient (1, say, or 2 over Q[t]) needs only a Q-algebra; any
+    other requires a field.
     """
     N = f.degree
     if N < 4:
         raise ValueError("degree must be at least 4")
     if f.is_monic():
         return monic_decompose(f, m)
-    require_tier(f.domain, Tier.FIELD, "non-monic decomposition")
     dom = f.domain
     lc = f.leading_coefficient
+    if dom.tier < Tier.QALGEBRA or not dom.is_unit(lc):
+        require_tier(dom, Tier.FIELD, "non-monic decomposition")
     ftilde = f.map_coefficients(lambda c: dom.div(c, lc))
     inner = monic_decompose(ftilde - ftilde.constant_term, m)
     if inner is None:
@@ -345,19 +347,19 @@ def decompose_over_ring(
         restriction: Optional[SubringDescriptor] = None) -> RingDecideOutcome:
     """Decide f = g(h) with every coefficient in the coefficient ring of f.
 
-    When f is monic, its ring is a field, or its leading coefficient is a
-    unit, f is decomposed over the hull of the ring for each inner degree
-    in ``degrees``, in order, by :func:`decompose_over_field`; the first
-    pair that descends into the ring, and whose coefficients pass
-    ``restriction`` when one is given, decides.  When no pair descends,
-    the first hull pair is the field evidence.  A non-monic quartic over a
-    ring with divisor enumeration goes to :func:`quartic_ring_decide`.
+    When the leading coefficient of f is a unit of its ring, as it is
+    when f is monic or the ring is a field, f is decomposed over the hull
+    of the ring for each inner degree in ``degrees``, in order, by
+    :func:`decompose_over_field`; the first pair that descends into the
+    ring, and whose coefficients pass ``restriction`` when one is given,
+    decides.  When no pair descends, the first hull pair is the field
+    evidence.  A quartic with any other lead, over a ring with divisor
+    enumeration, goes to :func:`quartic_ring_decide`.
     Anything else raises CapabilityError, whose message names the
     restriction, when one is given, in place of the ring.
     """
     ring = f.domain
-    if f.is_monic() or ring.tier == Tier.FIELD or (
-            hasattr(ring, "is_unit") and ring.is_unit(f.leading_coefficient)):
+    if ring.is_unit(f.leading_coefficient):
         fh = embed_poly(f, hull_of(ring))
         field_dec = None
         for m in degrees:

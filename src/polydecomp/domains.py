@@ -6,9 +6,17 @@ domains Z[t] and Q[t], and subring descriptors with total membership
 predicates (for example integer polynomials with no linear term).
 
 Every domain object exposes at least ``name``, ``tier``, ``zero``, ``one``,
-``coerce``, ``is_element`` and ``format_element``.  Domains at tier
-QALGEBRA and above additionally provide exact division by nonzero integers
-(``div_int``); fields provide ``div``.
+``coerce``, ``is_element``, ``is_unit``, ``descend`` and
+``format_element``.  Domains at tier QALGEBRA and above additionally
+provide exact division by nonzero integers (``div_int``); fields provide
+``div``, and so does Q[t], by a unit (a nonzero constant), so a unit
+leading coefficient over Z[t] or Q[t] is decided like a monic one.
+
+O_d and Q(sqrt(d)) share one element class, :class:`QuadraticElement`,
+on the integral basis 1, w of O_d, with int coordinates in the order and
+Fraction coordinates in the field.  Field values still take, print and
+serialise sqrt(d) coordinates: ``QuadraticField(d).element(r, s)`` is
+r + s*sqrt(d).
 """
 
 from __future__ import annotations
@@ -204,11 +212,10 @@ class IntegerRing:
             raise ValueError("irreducibility is undefined for zero and units")
         return _is_prime(abs(x))
 
-    def fraction_field(self) -> "RationalField":
-        return QQ
-
     def q_algebra_hull(self) -> "RationalField":
         return QQ
+
+    fraction_field = q_algebra_hull
 
     def __repr__(self) -> str:
         return "ZZ"
@@ -237,6 +244,9 @@ class RationalField:
 
     def descend(self, x: Any) -> Optional[Any]:
         return x if self.is_element(x) else None
+
+    def is_unit(self, x: Fraction) -> bool:
+        return x != 0
 
     def div_int(self, x: Fraction, n: int) -> Fraction:
         return x / n
@@ -272,159 +282,191 @@ def _check_d(d: int) -> None:
         i += 1
 
 
-class QuadraticInt:
-    """An element of an imaginary quadratic order.
+class QuadraticElement:
+    """An element a + b*w of an imaginary quadratic order O_d or of its
+    field Q(sqrt(d)).
 
-    Coordinates are with respect to the ring's integral basis: a + b*sqrt(d)
-    when d = 2, 3 (mod 4), and a + b*(1+sqrt(d))/2 when d = 1 (mod 4).
+    Both domains share the integral basis 1, w of O_d: w = sqrt(d), or
+    (1+sqrt(d))/2 when d = 1 (mod 4).  The coordinates are ints in the
+    order and Fractions in the field, so a field element lies in the
+    order iff both of its coordinates are integers, and equal elements of
+    the two domains compare and hash alike.  Mixing the two gives a field
+    element.
     """
 
-    __slots__ = ("ring", "a", "b")
+    __slots__ = ("dom", "a", "b")
 
-    def __init__(self, ring: "QuadraticIntRing", a: int, b: int = 0):
-        self.ring = ring
-        self.a = ZZ.coerce(a)
-        self.b = ZZ.coerce(b)
+    def __init__(self, dom: "_QuadraticDomain", a: Any, b: Any):
+        self.dom = dom
+        self.a = a
+        self.b = b
 
-    def _wrap(self, other: Any) -> "QuadraticInt":
-        if isinstance(other, QuadraticInt):
-            if other.ring != self.ring:
-                raise TypeError("mixing elements of different quadratic rings")
-            return other
-        return QuadraticInt(self.ring, ZZ.coerce(other), 0)
+    def _join(self, other: Any) -> tuple["QuadraticElement", Any]:
+        """other as an element, and the domain the result lives in."""
+        if isinstance(other, QuadraticElement):
+            if other.dom is self.dom:
+                return other, self.dom
+            if other.dom.d != self.dom.d:
+                raise TypeError("mixing elements over different d")
+            return other, self.dom.q_algebra_hull()
+        return self.dom.coerce(other), self.dom
 
-    def __add__(self, other: Any) -> "QuadraticInt":
-        o = self._wrap(other)
-        return QuadraticInt(self.ring, self.a + o.a, self.b + o.b)
+    def __add__(self, other: Any) -> "QuadraticElement":
+        o, dom = self._join(other)
+        return QuadraticElement(dom, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Any) -> "QuadraticInt":
-        o = self._wrap(other)
-        return QuadraticInt(self.ring, self.a - o.a, self.b - o.b)
+    def __sub__(self, other: Any) -> "QuadraticElement":
+        o, dom = self._join(other)
+        return QuadraticElement(dom, self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other: Any) -> "QuadraticInt":
-        return self._wrap(other) - self
+    def __rsub__(self, other: Any) -> "QuadraticElement":
+        return -self + other
 
-    def __neg__(self) -> "QuadraticInt":
-        return QuadraticInt(self.ring, -self.a, -self.b)
+    def __neg__(self) -> "QuadraticElement":
+        return QuadraticElement(self.dom, -self.a, -self.b)
 
-    def __mul__(self, other: Any) -> "QuadraticInt":
-        o = self._wrap(other)
+    def __mul__(self, other: Any) -> "QuadraticElement":
+        o, dom = self._join(other)
         a, b, c, e = self.a, self.b, o.a, o.b
-        if self.ring.half_basis:
-            # w^2 = w + (d-1)/4 for w = (1+sqrt(d))/2
-            q = (self.ring.d - 1) // 4
-            return QuadraticInt(self.ring, a * c + b * e * q, a * e + b * c + b * e)
-        return QuadraticInt(self.ring, a * c + b * e * self.ring.d, a * e + b * c)
+        if dom.half_basis:
+            # w^2 = w + q with q = (d-1)/4 for w = (1+sqrt(d))/2
+            be = b * e
+            return QuadraticElement(dom, a * c + be * dom.q, a * e + b * c + be)
+        return QuadraticElement(dom, a * c + b * e * dom.d, a * e + b * c)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QuadraticInt":
+    def __truediv__(self, other: Any) -> "QuadraticElement":
+        o, dom = self._join(other)
+        n = o.norm()
+        if n == 0:
+            raise ZeroDivisionError(f"division by zero in {dom.name}")
+        z = self * o.conjugate()                # equals (self/o) * n
+        return QuadraticElement(dom.q_algebra_hull(), Fraction(z.a, n),
+                                Fraction(z.b, n))
+
+    def __pow__(self, n: int) -> "QuadraticElement":
         if n < 0:
-            raise ValueError("negative power in a ring")
-        return power(self, n, self.ring.one)
+            return self.dom.q_algebra_hull().one / power(self, -n, self.dom.one)
+        return power(self, n, self.dom.one)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadraticInt):
-            return (self.ring == other.ring and self.a == other.a
+        if isinstance(other, QuadraticElement):
+            return (self.dom.d == other.dom.d and self.a == other.a
                     and self.b == other.b)
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # as QuadraticRat hashes, so equal ring and field elements agree
-        r, s = self.sqrt_coords()
-        if s == 0:
-            return hash(r)
-        return hash((self.ring.d, r, s))
+        # Fraction(n) hashes as n, so ring and field elements agree
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.dom.d, self.a, self.b))
 
-    def conjugate(self) -> "QuadraticInt":
-        if self.ring.half_basis:
+    def conjugate(self) -> "QuadraticElement":
+        if self.dom.half_basis:
             # conj(a + b*w) = a + b - b*w  since conj(w) = 1 - w
-            return QuadraticInt(self.ring, self.a + self.b, -self.b)
-        return QuadraticInt(self.ring, self.a, -self.b)
+            return QuadraticElement(self.dom, self.a + self.b, -self.b)
+        return QuadraticElement(self.dom, self.a, -self.b)
 
-    def norm(self) -> int:
-        if self.ring.half_basis:
-            return self.a * self.a + self.a * self.b + self.b * self.b * (1 - self.ring.d) // 4
-        return self.a * self.a - self.ring.d * self.b * self.b
-
-    def sqrt_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (r, s) with self = r + s*sqrt(d)."""
-        if self.ring.half_basis:
-            return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
-        return (Fraction(self.a), Fraction(self.b))
+    def norm(self) -> Any:
+        a, b = self.a, self.b
+        if self.dom.half_basis:
+            return a * a + a * b - self.dom.q * b * b
+        return a * a - self.dom.d * b * b
 
     def __str__(self) -> str:
-        return self.ring.format_element(self)
+        return self.dom.format_element(self)
 
     def __repr__(self) -> str:
-        return f"QuadraticInt({self.ring.d}, {self.a}, {self.b})"
+        return f"QuadraticElement({self.dom!r}, {self.a!r}, {self.b!r})"
 
 
-class QuadraticIntRing:
+#: The one instance of each quadratic domain class per d.
+_QUADRATIC_DOMAINS: dict = {}
+
+
+class _QuadraticDomain:
+    """What an order O_d and its field Q(sqrt(d)) share: one instance per
+    d, elements on the common basis, coercion and descent.
+
+    Embedding into the field changes the coordinate type, and descent
+    into the order is an integrality check (``_make``).
+    """
+
+    def __new__(cls, d: int):
+        self = _QUADRATIC_DOMAINS.get((cls, d))
+        if self is None:
+            _check_d(d)
+            self = _QUADRATIC_DOMAINS[cls, d] = super().__new__(cls)
+            self.d = d
+            self.half_basis = (d % 4 == 1)
+            self.q = (d - 1) // 4         # w^2 = w + q in the half basis
+            self.name = self._name()
+            self.zero = self._make(0, 0)
+            self.one = self._make(1, 0)
+        return self
+
+    def descend(self, x: Any) -> Optional[QuadraticElement]:
+        """x as an element of this domain, or None when it is not one."""
+        if isinstance(x, QuadraticElement):
+            if x.dom is self:
+                return x
+            return self._make(x.a, x.b) if x.dom.d == self.d else None
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            return self._make(x, 0)
+        return None
+
+    def coerce(self, v: Any) -> QuadraticElement:
+        x = self.descend(v)
+        if x is None:
+            raise TypeError(f"cannot interpret {v!r} in {self.name}")
+        return x
+
+    def is_element(self, v: Any) -> bool:
+        return isinstance(v, QuadraticElement) and v.dom is self
+
+    def format_element(self, x: QuadraticElement) -> str:
+        return _format_two_coords(*self.display_coords(x))
+
+    def q_algebra_hull(self) -> "QuadraticField":
+        return QuadraticField(self.d)
+
+    fraction_field = q_algebra_hull
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.d})"
+
+
+class QuadraticIntRing(_QuadraticDomain):
     """The imaginary quadratic order Z[sqrt(d)] or Z[(1+sqrt(d))/2]."""
 
     tier = Tier.RING
-    _cache: dict[int, "QuadraticIntRing"] = {}
+    _units: Optional[tuple] = None
 
-    def __new__(cls, d: int) -> "QuadraticIntRing":
-        if d in cls._cache:
-            return cls._cache[d]
-        _check_d(d)
-        self = super().__new__(cls)
-        self.d = d
-        self.half_basis = (d % 4 == 1)
-        self.name = f"O({d})" if self.half_basis else f"Z[sqrt({d})]"
-        self.zero = QuadraticInt(self, 0, 0)
-        self.one = QuadraticInt(self, 1, 0)
-        self._units: Optional[tuple] = None
-        cls._cache[d] = self
-        return self
+    def _name(self) -> str:
+        return f"O({self.d})" if self.half_basis else f"Z[sqrt({self.d})]"
 
-    def coerce(self, v: Any) -> QuadraticInt:
-        if isinstance(v, QuadraticInt):
-            if v.ring != self:
-                raise TypeError("element of a different quadratic ring")
-            return v
-        if isinstance(v, int) and not isinstance(v, bool):
-            return QuadraticInt(self, v, 0)
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return QuadraticInt(self, v.numerator, 0)
-        raise TypeError(f"cannot interpret {v!r} in {self.name}")
-
-    def is_element(self, v: Any) -> bool:
-        return isinstance(v, QuadraticInt) and v.ring == self
-
-    def element(self, a: int, b: int = 0) -> QuadraticInt:
-        return QuadraticInt(self, a, b)
-
-    def format_element(self, x: QuadraticInt) -> str:
-        return _format_two_coords(x.a, x.b)
-
-    def descend(self, x: Any) -> Optional[QuadraticInt]:
-        """x as an element of the order, or None when it is not integral."""
-        if self.is_element(x):
-            return x
-        if isinstance(x, QuadraticRat):
-            if x.field.d != self.d:
-                return None
-            # r + s*sqrt(d) = (r - s) + 2s*(1+sqrt(d))/2 in the half basis
-            a, b = (x.r - x.s, 2 * x.s) if self.half_basis else (x.r, x.s)
-        elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            a, b = Fraction(x), Fraction(0)
-        else:
-            return None
+    def _make(self, a: Any, b: Any) -> Optional[QuadraticElement]:
         if a.denominator == 1 and b.denominator == 1:
-            return QuadraticInt(self, a.numerator, b.numerator)
+            return QuadraticElement(self, a.numerator, b.numerator)
         return None
 
-    def norm(self, x: QuadraticInt) -> int:
+    def element(self, a: int, b: int = 0) -> QuadraticElement:
+        """a + b*w."""
+        return QuadraticElement(self, ZZ.coerce(a), ZZ.coerce(b))
+
+    def display_coords(self, x: QuadraticElement) -> tuple[int, int]:
+        return x.a, x.b
+
+    def norm(self, x: QuadraticElement) -> int:
         return self.coerce(x).norm()
 
-    def divides_exact(self, x: QuadraticInt, y: QuadraticInt) -> Optional[QuadraticInt]:
+    def divides_exact(self, x: QuadraticElement,
+                      y: QuadraticElement) -> Optional[QuadraticElement]:
         """y / x when the quotient lies in the ring, else None."""
         x = self.coerce(x)
         y = self.coerce(y)
@@ -433,25 +475,25 @@ class QuadraticIntRing:
             raise ZeroDivisionError(f"division by zero in {self.name}")
         z = y * x.conjugate()  # equals (y/x) * norm(x)
         if z.a % n == 0 and z.b % n == 0:
-            return QuadraticInt(self, z.a // n, z.b // n)
+            return QuadraticElement(self, z.a // n, z.b // n)
         return None
 
-    def units(self) -> tuple[QuadraticInt, ...]:
+    def units(self) -> tuple[QuadraticElement, ...]:
         if self._units is None:
             self._units = tuple(self.elements_of_norm(1))
         return self._units
 
-    def is_unit(self, x: QuadraticInt) -> bool:
+    def is_unit(self, x: QuadraticElement) -> bool:
         return self.coerce(x).norm() == 1
 
-    def are_associates(self, x: QuadraticInt, y: QuadraticInt) -> bool:
+    def are_associates(self, x: QuadraticElement, y: QuadraticElement) -> bool:
         x = self.coerce(x)
         y = self.coerce(y)
         if x.norm() != y.norm():
             return False
         return any(x * u == y for u in self.units())
 
-    def associate_representative(self, x: QuadraticInt) -> QuadraticInt:
+    def associate_representative(self, x: QuadraticElement) -> QuadraticElement:
         """Canonical choice among the unit multiples of x.
 
         The representative is the unit multiple whose coordinate pair
@@ -461,7 +503,7 @@ class QuadraticIntRing:
         x = self.coerce(x)
         return max((x * u for u in self.units()), key=lambda z: (z.a, z.b))
 
-    def elements_of_norm(self, k: int) -> list[QuadraticInt]:
+    def elements_of_norm(self, k: int) -> list[QuadraticElement]:
         """All ring elements of norm exactly k (complete since d < 0).
 
         Both bases share one norm form: 4*norm(a + b*w) is
@@ -480,13 +522,13 @@ class QuadraticIntRing:
             e = math.isqrt(rest)
             if e * e != rest or (e - q * b) % 2 != 0:
                 continue
-            found.append(QuadraticInt(self, (e - q * b) // 2, b))
+            found.append(QuadraticElement(self, (e - q * b) // 2, b))
             if e != 0:
-                found.append(QuadraticInt(self, (-e - q * b) // 2, b))
+                found.append(QuadraticElement(self, (-e - q * b) // 2, b))
         found.sort(key=lambda z: (z.a, z.b))
         return found
 
-    def divisors_up_to_associates(self, x: QuadraticInt) -> list[QuadraticInt]:
+    def divisors_up_to_associates(self, x: QuadraticElement) -> list[QuadraticElement]:
         """One representative per associate class of divisors of x.
 
         Includes the unit class and the class of x itself.  Searches
@@ -510,200 +552,59 @@ class QuadraticIntRing:
                 reps[(rep.a, rep.b)] = rep
         return sorted(reps.values(), key=lambda z: (z.norm(), z.a, z.b))
 
-    def is_irreducible(self, x: QuadraticInt) -> bool:
+    def is_irreducible(self, x: QuadraticElement) -> bool:
         """True when the only divisors of x are units and associates of x."""
         x = self.coerce(x)
         if x.norm() == 0 or self.is_unit(x):
             raise ValueError("irreducibility is undefined for zero and units")
         return len(self.divisors_up_to_associates(x)) == 2
 
-    def fraction_field(self) -> "QuadraticField":
-        return QuadraticField(self.d)
 
-    def q_algebra_hull(self) -> "QuadraticField":
-        return QuadraticField(self.d)
+class QuadraticField(_QuadraticDomain):
+    """The imaginary quadratic field Q(sqrt(d)).
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuadraticIntRing) and other.d == self.d
-
-    def __hash__(self) -> int:
-        return hash(("QuadraticIntRing", self.d))
-
-    def __repr__(self) -> str:
-        return f"QuadraticIntRing({self.d})"
-
-
-class QuadraticRat:
-    """An element r + s*sqrt(d) of the field Q(sqrt(d))."""
-
-    __slots__ = ("field", "r", "s")
-
-    def __init__(self, field: "QuadraticField", r: Any, s: Any = 0):
-        self.field = field
-        self.r = Fraction(r)
-        self.s = Fraction(s)
-
-    def _wrap(self, other: Any) -> "QuadraticRat":
-        if isinstance(other, QuadraticRat):
-            if other.field != self.field:
-                raise TypeError("mixing elements of different quadratic fields")
-            return other
-        if isinstance(other, QuadraticInt):
-            if other.ring.d != self.field.d:
-                raise TypeError("mixing elements over different d")
-            r, s = other.sqrt_coords()
-            return QuadraticRat(self.field, r, s)
-        return QuadraticRat(self.field, Fraction(other), 0)
-
-    def __add__(self, other: Any) -> "QuadraticRat":
-        o = self._wrap(other)
-        return QuadraticRat(self.field, self.r + o.r, self.s + o.s)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any) -> "QuadraticRat":
-        o = self._wrap(other)
-        return QuadraticRat(self.field, self.r - o.r, self.s - o.s)
-
-    def __rsub__(self, other: Any) -> "QuadraticRat":
-        return self._wrap(other) - self
-
-    def __neg__(self) -> "QuadraticRat":
-        return QuadraticRat(self.field, -self.r, -self.s)
-
-    def __mul__(self, other: Any) -> "QuadraticRat":
-        o = self._wrap(other)
-        return QuadraticRat(self.field,
-                            self.r * o.r + self.field.d * self.s * o.s,
-                            self.r * o.s + self.s * o.r)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Any) -> "QuadraticRat":
-        o = self._wrap(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError(f"division by zero in {self.field.name}")
-        return self * QuadraticRat(self.field, o.r / n, -o.s / n)
-
-    def __pow__(self, n: int) -> "QuadraticRat":
-        if n < 0:
-            return self.field.one / power(self, -n, self.field.one)
-        return power(self, n, self.field.one)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadraticRat):
-            return (self.field == other.field and self.r == other.r
-                    and self.s == other.s)
-        if isinstance(other, QuadraticInt):
-            if other.ring.d != self.field.d:
-                return False
-            return (self.r, self.s) == other.sqrt_coords()
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.s == 0 and self.r == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.s == 0:
-            return hash(self.r)
-        return hash((self.field.d, self.r, self.s))
-
-    def conjugate(self) -> "QuadraticRat":
-        return QuadraticRat(self.field, self.r, -self.s)
-
-    def norm(self) -> Fraction:
-        return self.r * self.r - self.field.d * self.s * self.s
-
-    def __str__(self) -> str:
-        return self.field.format_element(self)
-
-    def __repr__(self) -> str:
-        return f"QuadraticRat({self.field.d}, {self.r!r}, {self.s!r})"
-
-
-class QuadraticField:
-    """The imaginary quadratic field Q(sqrt(d))."""
+    Its public coordinates are those of sqrt(d): ``element(r, s)`` is
+    r + s*sqrt(d), and values print and serialise as r and s.
+    """
 
     tier = Tier.FIELD
-    _cache: dict[int, "QuadraticField"] = {}
 
-    def __new__(cls, d: int) -> "QuadraticField":
-        if d in cls._cache:
-            return cls._cache[d]
-        _check_d(d)
-        self = super().__new__(cls)
-        self.d = d
-        self.name = f"Q(sqrt({d}))"
-        self.zero = QuadraticRat(self, 0, 0)
-        self.one = QuadraticRat(self, 1, 0)
-        cls._cache[d] = self
-        return self
+    def _name(self) -> str:
+        return f"Q(sqrt({self.d}))"
 
-    def coerce(self, v: Any) -> QuadraticRat:
-        if isinstance(v, QuadraticRat):
-            if v.field != self:
-                raise TypeError("element of a different quadratic field")
-            return v
-        if isinstance(v, QuadraticInt):
-            if v.ring.d != self.d:
-                raise TypeError("element over a different d")
-            r, s = v.sqrt_coords()
-            return QuadraticRat(self, r, s)
-        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            return QuadraticRat(self, Fraction(v), 0)
-        raise TypeError(f"cannot interpret {v!r} in {self.name}")
+    def _make(self, a: Any, b: Any) -> QuadraticElement:
+        return QuadraticElement(self, Fraction(a), Fraction(b))
 
-    def is_element(self, v: Any) -> bool:
-        return isinstance(v, QuadraticRat) and v.field == self
+    def element(self, r: Any, s: Any = 0) -> QuadraticElement:
+        """r + s*sqrt(d)."""
+        r, s = Fraction(r), Fraction(s)
+        # r + s*sqrt(d) = (r - s) + 2s*(1+sqrt(d))/2 in the half basis
+        return self._make(r - s, 2 * s) if self.half_basis else self._make(r, s)
 
-    def element(self, r: Any, s: Any = 0) -> QuadraticRat:
-        return QuadraticRat(self, r, s)
+    def display_coords(self, x: QuadraticElement) -> tuple[Fraction, Fraction]:
+        """(r, s) with x = r + s*sqrt(d)."""
+        if self.half_basis:
+            return x.a + x.b / 2, x.b / 2
+        return x.a, x.b
 
-    def format_element(self, x: QuadraticRat) -> str:
-        return _format_two_coords(x.r, x.s)
+    def is_unit(self, x: QuadraticElement) -> bool:
+        return x != self.zero
 
-    def descend(self, x: Any) -> Optional[QuadraticRat]:
-        try:
-            return self.coerce(x)
-        except TypeError:
-            return None
+    def div_int(self, x: QuadraticElement, n: int) -> QuadraticElement:
+        return QuadraticElement(self, Fraction(x.a, n), Fraction(x.b, n))
 
-    def div_int(self, x: QuadraticRat, n: int) -> QuadraticRat:
-        return x / n
-
-    def div(self, x: QuadraticRat, y: QuadraticRat) -> QuadraticRat:
+    def div(self, x: QuadraticElement, y: QuadraticElement) -> QuadraticElement:
         return x / y
-
-    def q_algebra_hull(self) -> "QuadraticField":
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuadraticField) and other.d == self.d
-
-    def __hash__(self) -> int:
-        return hash(("QuadraticField", self.d))
-
-    def __repr__(self) -> str:
-        return f"QuadraticField({self.d})"
 
 
 def _format_two_coords(first: Any, second: Any) -> str:
     """Render first + second*w compatibly with the expression grammar."""
     if second == 0:
         return _decimal(first)
-    if second == 1:
-        wpart = "w"
-    elif second == -1:
-        wpart = "-w"
-    elif second < 0:
-        wpart = f"-{_decimal(-second)}*w"
-    else:
-        wpart = f"{_decimal(second)}*w"
+    wpart = {1: "w", -1: "-w"}.get(second) or f"{_decimal(second)}*w"
     if first == 0:
         return wpart
-    if wpart.startswith("-"):
-        return f"{_decimal(first)}-{wpart[1:]}"
-    return f"{_decimal(first)}+{wpart}"
+    return _decimal(first) + ("" if wpart.startswith("-") else "+") + wpart
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +657,25 @@ class PolynomialDomain:
             raise ZeroDivisionError("division by zero")
         return p.map_coefficients(lambda c: self.base.div_int(c, n))
 
+    def is_unit(self, p: Polynomial) -> bool:
+        """Whether p is a constant that is a unit of the base."""
+        return p.degree == 0 and self.base.is_unit(p.coeffs[0])
+
+    def div(self, p: Polynomial, u: Polynomial) -> Polynomial:
+        """p / u for a unit u over a field base."""
+        require_tier(self, Tier.QALGEBRA, "division by a unit")
+        if not self.is_unit(u):
+            raise ValueError(f"{u} is not a unit of {self.name}")
+        c = u.coeffs[0]
+        return p.map_coefficients(lambda x: self.base.div(x, c))
+
     def q_algebra_hull(self) -> "PolynomialDomain":
-        return QT
+        """Polynomials over the hull of the base: Q[t] for Z[t] and Q[t]."""
+        base = self.base.q_algebra_hull()
+        if base is self.base:
+            return self
+        return PolynomialDomain(base, self.var, f"{base.name}[{self.var}]",
+                                Tier.QALGEBRA)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PolynomialDomain) and other.base == self.base

@@ -16,11 +16,11 @@ displayed decomposition, the ring provably sees none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Optional
 
 from .poly import Polynomial, compose
-from .domains import (QuadraticInt, QuadraticIntRing, descend_poly,
-                      embed_poly, hull_of)
+from .domains import QuadraticIntRing, descend_poly, embed_poly, hull_of
 from .decomp import (Decomposition, RingDecideOutcome, RingDecideStatus,
                      quartic_field_decompose, quartic_ring_decide)
 
@@ -185,11 +185,8 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
     preconditions were violated.
     """
     if ring is None:
-        for v in (ell, a, p_s):
-            if isinstance(v, QuadraticInt):
-                ring = v.ring
-                break
-        else:
+        ring = next((v.dom for v in (ell, a, p_s) if hasattr(v, "dom")), None)
+        if ring is None:
             raise ValueError("pass ring= explicitly for plain integers")
     ell = ring.coerce(ell)
     a = ring.coerce(a)
@@ -292,11 +289,13 @@ def verify_witness(w: WitnessData) -> WitnessReport:
                          dec, outcome)
 
 
-def builtin_examples() -> list[FactorizationPair]:
+@cache
+def builtin_examples() -> tuple[FactorizationPair, ...]:
     """Classic non-unique factorizations, smallest rings first.
 
     Each entry passes validate_inequivalent; the first is the standard
-    6 = 2*3 = (1+sqrt(-5))(1-sqrt(-5)).
+    6 = 2*3 = (1+sqrt(-5))(1-sqrt(-5)).  The pairs are built and checked
+    once per process.
     """
     r5 = QuadraticIntRing(-5)
     r6 = QuadraticIntRing(-6)
@@ -304,11 +303,11 @@ def builtin_examples() -> list[FactorizationPair]:
     w5 = r5.element(0, 1)
     w6 = r6.element(0, 1)
     omega = r15.element(0, 1)
-    return [
+    return (
         FactorizationPair(r5, 6, (2, 3), (1 + w5, 1 - w5)),
         FactorizationPair(r6, 6, (2, 3), (w6, -w6)),
         FactorizationPair(r15, 4, (2, 2), (omega, 1 - omega)),
-    ]
+    )
 
 
 def run_pipeline(pair: FactorizationPair) -> tuple:

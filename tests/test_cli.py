@@ -1,14 +1,19 @@
 """Command-line behavior: grammar, ring descriptors, JSON, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, ZZ,
-                        main, parse_expression, parse_poly, resolve_ring)
+from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
+                        ZT, ZZ, main, parse_expression, parse_poly,
+                        resolve_ring)
 from polydecomp import cli
 from polydecomp.cli import ParseError, format_result, run, build_parser
 
@@ -231,6 +236,99 @@ class TestTextFormatRoundTrip:
                       for _ in range(rng.randint(1, 5))]
             p = Polynomial(ctx.domain, coeffs, "x")
             assert parse_poly(str(p), ctx) == p
+
+    @given(st.lists(st.lists(st.fractions(min_value=-9, max_value=9,
+                                          max_denominator=7), max_size=4),
+                    min_size=1, max_size=5))
+    def test_q_t_polynomials_reparse(self, coeffs):
+        p = Polynomial(QT, [Polynomial(QQ, c, "t") for c in coeffs], "x")
+        assert parse_poly(str(p), "Q[t]") == p
+
+    @given(st.lists(st.lists(st.integers(-9, 9), max_size=5),
+                    min_size=1, max_size=5))
+    def test_no_linear_term_polynomials_reparse(self, coeffs):
+        p = Polynomial(ZT, [Polynomial(ZZ, c[:1] + [0] + c[2:], "t")
+                            for c in coeffs], "x")
+        assert parse_poly(str(p), "Z[t2,t3]") == p
+
+
+#: Coefficients for Z and Q, for the quadratic rings, and for the t-rings,
+#: each with the ring descriptors they belong to; the last descriptor of
+#: each group is rejected.
+_COEFF_SETS = (("1", "2", "-3", "1/2", "0"), ("1", "w", "(1+w)", "-2"),
+               ("1", "t", "t^2", "(1-t)", "3"))
+_RINGS_BY_SET = (("Z", "Q", "F_9"),
+                 ("Z[sqrt(-5)]", "Q(sqrt(-5))", "Z[sqrt(-6)]", "O(-15)",
+                  "O(-3)", "Z[sqrt(-15)]", "Z[sqrt(3)]"),
+                 ("Z[t]", "Q[t]", "Z[t2,t3]", ""))
+_COMMANDS = ("compose", "decompose", "quartic", "witness", "check-subring",
+             "demo-q1", "demo-q2")
+#: Loose pieces of command lines: every subcommand and flag, the ring
+#: descriptors and option values.  "-h" and "--help" are left out:
+#: argparse answers them by exiting the process.
+_WORDS = _COMMANDS + sum(_RINGS_BY_SET, ()) + (
+    "frobnicate", "--json", "--full", "--fail-on-indecomposable", "--over",
+    "ring", "field", "--inner-degree", "--ring", "--builtin", "--element",
+    "--factorization", "--trials", "--seed", "--", "0", "1", "2", "3", "-1",
+    "2,3", "1+w,1-w", "w,-w", "6")
+
+
+def _exprs(coeffs: tuple):
+    """Short expressions of degree at most 8 in x over the coefficients."""
+    terms = st.builds(lambda c, k: c if k == 0 else f"{c}*x^{k}",
+                      st.sampled_from(coeffs), st.integers(0, 4))
+    return (st.lists(terms, min_size=1, max_size=4).map("+".join)
+            | st.builds(lambda a, b: f"({a})*({b})", terms, terms)
+            | st.builds(lambda a: f"-({a})^2", terms))
+
+
+_EXPRS = (st.sampled_from(_COEFF_SETS).flatmap(_exprs)
+          | st.text("xtw0123456789+-*/^(), ", max_size=10))
+_COEFFS = st.sampled_from(sum(_COEFF_SETS, ()))
+_RINGS = st.sampled_from(sum(_RINGS_BY_SET, ()))
+#: A ring descriptor and an expression over its coefficients.
+_RING_EXPRS = st.sampled_from(range(3)).flatmap(
+    lambda i: st.tuples(st.sampled_from(_RINGS_BY_SET[i]),
+                        _exprs(_COEFF_SETS[i])))
+_OPTIONS = st.lists(st.sampled_from((
+    ("--json",), ("--full",), ("--fail-on-indecomposable",),
+    ("--over", "ring"), ("--over", "field"), ("--inner-degree", "2"),
+    ("--inner-degree", "3"), ("--inner-degree", "0"))), max_size=3).map(
+        lambda options: [word for option in options for word in option])
+_FACTORS = st.lists(_COEFFS | st.sampled_from(("2", "3", "1-w", "6")),
+                    min_size=1, max_size=3).map(",".join)
+
+#: Command lines shaped like each subcommand's usage, and loose ones.
+_ARGVS = st.one_of(
+    st.builds(lambda rf, o, g: ["compose", "--ring", rf[0], *o, "--",
+                                rf[1], g], _RING_EXPRS, _OPTIONS, _EXPRS),
+    st.builds(lambda c, rf, o: [c, "--ring", rf[0], *o, "--", rf[1]],
+              st.sampled_from(("decompose", "quartic", "check-subring")),
+              _RING_EXPRS, _OPTIONS),
+    st.builds(lambda r, e, a, b: ["witness", "--ring", r, "--element", e,
+                                  "--factorization", a, "--factorization", b],
+              _RINGS, _COEFFS | st.sampled_from(("6", "4")), _FACTORS,
+              _FACTORS),
+    st.builds(lambda r, o: ["witness", *o, "--builtin", r], _RINGS, _OPTIONS),
+    st.builds(lambda n, s, o: ["demo-q1", "--trials", n, "--seed", s, *o],
+              st.sampled_from(("0", "1", "3", "-1", "x")),
+              st.sampled_from(("0", "7", "-2")), _OPTIONS),
+    st.builds(lambda o: ["demo-q2", *o], _OPTIONS),
+    st.builds(lambda head, rest: head + rest,
+              st.lists(st.sampled_from(_COMMANDS), max_size=1),
+              st.lists(st.sampled_from(_WORDS) | _EXPRS, max_size=7)))
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_ARGVS)
+    def test_any_command_line_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestCommands:

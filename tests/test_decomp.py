@@ -380,6 +380,13 @@ class TestDecomposeOverField:
         with pytest.raises(CapabilityError):
             decompose_over_field(f, 2)
 
+    def test_unit_lead_over_q_t(self):
+        f = Polynomial(QT, [0, 0, 1, 0, 2], "x")          # 2x^4 + x^2
+        dec = decompose_over_field(f, 2)
+        assert dec.g == Polynomial(QT, [0, 1, 2], "x")
+        assert dec.h == Polynomial(QT, [0, 0, 1], "x")
+        assert dec.certificate == f
+
     def test_indecomposable(self):
         assert decompose_over_field(qpoly([0, 1, 0, 0, 3]), 2) is None
 
@@ -510,6 +517,19 @@ class TestDecomposeOverRing:
         assert out.decomposition.g == zpoly([3, -2, -1])
         assert out.decomposition.certificate == f
         assert out.field_evidence.certificate == embed_poly(f, QQ)
+
+    def test_unit_lead_over_the_t_rings(self):
+        t = Polynomial.identity(ZZ, "t")
+        f = Polynomial(ZT, [0, 0, t * -2, 0, -1], "x")   # -x^4 - 2t x^2
+        out = decompose_over_ring(f, [2])
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert out.decomposition.g == Polynomial(ZT, [0, t * -2, -1], "x")
+        assert out.decomposition.h == Polynomial(ZT, [0, 0, 1], "x")
+        assert out.decomposition.certificate == f
+        out = decompose_over_ring(Polynomial(QT, [0, 0, 1, 0, 2], "x"), [2])
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        with pytest.raises(CapabilityError, match="degree 4 over Q\\[t\\];"):
+            decompose_over_ring(Polynomial(QT, [0, 0, 1, 0, t], "x"), [2])
 
     def test_monic_field_indecomposable(self):
         out = decompose_over_ring(zpoly([1, 1, 0, 0, 1]), [2])

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polydecomp import (CapabilityError, Polynomial, QuadraticField,
-                        QuadraticIntRing, QuadraticRat, Tier,
+from polydecomp import (CapabilityError, Polynomial, PolynomialDomain,
+                        QuadraticField, QuadraticIntRing, Tier,
                         QQ, QT, ZT, ZZ, Z_IN_Q, ZT23_IN_ZT, QZT23_IN_QT,
                         descend_element, descend_poly, embed_element,
                         embed_poly, hull_of, order_in_field, q_times,
@@ -339,12 +339,52 @@ class TestFieldElements:
         assert str(w5(7)) == "7"
 
 
+class TestUnits:
+    def test_every_domain_answers_is_unit(self):
+        t = Polynomial.identity(ZZ, "t")
+        cases = [
+            (ZZ, -1, True), (ZZ, 2, False), (QQ, Fraction(2, 3), True),
+            (QQ, Fraction(0), False), (R5, w5(-1), True),
+            (R5, w5(1, 1), False), (GAUSS, GAUSS.element(0, 1), True),
+            (O3, O3.element(0, 1), True), (K5, K5.element(2, 1), True),
+            (K5, K5.zero, False), (ZT, ZT.coerce(-1), True),
+            (ZT, ZT.coerce(2), False), (ZT, ZT.coerce(t), False),
+            (QT, QT.coerce(Fraction(2)), True), (QT, QT.zero, False),
+            (QT, QT.coerce(t), False),
+        ]
+        for dom, x, expected in cases:
+            assert dom.is_unit(x) is expected, (dom, x)
+
+    def test_q_t_divides_by_a_unit_only(self):
+        t = Polynomial.identity(QQ, "t")
+        p = t * 4 + 2
+        assert QT.div(p, QT.coerce(Fraction(2))) == t * 2 + 1
+        with pytest.raises(ValueError, match="not a unit of Q\\[t\\]"):
+            QT.div(p, t)
+        with pytest.raises(CapabilityError):
+            ZT.div(ZT.one, ZT.coerce(-1))
+
+
 class TestEmbedDescend:
     def test_hulls(self):
         assert hull_of(ZZ) is QQ
         assert hull_of(R5) is K5
         assert hull_of(ZT) == QT
+        assert hull_of(ZT).name == "Q[t]"
         assert hull_of(QQ) is QQ
+        assert hull_of(QT) is QT
+
+    def test_polynomial_hull_follows_its_base(self):
+        r5t = PolynomialDomain(R5, "t", "Z[sqrt(-5)][t]", Tier.RING)
+        hull = hull_of(r5t)
+        assert hull.base is K5 and hull.var == "t"
+        assert hull.name == "Q(sqrt(-5))[t]"
+        assert hull.tier == Tier.QALGEBRA
+        assert hull != QT and hull_of(hull) is hull
+        p = r5t.element([w5(1, 1), w5(2)])
+        assert hull.div_int(embed_element(p, r5t, hull), 2) \
+            == hull.element([K5.element(Fraction(1, 2), Fraction(1, 2)),
+                             K5.one])
 
     def test_embed_element(self):
         assert embed_element(3, ZZ, QQ) == Fraction(3)

@@ -174,6 +174,14 @@ ORDER_ARGVS = (
     ("check-subring", "--ring", "Z", "w^2"),
 )
 
+#: Unit leads over the t-rings, decided over the ring like monic ones,
+#: each also run with --json.  They come last so that earlier entries
+#: keep their indices.
+UNIT_LEAD_ARGVS = (
+    ("decompose", "--ring", "Z[t]", "--", "-x^4-2*t*x^2"),
+    ("decompose", "--ring", "Q[t]", "2*x^4+x^2"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
@@ -181,7 +189,7 @@ def _with_json(argv: tuple) -> tuple:
 
 def corpus_argvs() -> list:
     """The hand-picked vectors, the benchmark's cli-mixed ones, the
-    rerouted paths, then the evaluation-order vectors."""
+    rerouted paths, the evaluation-order vectors, then the unit leads."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -191,7 +199,7 @@ def corpus_argvs() -> list:
         out += [argv, _with_json(argv)]
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
-    for argv in REROUTED_ARGVS + ORDER_ARGVS:
+    for argv in REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS:
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 

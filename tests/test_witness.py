@@ -277,6 +277,16 @@ class TestVerifyWitness:
         names = [p.ring.name for p in builtin_examples()]
         assert names == ["Z[sqrt(-5)]", "Z[sqrt(-6)]", "O(-15)"]
 
+    def test_builtins_are_built_and_checked_once(self, monkeypatch):
+        first = builtin_examples()
+        calls = []
+        check = QuadraticIntRing.is_irreducible
+        monkeypatch.setattr(QuadraticIntRing, "is_irreducible",
+                            lambda self, x: calls.append(x) or check(self, x))
+        again = builtin_examples()
+        assert calls == []
+        assert again is first and isinstance(first, tuple)
+
     def test_unit_twists_and_reorderings_still_verify(self):
         rng = random.Random(67)
         for pair in builtin_examples():
