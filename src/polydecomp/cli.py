@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import random
 import re
 import sys
@@ -230,9 +229,11 @@ def _bits(n: int) -> int:
     return max(abs(n) - 1, 0).bit_length()
 
 
-def _degree_bound(program: Program, w_bits: int) -> tuple[int, int, int]:
+def _degree_bound(program: Program, w_bits: int,
+                  x: tuple[int, int, int] = (1, 0, 0)) -> tuple[int, int, int]:
     """Upper bounds on the degrees in x and in t of the program's value,
-    and on the bit size of its constants, counting w as ``w_bits`` bits.
+    and on the bit size of its constants, counting w as ``w_bits`` bits
+    and x as an expression with the bounds ``x``.
 
     Raises ParseError, at the operator that crosses it, as soon as a
     degree exceeds _MAX_DEGREE or the size exceeds _MAX_BITS.
@@ -242,8 +243,8 @@ def _degree_bound(program: Program, w_bits: int) -> tuple[int, int, int]:
         if op == "num":
             stack.append((0, 0, _bits(arg.numerator) + _bits(arg.denominator)))
         elif op == "sym":
-            stack.append((int(arg == "x"), int(arg == "t"),
-                          w_bits if arg == "w" else 0))
+            stack.append(x if arg == "x" else
+                         (0, int(arg == "t"), w_bits if arg == "w" else 0))
         elif op == "^":
             dx, dt, b = stack.pop()
             stack.append(_capped(dx * arg, dt * arg, b * arg, pos))
@@ -356,33 +357,82 @@ def resolve_ring(descriptor: str) -> RingContext:
                      f"supported: {_SUPPORTED}")
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+#: Sparse terms: {exponent of x: nonzero coefficient in the hull}.
+Terms = dict[int, Any]
+
+
+def _add(left: Terms, right: Terms, zero: Any) -> Terms:
+    out = dict(left)
+    for k, c in right.items():
+        if k in out:
+            c = out[k] + c
+            if c == zero:
+                del out[k]
+                continue
+        out[k] = c
+    return out
+
+
+def _mul(left: Terms, right: Terms, zero: Any) -> Terms:
+    out = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            k = i + j
+            out[k] = out[k] + a * b if k in out else a * b
+    return {k: c for k, c in out.items() if c != zero}
+
+
+def _pow(base: Terms, n: int, zero: Any, one: Any) -> Terms:
+    if len(base) == 1:
+        (k, c), = base.items()
+        return {k * n: c if c == one else c ** n}
+    # square and multiply, never computing the last square
+    result = {0: one}
+    while n:
+        if n & 1:
+            result = _mul(result, base, zero)
+        n >>= 1
+        if n:
+            base = _mul(base, base, zero)
+    return result
 
 
 def _lower(program: Program, ctx: RingContext) -> Polynomial:
-    """Evaluate a program over the hull of ctx."""
+    """Evaluate a program over the hull of ctx.
+
+    The stack holds sparse terms, so x^k is one monomial and a power of
+    one term is one power of its coefficient; the dense polynomial is
+    built once, at the end.
+    """
     dom = ctx.hull
+    zero, one = dom.zero, dom.one
     stack = []
     for op, arg, pos in program:
         if op == "num":
-            stack.append(Polynomial.constant(dom, dom.coerce(arg), "x"))
+            stack.append({0: dom.coerce(arg)} if arg else {})
         elif op == "sym":
             if arg == "x":
-                stack.append(Polynomial.identity(dom, "x"))
+                stack.append({1: one})
                 continue
             value = ctx.t if arg == "t" else ctx.w
             if value is None:
                 raise ParseError(f"symbol {arg} is not defined over "
                                  f"{ctx.descriptor}", pos)
-            stack.append(Polynomial.constant(dom, value, "x"))
+            stack.append({0: value})
         elif op == "neg":
-            stack.append(-stack.pop())
+            stack.append({k: -c for k, c in stack.pop().items()})
         elif op == "^":
-            stack.append(stack.pop() ** arg)
+            stack.append(_pow(stack.pop(), arg, zero, one))
         else:
             right, left = stack.pop(), stack.pop()
-            stack.append(_ARITHMETIC[op](left, right))
-    return stack.pop()
+            if op == "-":
+                right = {k: -c for k, c in right.items()}
+            stack.append((_mul if op == "*" else _add)(left, right, zero))
+    terms = stack.pop()
+    coeffs = [zero] * (max(terms) + 1) if terms else []
+    for k, c in terms.items():
+        coeffs[k] = c
+    return Polynomial(dom, coeffs, "x")
 
 
 def parse_poly(text: str, ring: Union[str, RingContext]) -> Polynomial:
@@ -393,7 +443,14 @@ def parse_poly(text: str, ring: Union[str, RingContext]) -> Polynomial:
     the Z[t2,t3] descriptor), otherwise the parse is rejected.
     """
     ctx = resolve_ring(ring) if isinstance(ring, str) else ring
-    p = _lower(_parse(text, ctx.w_bits), ctx)
+    return _descend(_lower(_parse(text, ctx.w_bits), ctx), ctx)
+
+
+def _descend(p: Polynomial, ctx: RingContext) -> Polynomial:
+    """p over the descriptor's ring, or ValueError naming the first
+    coefficient that is not in it."""
+    if ctx.domain == ctx.hull:
+        return p
     coeffs = []
     for k, c in enumerate(p.coeffs):
         cc = ctx.domain.descend(c)
@@ -464,9 +521,9 @@ def _payload(command: str, ring: str, status: str,
     }
 
 
-def _candidates_json(candidates) -> list:
+def _candidates_json(ring: Any, candidates) -> list:
     return [{
-        "u": str(c.u),
+        "u": ring.format_element(c.u),
         "square_divides_lead": c.square_divides_lead,
         "divides_linear": c.divides_linear,
         "inner_stays_in_ring": c.inner_stays_in_ring,
@@ -474,13 +531,13 @@ def _candidates_json(candidates) -> list:
     } for c in candidates]
 
 
-def _candidate_lines(candidates) -> list[str]:
+def _candidate_lines(ring: Any, candidates) -> list[str]:
     lines = ["candidates u (u^2 | lead, u | linear, u*c in ring):"]
     for c in candidates:
         marks = ", ".join("yes" if b else "no" for b in
                           (c.square_divides_lead, c.divides_linear,
                            c.inner_stays_in_ring))
-        lines.append(f"  u = {c.u}: {marks}")
+        lines.append(f"  u = {ring.format_element(c.u)}: {marks}")
     return lines
 
 
@@ -490,8 +547,13 @@ def _candidate_lines(candidates) -> list[str]:
 
 def _cmd_compose(ns) -> CommandResult:
     ctx = resolve_ring(ns.ring)
-    G = parse_poly(ns.outer, ctx)
-    H = parse_poly(ns.inner, ctx)
+    outer = _parse(ns.outer, ctx.w_bits)
+    G = _descend(_lower(outer, ctx), ctx)
+    inner = _parse(ns.inner, ctx.w_bits)
+    H = _descend(_lower(inner, ctx), ctx)
+    # G(H) is the outer expression with x standing for the inner one, so
+    # it gets the parser's bounds, at the outer operator that crosses them
+    _degree_bound(outer, ctx.w_bits, _degree_bound(inner, ctx.w_bits))
     f = poly_compose(G, H)
     f_text = str(f)
     evidence = {
@@ -543,7 +605,8 @@ def _ring_result(command: str, ctx: RingContext, outcome,
             lines = [f"indecomposable over {field}"
                      + ("" if over_field else f" (hence over {desc})")]
     else:
-        evidence = {"candidates": _candidates_json(outcome.candidates)}
+        evidence = {"candidates": _candidates_json(ctx.domain,
+                                                   outcome.candidates)}
         if fd is not None:
             evidence.update(_field_evidence(fd, field))
             lines = [f"over {field}: decomposable, g = {fd.g}, h = {fd.h}"]
@@ -555,7 +618,7 @@ def _ring_result(command: str, ctx: RingContext, outcome,
         else:
             lines.append(f"over {desc}: indecomposable")
         if outcome.candidates:
-            lines.extend(_candidate_lines(outcome.candidates))
+            lines.extend(_candidate_lines(ctx.domain, outcome.candidates))
     code = 2 if fail and dec is None else 0
     payload = _payload(command, desc, status, g, h, evidence)
     return CommandResult(payload, lines, code)
@@ -665,19 +728,26 @@ def _cmd_witness(ns) -> CommandResult:
         lines = ["the two factorizations are equivalent; no witness arises"]
         return CommandResult(
             _payload("witness", pair.ring.name, "equivalent_factorizations",
-                     evidence={"element": str(pair.element)}), lines)
+                     evidence={"element": pair.ring.format_element(
+                         pair.element)}), lines)
 
     stripped, data, report = run_pipeline(pair)
     ring = stripped.ring
     intro = [
-        f"ring: {ring.name},  element: {stripped.element}",
-        f"factorizations: ({') * ('.join(str(x) for x in stripped.first)})"
-        f" = ({') * ('.join(str(x) for x in stripped.second)})",
+        f"ring: {ring.name},  "
+        f"element: {ring.format_element(stripped.element)}",
+        f"factorizations: ({_factors(ring, stripped.first)})"
+        f" = ({_factors(ring, stripped.second)})",
     ]
-    about_c = [f"c = a/ell = {data.c}  (outside the ring),  "
-               f"d = p_s^2 = {data.d}"]
+    about_c = [f"c = a/ell = {hull_of(ring).format_element(data.c)}  "
+               f"(outside the ring),  "
+               f"d = p_s^2 = {ring.format_element(data.d)}"]
     return _witness_result("witness", (stripped, data, report), intro,
                            about_c, {"field": hull_of(ring).name})
+
+
+def _factors(ring: Any, factors: tuple) -> str:
+    return ") * (".join(ring.format_element(x) for x in factors)
 
 
 def _witness_result(command: str, pipeline: tuple, intro: list,
@@ -690,17 +760,18 @@ def _witness_result(command: str, pipeline: tuple, intro: list,
     """
     stripped, data, report = pipeline
     ring = stripped.ring
+    show = ring.format_element
     dec = report.field_decomposition
     outcome = report.ring_outcome
     evidence: dict[str, Any] = {
-        "element": str(stripped.element),
-        "first": [str(x) for x in stripped.first],
-        "second": [str(x) for x in stripped.second],
-        "ell": str(data.ell),
-        "a": str(data.a),
-        "p_s": str(data.p_s),
-        "c": str(data.c),
-        "d": str(data.d),
+        "element": show(stripped.element),
+        "first": [show(x) for x in stripped.first],
+        "second": [show(x) for x in stripped.second],
+        "ell": show(data.ell),
+        "a": show(data.a),
+        "p_s": show(data.p_s),
+        "c": hull_of(ring).format_element(data.c),
+        "d": show(data.d),
         "f": poly_pairs(data.f),
         "f_text": str(data.f),
         "clauses": [{"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -708,11 +779,12 @@ def _witness_result(command: str, pipeline: tuple, intro: list,
         **extra,
     }
     if outcome is not None:
-        evidence["candidates"] = _candidates_json(outcome.candidates)
+        evidence["candidates"] = _candidates_json(ring, outcome.candidates)
 
     lines = [
         *intro,
-        f"derived: ell = {data.ell},  a = {data.a},  p_s = {data.p_s}",
+        f"derived: ell = {show(data.ell)},  a = {show(data.a)},  "
+        f"p_s = {show(data.p_s)}",
         *about_c,
         f"f = {data.f}",
     ]
@@ -720,7 +792,7 @@ def _witness_result(command: str, pipeline: tuple, intro: list,
         lines.append(f"over {hull_of(ring).name}: f = g o h with "
                      f"g = {dec.g}, h = {dec.h}")
     if outcome is not None and outcome.candidates:
-        lines.extend(_candidate_lines(outcome.candidates))
+        lines.extend(_candidate_lines(ring, outcome.candidates))
     for c in report.clauses:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
 
@@ -858,12 +930,13 @@ def _cmd_demo_q2(ns) -> CommandResult:
     ring = stripped.ring
     intro = [
         f"two factorizations in {ring.name}: "
-        f"{stripped.element} = "
-        f"({') * ('.join(str(x) for x in stripped.first)}) = "
-        f"({') * ('.join(str(x) for x in stripped.second)})",
+        f"{ring.format_element(stripped.element)} = "
+        f"({_factors(ring, stripped.first)}) = "
+        f"({_factors(ring, stripped.second)})",
     ]
-    about_c = [f"c = a/ell = {data.c}  lies outside {ring.name}",
-               f"d = p_s^2 = {data.d}"]
+    about_c = [f"c = a/ell = {hull_of(ring).format_element(data.c)}  "
+               f"lies outside {ring.name}",
+               f"d = p_s^2 = {ring.format_element(data.d)}"]
     result = _witness_result("demo-q2", pipeline, intro, about_c,
                              {"final": _DEMO_Q2_FINAL})
     result.lines.append(_DEMO_Q2_FINAL if result.exit_code == 0

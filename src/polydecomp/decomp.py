@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Any, Iterable, Optional
 
 from .poly import Polynomial, _divrem_monic_in_place, compose, derivative
-from .domains import (QQ, CapabilityError, SubringDescriptor, Tier,
+from .domains import (CapabilityError, SubringDescriptor, Tier,
                       descend_poly, embed_poly, hull_of, require_tier)
 
 
@@ -111,24 +110,25 @@ def proper_inner_degrees(n: int) -> list[int]:
 def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     """The unique monic h (deg m, h(0)=0) with f = g(h), if one exists.
 
-    Works over any domain that divides exactly by nonzero integers.  With
-    n = deg(f)/m, the top m coefficients of g(h) are those of h^n, so
-    rev(f) = rev(h)^n mod x^m and rev(h) is the power-series n-th root of
-    rev(f) to order m.  J.C.P. Miller's recurrence computes that root in
-    O(m^2) coefficient operations, dividing only by the integers n*k.
+    Works over every Q-algebra domain of the package.  With n = deg(f)/m,
+    the top m coefficients of g(h) are those of h^n, so rev(f) = rev(h)^n
+    mod x^m and rev(h) is the power-series n-th root of rev(f) to order m.
+    J.C.P. Miller's recurrence computes that root in O(m^2) coefficient
+    operations, dividing only by the integers n*k.
     Once h is fixed, f decomposes through it iff all h-adic digits of f
     are constants, and those constants are the coefficients of g.  The
     digits are taken one division at a time, stopping at the first that
     is not a constant; a full expansion proves f = g(h) exactly, so the
     pair is not recomposed.
 
-    Over Q both steps run on plain integers.  With lam a positive
-    integer such that every lam^(N-k) f_k is integral, F(x) =
-    lam^N f(x/lam) is monic in Z[x], and f = g(h) iff F = G(H) with
-    H(x) = lam^m h(x/lam) and G(y) = lam^N g(y/lam^m).  A monic F in
-    Z[x] only decomposes with H and G in Z[x], so a root coefficient
-    that is not an integer rejects the degree at once, and the digits
-    are taken by integer division (docs/math_notes.md, section 1).
+    Both steps run on the integral ring R of f's domain A (Z for Q, O_d
+    for Q(sqrt(d)), Z[t] for Q[t]; see domains).  With lam a positive
+    integer such that every lam^(N-k) f_k lies in R, F(x) =
+    lam^N f(x/lam) is monic in R[x], and f = g(h) iff F = G(H) with
+    H(x) = lam^m h(x/lam) and G(y) = lam^N g(y/lam^m).  R is integrally
+    closed, so a monic F in R[x] only decomposes with H and G in R[x]: a
+    root coefficient outside R rejects the degree at once, and the digits
+    are taken by division in R (docs/math_notes.md, section 1).
     """
     require_tier(f.domain, Tier.QALGEBRA, "monic decomposition")
     N = f.degree
@@ -139,20 +139,11 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     if not (1 < m < N) or N % m != 0:
         raise ValueError(f"inner degree {m} is not a proper divisor of {N}")
     dom = f.domain
-    if dom == QQ:
-        lam = _integral_scale(f)
-        F = [0] * N + [1]
-        scale = 1
-        for k in range(N - 1, -1, -1):
-            scale *= lam
-            c = f.coeffs[k]
-            F[k] = c.numerator * (scale // c.denominator)
-        zero, one, div_int = 0, 1, _div_exact
-    else:
-        lam = 1
-        F = list(f.coeffs)
-        zero, one, div_int = dom.zero, dom.one, dom.div_int
-    H = _inner_root(F, m, zero, one, div_int)
+    ring = dom.integral_ring
+    zero = ring.zero
+    lam = _integral_scale(f)
+    F = dom.integral_lift(f.coeffs[:N], lam) + [ring.one]
+    H = _inner_root(F, m, zero, ring.one, ring.div_int_exact)
     if H is None:
         return None
 
@@ -165,15 +156,17 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
             return None
         G.append(rem[0])
         rem = rem[m:]
+    # the domain embeds R, so with lam = 1 its coercion maps the pair back
     if lam != 1:
-        H = [Fraction(c, lam ** (m - k)) for k, c in enumerate(H)]
-        G = [Fraction(c, lam ** (N - m * j)) for j, c in enumerate(G)]
+        H = [dom.from_integral(c, lam ** (m - k)) for k, c in enumerate(H)]
+        G = [dom.from_integral(c, lam ** (N - m * j))
+             for j, c in enumerate(G)]
     return Decomposition(Polynomial(dom, G, f.var), Polynomial(dom, H, f.var))
 
 
 def _integral_scale(f: Polynomial) -> int:
-    """A positive integer lam with lam^(N-k) f_k integral for every k,
-    for f monic of degree N over Q.
+    """A positive integer lam with lam^(N-k) f_k in the integral ring of
+    f's domain for every k, for f monic of degree N.
 
     Walking down from the top, each denominator d_k multiplies lam by
     only the part of it that lam^(N-k) does not already cover.  So lam
@@ -182,21 +175,16 @@ def _integral_scale(f: Polynomial) -> int:
     whose exponents N-k are larger.
     """
     N = f.degree
+    denominator = f.domain.denominator
     lam = 1
     for k in range(N - 1, -1, -1):
-        d = f.coeffs[k].denominator
+        d = denominator(f.coeffs[k])
         if lam % d:
             # no prime divides d more often than d has bits, so
             # d | lam^(N-k) iff d | lam^e
             e = min(N - k, d.bit_length())
             lam *= d // math.gcd(d, pow(lam, e, d))
     return lam
-
-
-def _div_exact(a: int, b: int) -> Optional[int]:
-    """a / b when b divides a, else None."""
-    q, r = divmod(a, b)
-    return None if r else q
 
 
 def _inner_root(F: list, m: int, zero: Any, one: Any,

@@ -12,6 +12,16 @@ provide exact division by nonzero integers (``div_int``); fields provide
 ``div``, and so does Q[t], by a unit (a nonzero constant), so a unit
 leading coefficient over Z[t] or Q[t] is decided like a monic one.
 
+Every Q-algebra A here is R[1/n : n = 1, 2, ...] for an integrally closed
+ring R inside it, its ``integral_ring``: Z in Q, O_d in Q(sqrt(d)), Z[t]
+in Q[t].  A answers ``denominator(x)``, the least positive integer s with
+s*x in R; ``to_integral(x, s)``, that s*x (or any multiple of it) as an
+element of R; ``integral_lift(coeffs, lam)``, the list of
+lam^(N-k) * coeffs[k] in R for N = len(coeffs); and
+``from_integral(X, s)``, the element X/s of A.  R answers
+``div_int_exact(x, n)``, x/n when it lies in R and None otherwise.
+Monic decomposition runs on R (docs/math_notes.md, section 1).
+
 O_d and Q(sqrt(d)) share one element class, :class:`QuadraticElement`,
 on the integral basis 1, w of O_d, with int coordinates in the order and
 Fraction coordinates in the field.  Field values still take, print and
@@ -22,8 +32,10 @@ r + s*sqrt(d).
 from __future__ import annotations
 
 import math
+import operator
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
 from .poly import Polynomial, power
@@ -212,6 +224,11 @@ class IntegerRing:
             raise ValueError("irreducibility is undefined for zero and units")
         return _is_prime(abs(x))
 
+    def div_int_exact(self, x: int, n: int) -> Optional[int]:
+        """x / n when n divides x, else None."""
+        q, r = divmod(x, n)
+        return None if r else q
+
     def q_algebra_hull(self) -> "RationalField":
         return QQ
 
@@ -253,6 +270,32 @@ class RationalField:
 
     def div(self, x: Fraction, y: Fraction) -> Fraction:
         return x / y
+
+    @property
+    def integral_ring(self) -> IntegerRing:
+        return ZZ
+
+    #: x -> x.denominator, with no Python frame of its own: the scale
+    #: walk of monic_decompose asks it once per coefficient
+    denominator = operator.attrgetter("denominator")
+
+    def to_integral(self, x: Fraction, s: int) -> int:
+        """s*x as an integer, for s a multiple of x's denominator."""
+        return x.numerator * (s // x.denominator)
+
+    def integral_lift(self, coeffs: list, lam: int) -> list:
+        # _integral_lift with to_integral written out: every field
+        # decision over Q runs this once per coefficient and inner degree
+        out = [0] * len(coeffs)
+        scale = 1
+        for k in range(len(coeffs) - 1, -1, -1):
+            scale *= lam
+            c = coeffs[k]
+            out[k] = c.numerator * (scale // c.denominator)
+        return out
+
+    def from_integral(self, x: int, s: int) -> Fraction:
+        return Fraction(x, s)
 
     def q_algebra_hull(self) -> "RationalField":
         return self
@@ -478,6 +521,13 @@ class QuadraticIntRing(_QuadraticDomain):
             return QuadraticElement(self, z.a // n, z.b // n)
         return None
 
+    def div_int_exact(self, x: QuadraticElement,
+                      n: int) -> Optional[QuadraticElement]:
+        """x / n when both coordinates of x are multiples of n, else None."""
+        qa, ra = divmod(x.a, n)
+        qb, rb = divmod(x.b, n)
+        return None if ra or rb else QuadraticElement(self, qa, qb)
+
     def units(self) -> tuple[QuadraticElement, ...]:
         if self._units is None:
             self._units = tuple(self.elements_of_norm(1))
@@ -596,6 +646,40 @@ class QuadraticField(_QuadraticDomain):
     def div(self, x: QuadraticElement, y: QuadraticElement) -> QuadraticElement:
         return x / y
 
+    @cached_property
+    def integral_ring(self) -> QuadraticIntRing:
+        """O_d: the order on the same basis, maximal because d is
+        squarefree and w is (1+sqrt(d))/2 when d = 1 (mod 4)."""
+        return QuadraticIntRing(self.d)
+
+    def denominator(self, x: QuadraticElement) -> int:
+        return math.lcm(x.a.denominator, x.b.denominator)
+
+    def to_integral(self, x: QuadraticElement, s: int) -> QuadraticElement:
+        """s*x in O_d, for s a multiple of x's denominator."""
+        a, b = x.a, x.b
+        return QuadraticElement(self.integral_ring,
+                                a.numerator * (s // a.denominator),
+                                b.numerator * (s // b.denominator))
+
+    def integral_lift(self, coeffs: list, lam: int) -> list:
+        return _integral_lift(self.to_integral, coeffs, lam)
+
+    def from_integral(self, x: QuadraticElement, s: int) -> QuadraticElement:
+        return QuadraticElement(self, Fraction(x.a, s), Fraction(x.b, s))
+
+
+def _integral_lift(to_integral: Callable[[Any, int], Any], coeffs: list,
+                   lam: int) -> list:
+    """[lam^(N-k) * coeffs[k] for k < N] in the integral ring, N =
+    len(coeffs), for lam with every such multiple in it."""
+    out = [None] * len(coeffs)
+    scale = 1
+    for k in range(len(coeffs) - 1, -1, -1):
+        scale *= lam
+        out[k] = to_integral(coeffs[k], scale)
+    return out
+
 
 def _format_two_coords(first: Any, second: Any) -> str:
     """Render first + second*w compatibly with the expression grammar."""
@@ -656,6 +740,45 @@ class PolynomialDomain:
         if n == 0:
             raise ZeroDivisionError("division by zero")
         return p.map_coefficients(lambda c: self.base.div_int(c, n))
+
+    def div_int_exact(self, p: Polynomial, n: int) -> Optional[Polynomial]:
+        """p / n when the base divides every coefficient by n, else None."""
+        out = []
+        for c in p.coeffs:
+            q = self.base.div_int_exact(c, n)
+            if q is None:
+                return None
+            out.append(q)
+        return Polynomial(self.base, out, self.var)
+
+    @cached_property
+    def integral_ring(self) -> "PolynomialDomain":
+        """Polynomials over the integral ring of the base: Z[t] for Q[t]."""
+        base = self.base.integral_ring
+        return PolynomialDomain(base, self.var, f"{base.name}[{self.var}]",
+                                Tier.RING)
+
+    def denominator(self, p: Polynomial) -> int:
+        # a loop, not math.lcm(*generator): unpacking a generator builds a
+        # tuple of ten and shrinks it, so its free lists fill up with
+        # tuples of other sizes, up to 2000 each, and stay resident
+        d = 1
+        for c in p.coeffs:
+            d = math.lcm(d, self.base.denominator(c))
+        return d
+
+    def to_integral(self, p: Polynomial, s: int) -> Polynomial:
+        """s*p over the integral ring, for s a multiple of p's denominator."""
+        lift = self.base.to_integral
+        return Polynomial(self.integral_ring.base,
+                          [lift(c, s) for c in p.coeffs], self.var)
+
+    def integral_lift(self, coeffs: list, lam: int) -> list:
+        return _integral_lift(self.to_integral, coeffs, lam)
+
+    def from_integral(self, p: Polynomial, s: int) -> Polynomial:
+        back = self.base.from_integral
+        return Polynomial(self.base, [back(c, s) for c in p.coeffs], self.var)
 
     def is_unit(self, p: Polynomial) -> bool:
         """Whether p is a constant that is a unit of the base."""

@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
@@ -250,6 +251,107 @@ class TestTextFormatRoundTrip:
         p = Polynomial(ZT, [Polynomial(ZZ, c[:1] + [0] + c[2:], "t")
                             for c in coeffs], "x")
         assert parse_poly(str(p), "Z[t2,t3]") == p
+
+
+_DENSE_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def reference_lower(program, ctx):
+    """The dense lowering the sparse one replaced: every step builds a
+    Polynomial over the hull, and x^k is a power of the polynomial x."""
+    dom = ctx.hull
+    stack = []
+    for op, arg, pos in program:
+        if op == "num":
+            stack.append(Polynomial.constant(dom, dom.coerce(arg), "x"))
+        elif op == "sym":
+            if arg == "x":
+                stack.append(Polynomial.identity(dom, "x"))
+                continue
+            value = ctx.t if arg == "t" else ctx.w
+            if value is None:
+                raise ParseError(f"symbol {arg} is not defined over "
+                                 f"{ctx.descriptor}", pos)
+            stack.append(Polynomial.constant(dom, value, "x"))
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "^":
+            stack.append(stack.pop() ** arg)
+        else:
+            right, left = stack.pop(), stack.pop()
+            stack.append(_DENSE_ARITHMETIC[op](left, right))
+    return stack.pop()
+
+
+def reference_parse_poly(text, ctx):
+    """parse_poly on the dense lowering, with its coefficient checks."""
+    p = reference_lower(cli._parse(text, ctx.w_bits), ctx)
+    coeffs = []
+    for k, c in enumerate(p.coeffs):
+        cc = ctx.domain.descend(c)
+        if cc is None:
+            raise ValueError(f"coefficient {ctx.hull.format_element(c)} "
+                             f"of x^{k} does not lie in {ctx.descriptor}")
+        coeffs.append(cc)
+    result = Polynomial(ctx.domain, coeffs, p.var)
+    if ctx.restriction is not None:
+        for k, c in enumerate(result.coeffs):
+            if not ctx.restriction.membership(c):
+                raise ValueError(
+                    f"coefficient {ctx.domain.format_element(c)} of x^{k} "
+                    f"is not in {ctx.descriptor}")
+    return result
+
+
+def _outcome(call, *args):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+#: Every ring descriptor kind the CLI accepts.
+_ALL_DESCRIPTORS = ("Z", "Q", "Z[sqrt(-5)]", "Q(sqrt(-5))", "O(-15)",
+                    "Z[t]", "Q[t]", "Z[t2,t3]")
+
+#: Sums, differences, products, powers (0^0 among them), negations and
+#: nesting of constants and symbols, with degrees in x and t at most 12.
+_LOWERING_EXPRS = st.recursive(
+    st.sampled_from(("0", "1", "3", "1/2", "5/3", "x", "x", "t", "w")),
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: f"({a}){op}({b})",
+                  inner, st.sampled_from("+-*"), inner),
+        st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 3)),
+        st.builds(lambda a: f"-({a})", inner),
+        st.builds(lambda a, b: f"{a}*x^{b}", inner, st.integers(0, 5))),
+    max_leaves=6).filter(
+        lambda text: max(cli._degree_bound(parse_expression(text), 4)[:2])
+        <= 12)
+
+
+class TestSparseLowering:
+    """The sparse lowering against the dense one it replaced."""
+
+    @pytest.mark.parametrize("descriptor", _ALL_DESCRIPTORS)
+    @given(text=_LOWERING_EXPRS)
+    @example(text="0^0")
+    @example(text="(x-x)^0*t+0^3*w-(x^2)^0")
+    @example(text="-(1/2*x-w)^3*(t-x^2)^2")
+    @settings(max_examples=60, deadline=None)
+    def test_same_polynomial_as_the_dense_lowering(self, descriptor, text):
+        ctx = resolve_ring(descriptor)
+        program = parse_expression(text)
+        assert _outcome(cli._lower, program, ctx) == \
+            _outcome(reference_lower, program, ctx)
+        assert _outcome(parse_poly, text, ctx) == \
+            _outcome(reference_parse_poly, text, ctx)
+
+    def test_zero_to_the_zero_is_one(self):
+        assert parse_poly("0^0", "Z") == Polynomial(ZZ, [1], "x")
+        assert parse_poly("(x-x)^0*x^3", "Q") == Polynomial(QQ, [0, 0, 0, 1],
+                                                            "x")
+        assert parse_poly("0^5+x", "Z[t]") == Polynomial(ZT, [0, 1], "x")
 
 
 #: Coefficients for Z and Q, for the quadratic rings, and for the t-rings,
@@ -582,6 +684,50 @@ class TestErrorHandling:
             capsys)
         assert code == 1 and out == ""
         assert "3317044064679887385961981" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_witness_over_z_renders_an_element_past_4300_digits(
+            self, as_json, capsys):
+        # 2^14300 has 4305 digits, and two equal lists are equivalent
+        twos = ",".join(["2"] * 14300)
+        argv = ["witness", "--ring", "Z", "--element", "2^14300",
+                f"--factorization={twos}", f"--factorization={twos}"]
+        code, out, err = run_cli(argv + ["--json"] if as_json else argv,
+                                 capsys)
+        assert code == 0 and err == ""
+        if as_json:
+            payload = json.loads(out)
+            assert payload["status"] == "equivalent_factorizations"
+            digits = payload["evidence"]["element"]
+            assert len(digits) == 4305 and digits[:5] == "53572"
+            assert int(digits[-4000:]) == 2 ** 14300 % 10 ** 4000
+        else:
+            assert out == ("the two factorizations are equivalent; "
+                           "no witness arises\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compose", "x^256+x", "x^256+x"], "degree in x may exceed 4096"),
+        (["compose", "x^4096+x", "x^4096+x"], "degree in x may exceed 4096"),
+        (["compose", "--ring", "Z[t]", "x^2", "t^4096*x"],
+         "degree in t may exceed 4096"),
+        (["compose", "--ring", "Z", "x^2", "2^1048576"],
+         "a constant may exceed 1048576 bits"),
+    ])
+    def test_composition_past_the_parser_bounds_exits_1(self, argv, message,
+                                                         capsys):
+        # the outer expression with x standing for the inner one is
+        # bounded like one typed expression, at the outer operator
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == f"error: syntax error at position 1: {message}\n"
+
+    def test_composition_at_the_degree_bound_exits_0(self, capsys):
+        code, out, err = run_cli(["compose", "x^64+x", "x^64+x"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("x^4096 + 64*x^4033 + ")
+        assert out.endswith(" + 2*x^64 + x\n")
 
     def test_zero_polynomial_has_nothing_to_decompose(self, capsys):
         code, out, err = run_cli(["decompose", "x-x"], capsys)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (CapabilityError, Decomposition, Polynomial,
@@ -19,7 +19,7 @@ from polydecomp import (CapabilityError, Decomposition, Polynomial,
                         quartic_field_decompose, quartic_ring_decide,
                         verify_taylor_expansion)
 from polydecomp import decomp
-from polydecomp.decomp import _div_exact
+from polydecomp.poly import _divrem_monic_in_place
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -308,21 +308,22 @@ class TestIntegerPath:
         # x^6 + x^5 is its own integer lift, and the first root
         # coefficient over m = 3 is 1/2: one division decides
         calls = []
+        div_int_exact = ZZ.div_int_exact
 
         def counted(a, b):
             calls.append((a, b))
-            return _div_exact(a, b)
+            return div_int_exact(a, b)
 
-        monkeypatch.setattr(decomp, "_div_exact", counted)
+        monkeypatch.setattr(ZZ, "div_int_exact", counted)
         assert monic_decompose(qpoly([0, 0, 0, 0, 0, 1, 1]), 3) is None
         assert calls == [(1, 2)]
 
     def test_exact_division(self):
-        assert _div_exact(12, 4) == 3
-        assert _div_exact(-12, 4) == -3
-        assert _div_exact(0, 7) == 0
-        assert _div_exact(7, 2) is None
-        assert _div_exact(-7, 2) is None
+        assert ZZ.div_int_exact(12, 4) == 3
+        assert ZZ.div_int_exact(-12, 4) == -3
+        assert ZZ.div_int_exact(0, 7) == 0
+        assert ZZ.div_int_exact(7, 2) is None
+        assert ZZ.div_int_exact(-7, 2) is None
 
     def test_large_scale_maps_back_exactly(self):
         # the scale is 999983 * 999979 * 999961 and F's constant term
@@ -354,6 +355,140 @@ class TestIntegerPath:
         f = compose(g, h)
         assert decomp._integral_scale(f) == 3
         assert monic_decompose(f, 2) == Decomposition(g, h)
+
+
+def exact_monic_decompose(f, m):
+    """monic_decompose as it ran over Q(sqrt(d)) and Q[t] before the
+    integral lift: the root and the digits in the Q-algebra itself, with
+    its own division by integers, and no early rejection."""
+    dom = f.domain
+    H = decomp._inner_root(list(f.coeffs), m, dom.zero, dom.one, dom.div_int)
+    G = []
+    rem = list(f.coeffs)
+    while rem:
+        _divrem_monic_in_place(rem, H, dom.zero)
+        if any(c != dom.zero for c in rem[1:m]):
+            return None
+        G.append(rem[0])
+        rem = rem[m:]
+    return Decomposition(Polynomial(dom, G, f.var), Polynomial(dom, H, f.var))
+
+
+#: Coefficients with denominators, so that the scale lam exceeds 1.
+_lift_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+LIFT_ELEMENTS = {
+    **{f"Q(sqrt({d}))": (QuadraticField(d), st.builds(
+        QuadraticField(d).element, _lift_fractions, _lift_fractions))
+       for d in (-1, -3, -5, -15)},
+    "Q[t]": (QT, st.lists(_lift_fractions, max_size=3).map(QT.element)),
+}
+
+
+def _monic(draw, dom, element, deg):
+    return Polynomial(dom, [draw(element) for _ in range(deg)] + [dom.one],
+                      "x")
+
+
+class TestIntegralLift:
+    """Over Q(sqrt(d)) and Q[t] the root and the digits run on O_d and
+    Z[t]; the answers are those of the exact path in the Q-algebra."""
+
+    @pytest.mark.parametrize("domain", sorted(LIFT_ELEMENTS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_compositions_match_the_exact_path(self, domain, data):
+        dom, element = LIFT_ELEMENTS[domain]
+        g = _monic(data.draw, dom, element, data.draw(st.integers(2, 3)))
+        h = _monic(data.draw, dom, element, data.draw(st.integers(2, 3)))
+        f = compose(g, h)
+        dec = monic_decompose(f, h.degree)
+        assert dec is not None
+        assert dec == exact_monic_decompose(f, h.degree)
+        assert dec.h == h - h.constant_term
+        assert compose(dec.g, dec.h) == f
+
+    @pytest.mark.parametrize("domain", sorted(LIFT_ELEMENTS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_perturbed_compositions_match_the_exact_path(self, domain, data):
+        # g(h) + c*x^k: every inner degree, hit or miss, agrees
+        dom, element = LIFT_ELEMENTS[domain]
+        g = _monic(data.draw, dom, element, data.draw(st.integers(2, 3)))
+        h = _monic(data.draw, dom, element, data.draw(st.integers(2, 3)))
+        f = compose(g, h)
+        k = data.draw(st.integers(1, f.degree - 1))
+        c = data.draw(element.filter(lambda c: c != dom.zero))
+        f = f + Polynomial.monomial(dom, c, k, "x")
+        for m in proper_inner_degrees(f.degree):
+            assert monic_decompose(f, m) == exact_monic_decompose(f, m)
+
+    @pytest.mark.parametrize("domain", sorted(LIFT_ELEMENTS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_monic_input_matches_the_exact_path(self, domain, data):
+        dom, element = LIFT_ELEMENTS[domain]
+        N = data.draw(st.sampled_from([4, 6, 8, 9]))
+        f = _monic(data.draw, dom, element, N)
+        for m in proper_inner_degrees(N):
+            assert monic_decompose(f, m) == exact_monic_decompose(f, m)
+
+    def test_scale_above_one_maps_back_exactly(self):
+        t = QT.element([0, 1])
+        for dom, c in ((QuadraticField(-15), QuadraticField(-15).element(
+                Fraction(1, 3), Fraction(1, 2))),
+                       (QT, QT.element([Fraction(1, 2), 0, Fraction(2, 3)]))):
+            x = Polynomial.identity(dom, "x")
+            g = x ** 3 + x.scale(c)
+            h = x ** 2 + x.scale(c * c)
+            if dom is QT:
+                h = h + x.scale(t)
+            f = compose(g, h)
+            assert decomp._integral_scale(f) > 1
+            assert monic_decompose(f, 2) == Decomposition(g, h)
+
+    @pytest.mark.parametrize("domain", sorted(LIFT_ELEMENTS))
+    def test_a_root_coefficient_outside_the_ring_rejects_at_once(
+            self, domain, monkeypatch):
+        # over m = 3, the first root coefficient of x^6 + a*x^5 is a/2,
+        # which is not integral for a = w or t: the digits never run
+        dom, _ = LIFT_ELEMENTS[domain]
+        a = dom.element([0, 1]) if dom is QT else dom.coerce(
+            dom.integral_ring.element(0, 1))
+        f = Polynomial(dom, [0, 0, 0, 0, 0, a, 1], "x")
+
+        def no_digits(*args):
+            raise AssertionError("a digit was taken after a rejected root")
+
+        monkeypatch.setattr(decomp, "_divrem_monic_in_place", no_digits)
+        assert monic_decompose(f, 3) is None
+
+    def test_exact_division_in_the_integral_rings(self):
+        O15 = QuadraticIntRing(-15)
+        assert O15.div_int_exact(O15.element(6, -4), 2) == O15.element(3, -2)
+        assert O15.div_int_exact(O15.element(6, -3), 2) is None
+        assert O15.div_int_exact(O15.element(5, 4), 2) is None
+        Zt = QT.integral_ring
+        assert Zt == ZT
+        assert Zt.div_int_exact(ZT.element([4, 0, -6]), 2) == \
+            ZT.element([2, 0, -3])
+        assert Zt.div_int_exact(ZT.element([4, 1, -6]), 2) is None
+        assert Zt.div_int_exact(ZT.zero, 5) == ZT.zero
+
+    def test_denominators_and_the_maps_to_and_from_the_ring(self):
+        K = QuadraticField(-3)
+        x = K.element(Fraction(1, 2), Fraction(1, 6))   # 1/2 + sqrt(-3)/6
+        s = K.denominator(x)
+        assert s == 3                    # on the basis 1, (1+sqrt(-3))/2
+        assert K.coerce(K.to_integral(x, s)) == x * s
+        assert K.to_integral(x, 6).dom is QuadraticIntRing(-3)
+        assert K.from_integral(K.to_integral(x, 6), 6) == x
+        p = QT.element([Fraction(1, 4), 0, Fraction(5, 6)])
+        assert QT.denominator(p) == 12
+        assert QT.to_integral(p, 24) == ZT.element([6, 0, 20])
+        assert QT.from_integral(ZT.element([6, 0, 20]), 24) == p
+        assert QT.denominator(QT.zero) == 1
+        assert QQ.from_integral(QQ.to_integral(Fraction(-5, 6), 12), 12) \
+            == Fraction(-5, 6)
 
 
 class TestDecomposeOverField:
@@ -756,6 +891,40 @@ class TestDecomposeFully:
         for c in reversed(chain[:-1]):
             f = compose(c, f)
         found = decompose_fully(f)
+        assert sorted(c.degree for c in found) == sorted(degrees)
+        acc = found[-1]
+        for c in reversed(found[:-1]):
+            acc = compose(c, acc)
+        assert acc == f
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ritt_first_theorem_with_composite_degrees(self, data):
+        # factors of degree 4 or 6 are kept only when indecomposable, and
+        # a linear insertion c_i o l, l^-1 o c_(i+1) between neighbours
+        # changes the factors but not f; every complete chain of f still
+        # has the same length and the same multiset of degrees
+        degrees = data.draw(st.lists(st.sampled_from([2, 3, 4, 6]),
+                                     min_size=2, max_size=3).filter(
+            lambda ds: math.prod(ds) <= 72 and {4, 6} & set(ds)))
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        nonzero = coeff.filter(lambda c: c != 0)
+        chain = [qpoly([data.draw(coeff) for _ in range(d)]
+                       + [data.draw(nonzero)]) for d in degrees]
+        for c in chain:
+            if c.degree in (4, 6):
+                assume(decompose_fully(c) == [c])
+        for i in range(len(chain) - 1):
+            a, b = data.draw(nonzero), data.draw(coeff)
+            ell = qpoly([b, a])
+            ell_inv = qpoly([-b / a, 1 / a])
+            chain[i] = compose(chain[i], ell)
+            chain[i + 1] = compose(ell_inv, chain[i + 1])
+        f = chain[-1]
+        for c in reversed(chain[:-1]):
+            f = compose(c, f)
+        found = decompose_fully(f)
+        assert len(found) == len(degrees)
         assert sorted(c.degree for c in found) == sorted(degrees)
         acc = found[-1]
         for c in reversed(found[:-1]):
