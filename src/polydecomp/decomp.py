@@ -283,6 +283,9 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
         g = (D/u^2) x^2 + (E/u) x + f(0),   h = u x^2 + u C x.
 
     (Necessity of (ii): if (2Dv + E)/u lies in R, subtract 2*(uv)*(D/u^2).)
+    With Delta = 4 D a2 - a3^2, the field test a1 = E*C is
+    8 D^2 a1 = Delta*a3, and (ii), (iii) are the divisions Delta/(4Du),
+    u*a3/(2D) in R (docs/math_notes.md, section 3).
     Candidates u run over divisors of D up to associates, ascending norm.
     The constant f(0) only ever shifts g's constant term, so it changes
     nothing about decomposability over R.
@@ -295,23 +298,18 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     if f.degree != 4:
         raise ValueError("quartic decision needs degree exactly 4")
 
-    field = hull_of(ring)
-    dec = quartic_field_decompose(embed_poly(f, field))
-    if dec is None:
+    lead, a3, a2, a1 = (f.coefficient(k) for k in (4, 3, 2, 1))
+    delta = lead * a2 * 4 - a3 * a3
+    if lead * lead * a1 * 8 != delta * a3:
         return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
                                  None, None, ())
-
-    E = dec.g.coefficient(1)
-    C = dec.h.coefficient(1)
-    lead = f.leading_coefficient
 
     candidates = []
     found = None
     for u in ring.divisors_up_to_associates(lead):
-        uK = field.coerce(u)
         D_by_u2 = ring.divides_exact(u * u, lead)
-        E_by_u = ring.descend(field.div(E, uK))
-        uC = ring.descend(uK * C)
+        E_by_u = ring.divides_exact(lead * u * 4, delta)
+        uC = ring.divides_exact(lead * 2, u * a3)
         check = CandidateCheck(u, D_by_u2 is not None, E_by_u is not None,
                                uC is not None)
         candidates.append(check)
@@ -320,6 +318,7 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
                 Polynomial(ring, [f.constant_term, E_by_u, D_by_u2], f.var),
                 Polynomial(ring, [ring.zero, uC, u], f.var))
 
+    dec = quartic_field_decompose(embed_poly(f, hull_of(ring)))
     if found is None:
         return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_RING,
                                  None, dec, tuple(candidates))

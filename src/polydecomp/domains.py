@@ -312,17 +312,37 @@ QQ = RationalField()
 # imaginary quadratic orders and fields
 # ---------------------------------------------------------------------------
 
+#: Largest |d| accepted: trial division to |d|^(1/3) keeps the
+#: squarefreeness test under a second up to here.
+_MAX_ABS_D = 10 ** 18
+
+
 def _check_d(d: int) -> None:
+    """Raise unless d < 0, d is squarefree and |d| <= _MAX_ABS_D.
+
+    After trial division to the cube root of what is left, every prime
+    factor of the cofactor r exceeds that root, so r has at most two of
+    them and is squarefree unless it is a square.  Above the bound only
+    the square test runs, so a huge d is rejected at once.
+    """
     if d >= 0:
         raise ValueError(
             f"d = {d}: only imaginary quadratic rings are supported "
             "(the norm must be positive definite for divisor searches)")
-    n = -d
+    n = r = -d
     i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            raise ValueError(f"d = {d} is not squarefree")
+    while n <= _MAX_ABS_D and i * i * i <= r:
+        if r % i == 0:
+            r //= i
+            if r % i == 0:
+                raise ValueError(f"d = {d} is not squarefree")
         i += 1
+    s = math.isqrt(r)
+    if r > 1 and s * s == r:
+        raise ValueError(f"d = {d} is not squarefree")
+    if n > _MAX_ABS_D:
+        raise ValueError(f"d = {d}: |d| above 10^18 is not supported "
+                         "(squarefreeness is decided by trial division)")
 
 
 class QuadraticElement:

@@ -20,7 +20,7 @@ from functools import cache
 from typing import Any, Optional
 
 from .poly import Polynomial, compose
-from .domains import QuadraticIntRing, descend_poly, embed_poly, hull_of
+from .domains import QuadraticIntRing, embed_poly, hull_of
 from .decomp import (Decomposition, RingDecideOutcome, RingDecideStatus,
                      quartic_field_decompose, quartic_ring_decide)
 
@@ -180,9 +180,9 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
     """Assemble the quartic from a triple satisfying the divisibility facts.
 
     Checks ell | a*p_s, ell ∤ a, ell ∤ p_s, then forms c = a/ell and
-    d = p_s^2 and expands (d x^2 + ell x) o (x^2 + c x).  Every
-    coefficient must land in the ring; a coefficient escaping means the
-    preconditions were violated.
+    d = p_s^2.  With t = a*p_s/ell in the ring, the expansion of
+    (d x^2 + ell x) o (x^2 + c x) is d x^4 + 2 p_s t x^3 + (t^2 + ell) x^2
+    + a x, built in the ring (docs/math_notes.md, section 4).
     """
     if ring is None:
         ring = next((v.dom for v in (ell, a, p_s) if hasattr(v, "dom")), None)
@@ -200,11 +200,9 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
 
     field = hull_of(ring)
     c = field.div(field.coerce(a), field.coerce(ell))
+    t = ring.divides_exact(ell, a * p_s)        # d*c = p_s*t, d*c^2 = t^2
     d = p_s * p_s
-    f = descend_poly(_expansion(field, ell, c, d), ring)
-    if f is None:
-        raise ValueError("a coefficient of the quartic escaped the ring; "
-                         "the divisibility preconditions do not hold")
+    f = Polynomial(ring, [ring.zero, a, t * t + ell, p_s * t * 2, d], "x")
     return WitnessData(ring=ring, ell=ell, a=a, p_s=p_s, c=c, d=d, f=f)
 
 

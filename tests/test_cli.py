@@ -181,6 +181,24 @@ class TestRingDescriptors:
         with pytest.raises(ValueError):
             resolve_ring("GF(7)")
 
+    @pytest.mark.parametrize("ring, message", [
+        ("O(-1000000000000000003)",
+         "d = -1000000000000000003: |d| above 10^18 is not supported "
+         "(squarefreeness is decided by trial division)"),
+        # -(10^9 + 7)^2: trial division to its square root would run to 10^9
+        ("Z[sqrt(-1000000014000000049)]",
+         "d = -1000000014000000049 is not squarefree"),
+        ("Q(sqrt(-999999999999999999))",
+         "d = -999999999999999999 is not squarefree"),
+    ])
+    def test_long_d_is_rejected_quickly(self, ring, message, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["decompose", "--ring", ring, "x^4+x"],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_w_meaning_depends_on_ring(self):
         half = parse_poly("w", "O(-15)")
         ring = resolve_ring("O(-15)").domain

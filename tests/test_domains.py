@@ -1,5 +1,6 @@
 """Coefficient domains: quadratic orders, norms, divisors, subrings."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from polydecomp import (CapabilityError, Polynomial, PolynomialDomain,
                         descend_element, descend_poly, embed_element,
                         embed_poly, hull_of, order_in_field, q_times,
                         require_tier)
+from polydecomp.domains import _check_d
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -155,6 +157,41 @@ class TestQuadraticRingConstruction:
             QuadraticIntRing(-4)      # not squarefree
         with pytest.raises(ValueError):
             QuadraticIntRing(-12)
+
+    def test_squarefree_test_matches_brute_force(self):
+        for n in range(1, 3000):
+            squarefree = all(n % (i * i) for i in range(2, math.isqrt(n) + 1))
+            try:
+                _check_d(-n)
+            except ValueError as exc:
+                assert not squarefree and "not squarefree" in str(exc)
+            else:
+                assert squarefree
+
+    @pytest.mark.parametrize("n, squarefree", [
+        (1000003 ** 2, False),              # the cofactor is a square
+        (2 * 1000003 ** 2, False),
+        (49 * 1000003 * 1000033, False),
+        (1000003 * 1000033, True),          # two primes above the cube root
+        (2 * 3 * 1000003 * 1000033, True),
+        (10 ** 18 - 11, True),
+        (4 * 10 ** 17, False),
+    ])
+    def test_squarefree_test_near_the_bound(self, n, squarefree):
+        if squarefree:
+            _check_d(-n)
+        else:
+            with pytest.raises(ValueError, match="not squarefree"):
+                _check_d(-n)
+
+    def test_d_past_the_bound_is_rejected_at_once(self):
+        with pytest.raises(ValueError, match="above 10\\^18"):
+            _check_d(-(10 ** 18 + 3))
+        with pytest.raises(ValueError, match="above 10\\^18"):
+            _check_d(-(10 ** 4000 + 1))
+        # a square is still named as one
+        with pytest.raises(ValueError, match="not squarefree"):
+            _check_d(-(10 ** 4000))
 
     def test_names_and_basis(self):
         assert R5.name == "Z[sqrt(-5)]"
