@@ -87,25 +87,6 @@ def _decimal(x: Any) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-#: Largest |x| (over Z) or norm (over an order) whose divisors are searched;
-#: trial division keeps the search interactive up to here.
-_DIVISOR_BOUND = 10 ** 6
-
-
-def _int_divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in ascending order (n nonzero)."""
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i * i != n:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 #: Trial divisors for primality: the primes below 100.
 _SMALL_PRIMES = tuple(p for p in range(2, 100)
                       if all(p % q for q in range(2, p)))
@@ -147,6 +128,80 @@ def _is_prime(n: int) -> bool:
             f"{_decimal(n)} is a strong probable prime to the first 13 "
             f"prime bases")
     return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 100.
+
+    Pollard's rho (BIT 15, 1975) with Brent's cycle search: the
+    differences are multiplied in batches of 128 per gcd, and a batch
+    that overshoots to gcd n is replayed one difference at a time.  A
+    run that still ends at n starts over with the next constant c.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> dict[int, int]:
+    """The factorization {p: e} of n >= 1, primes ascending.
+
+    Trial division by the primes below 100, then Pollard-Brent rho on
+    every composite cofactor.  Exact below _MR_EXACT_BELOW, where
+    :func:`_is_prime` is; callers bound n below it.
+    """
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    # what is left has no prime factor below 100, so below 101^2 it is
+    # 1 or a prime
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m < 101 * 101 or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            todo += (f, m // f)
+    return dict(sorted(out.items()))
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1 in ascending order, from its
+    factorization."""
+    divs = [1]
+    for p, e in _factor(n).items():
+        divs = [d * p ** i for i in range(e + 1) for d in divs]
+    divs.sort()
+    return divs
 
 
 class IntegerRing:
@@ -213,11 +268,11 @@ class IntegerRing:
     def divisors_up_to_associates(self, x: int) -> list[int]:
         if x == 0:
             raise ValueError("zero has no divisor list")
-        if abs(x) > _DIVISOR_BOUND:
+        if abs(x) >= _MR_EXACT_BELOW:
             raise ValueError(
-                f"divisor search bound exceeded: |{_decimal(x)}| > "
-                f"{_DIVISOR_BOUND}")
-        return _int_divisors(x)
+                f"divisor search bound exceeded: |{_decimal(x)}| >= "
+                f"{_MR_EXACT_BELOW}, below which factoring is exact")
+        return _divisors(abs(x))
 
     def is_irreducible(self, x: int) -> bool:
         if x == 0 or self.is_unit(x):
@@ -312,37 +367,28 @@ QQ = RationalField()
 # imaginary quadratic orders and fields
 # ---------------------------------------------------------------------------
 
-#: Largest |d| accepted: trial division to |d|^(1/3) keeps the
-#: squarefreeness test under a second up to here.
-_MAX_ABS_D = 10 ** 18
+#: Largest norm whose divisors an order searches: each norm k up to
+#: sqrt(norm) costs a scan of up to sqrt(4k/|d|) steps.
+_DIVISOR_BOUND = 10 ** 15
 
 
 def _check_d(d: int) -> None:
-    """Raise unless d < 0, d is squarefree and |d| <= _MAX_ABS_D.
+    """Raise unless d < 0, |d| < _MR_EXACT_BELOW and d is squarefree.
 
-    After trial division to the cube root of what is left, every prime
-    factor of the cofactor r exceeds that root, so r has at most two of
-    them and is squarefree unless it is a square.  Above the bound only
-    the square test runs, so a huge d is rejected at once.
+    Squarefreeness is read off the factorization of |d|, which is exact
+    only below that bound, so a larger |d| is rejected before any
+    factoring.
     """
     if d >= 0:
         raise ValueError(
             f"d = {d}: only imaginary quadratic rings are supported "
             "(the norm must be positive definite for divisor searches)")
-    n = r = -d
-    i = 2
-    while n <= _MAX_ABS_D and i * i * i <= r:
-        if r % i == 0:
-            r //= i
-            if r % i == 0:
-                raise ValueError(f"d = {d} is not squarefree")
-        i += 1
-    s = math.isqrt(r)
-    if r > 1 and s * s == r:
+    if -d >= _MR_EXACT_BELOW:
+        raise ValueError(f"d = {d}: |d| >= {_MR_EXACT_BELOW} is not supported "
+                         "(squarefreeness is decided by factoring, exact "
+                         "only below it)")
+    if any(e > 1 for e in _factor(-d).values()):
         raise ValueError(f"d = {d} is not squarefree")
-    if n > _MAX_ABS_D:
-        raise ValueError(f"d = {d}: |d| above 10^18 is not supported "
-                         "(squarefreeness is decided by trial division)")
 
 
 class QuadraticElement:
@@ -372,6 +418,8 @@ class QuadraticElement:
             if other.dom.d != self.dom.d:
                 raise TypeError("mixing elements over different d")
             return other, self.dom.q_algebra_hull()
+        if other.__class__ is int:          # not bool, which coerce refuses
+            return self.dom._make(other, 0), self.dom
         return self.dom.coerce(other), self.dom
 
     def __add__(self, other: Any) -> "QuadraticElement":
@@ -463,7 +511,8 @@ class _QuadraticDomain:
     def __new__(cls, d: int):
         self = _QUADRATIC_DOMAINS.get((cls, d))
         if self is None:
-            _check_d(d)
+            if not any(seen == d for _, seen in _QUADRATIC_DOMAINS):
+                _check_d(d)         # once per d, for the order and field
             self = _QUADRATIC_DOMAINS[cls, d] = super().__new__(cls)
             self.d = d
             self.half_basis = (d % 4 == 1)
@@ -526,13 +575,17 @@ class QuadraticIntRing(_QuadraticDomain):
         return x.a, x.b
 
     def norm(self, x: QuadraticElement) -> int:
-        return self.coerce(x).norm()
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
+        return x.norm()
 
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> Optional[QuadraticElement]:
         """y / x when the quotient lies in the ring, else None."""
-        x = self.coerce(x)
-        y = self.coerce(y)
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
+        if y.__class__ is not QuadraticElement or y.dom is not self:
+            y = self.coerce(y)
         n = x.norm()
         if n == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
@@ -554,11 +607,15 @@ class QuadraticIntRing(_QuadraticDomain):
         return self._units
 
     def is_unit(self, x: QuadraticElement) -> bool:
-        return self.coerce(x).norm() == 1
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
+        return x.norm() == 1
 
     def are_associates(self, x: QuadraticElement, y: QuadraticElement) -> bool:
-        x = self.coerce(x)
-        y = self.coerce(y)
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
+        if y.__class__ is not QuadraticElement or y.dom is not self:
+            y = self.coerce(y)
         if x.norm() != y.norm():
             return False
         return any(x * u == y for u in self.units())
@@ -570,7 +627,8 @@ class QuadraticIntRing(_QuadraticDomain):
         (a, b) is largest; this is deterministic and picks the positive
         element for rational integers.
         """
-        x = self.coerce(x)
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
         return max((x * u for u in self.units()), key=lambda z: (z.a, z.b))
 
     def elements_of_norm(self, k: int) -> list[QuadraticElement]:
@@ -587,47 +645,66 @@ class QuadraticIntRing(_QuadraticDomain):
         q, D = (1, -self.d) if self.half_basis else (0, -4 * self.d)
         found = []
         bmax = math.isqrt(4 * k // D)
-        for b in range(-bmax, bmax + 1):
+        # b and -b leave the same rest and the same parity, so each
+        # square root serves both
+        for b in range(bmax + 1):
             rest = 4 * k - D * b * b
             e = math.isqrt(rest)
             if e * e != rest or (e - q * b) % 2 != 0:
                 continue
-            found.append(QuadraticElement(self, (e - q * b) // 2, b))
-            if e != 0:
-                found.append(QuadraticElement(self, (-e - q * b) // 2, b))
+            for s in (b, -b) if b else (0,):
+                found.append(QuadraticElement(self, (e - q * s) // 2, s))
+                if e != 0:
+                    found.append(
+                        QuadraticElement(self, (-e - q * s) // 2, s))
         found.sort(key=lambda z: (z.a, z.b))
         return found
 
-    def divisors_up_to_associates(self, x: QuadraticElement) -> list[QuadraticElement]:
-        """One representative per associate class of divisors of x.
+    def _divisor_pairs(self, x: QuadraticElement):
+        """(u, x/u) for every divisor u of x with norm(u)^2 <= norm(x),
+        by ascending norm(u), for x of norm at most _DIVISOR_BOUND.
 
-        Includes the unit class and the class of x itself.  Searches
-        elements of every norm dividing norm(x), so it is complete; the
-        bound on norm(x) keeps the search total at interactive scale.
+        Every divisor of x is some u or some x/u: the two norms multiply
+        to norm(x), so one of them is at most its square root.
         """
-        x = self.coerce(x)
         n = x.norm()
-        if n == 0:
-            raise ValueError("zero has no divisor list")
         if n > _DIVISOR_BOUND:
             raise ValueError(
                 f"divisor search bound exceeded: norm {_decimal(n)} > "
                 f"{_DIVISOR_BOUND}")
+        for k in _divisors(n):
+            if k * k > n:
+                return
+            for u in self.elements_of_norm(k):
+                quotient = self.divides_exact(u, x)
+                if quotient is not None:
+                    yield u, quotient
+
+    def divisors_up_to_associates(self, x: QuadraticElement) -> list[QuadraticElement]:
+        """One representative per associate class of divisors of x,
+        sorted by norm, then coordinates.
+
+        Includes the unit class and the class of x itself.  The norm
+        equation is solved only for norms up to sqrt(norm(x)); each
+        solution u that divides x brings the class of x/u as well.
+        """
+        x = self.coerce(x)
+        if x.norm() == 0:
+            raise ValueError("zero has no divisor list")
         reps = {}
-        for k in _int_divisors(n):
-            for cand in self.elements_of_norm(k):
-                if self.divides_exact(cand, x) is None:
-                    continue
-                rep = self.associate_representative(cand)
+        for pair in self._divisor_pairs(x):
+            for z in pair:
+                rep = self.associate_representative(z)
                 reps[(rep.a, rep.b)] = rep
         return sorted(reps.values(), key=lambda z: (z.norm(), z.a, z.b))
 
     def is_irreducible(self, x: QuadraticElement) -> bool:
-        """True when the only divisors of x are units and associates of x."""
+        """True when the only divisors of x are units and associates of x,
+        that is, when no divisor has norm in (1, sqrt(norm(x))]."""
         x = self.coerce(x)
-        if x.norm() == 0 or self.is_unit(x):
+        if x.norm() <= 1:
             raise ValueError("irreducibility is undefined for zero and units")
-        return len(self.divisors_up_to_associates(x)) == 2
+        return all(u.norm() == 1 for u, _ in self._divisor_pairs(x))
 
 
 class QuadraticField(_QuadraticDomain):

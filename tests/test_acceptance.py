@@ -1,10 +1,12 @@
 """End-to-end acceptance gate.
 
-Eleven headline guarantees, each rechecked from scratch with its own
+Fifteen headline guarantees, each rechecked from scratch with its own
 wall-clock budget.  Every test prints a single PASS/FAIL line (visible
 even under pytest's capture) and fails if the budget is exceeded.
 """
 
+import contextlib
+import io
 import math
 import random
 import time
@@ -19,7 +21,8 @@ from polydecomp import (Decomposition, FactorizationPair, Polynomial, QQ, QT,
                         proper_inner_degrees, q_times,
                         quartic_field_decompose, quartic_ring_decide,
                         run_demo_q1, run_pipeline, verify_taylor_expansion)
-from polydecomp import decomp
+from polydecomp import cli, decomp
+from polydecomp.domains import _MR_EXACT_BELOW
 from polydecomp.poly import _divrem_monic_in_place
 
 R5 = QuadraticIntRing(-5)
@@ -450,3 +453,85 @@ def test_quadratic_ring_arithmetic(capsys):
         assert not R5.is_irreducible(R5.element(6))
 
     _report(capsys, "quadratic-ring-arithmetic", 10.0, body)
+
+
+def test_ring_lead_past_the_old_divisor_bound(capsys):
+    """Over Z[sqrt(-5)], the quartic with lead (2+w)(100+7w)^2, of norm
+    944640225, decides; the trial-division search stopped at norm 10^6."""
+
+    def body():
+        w = R5.element(0, 1)
+        g = Polynomial(R5, [R5.element(3), 1 - 2 * w, 2 + w], "x")
+        h = Polynomial(R5, [R5.zero, w - 4, 100 + 7 * w], "x")
+        f = compose(g, h)
+        assert R5.norm(f.coefficient(4)) == 944640225
+        out = quartic_ring_decide(f)
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert (out.decomposition.g, out.decomposition.h) == (g, h)
+        assert len(out.candidates) == 42
+
+    _report(capsys, "ring-lead-norm-9.4e8", 1.0, body)
+
+
+def test_twenty_digit_lead_over_z(capsys):
+    """A quartic over Z whose lead has 20 digits decides in < 0.1 s."""
+    u = 2 * 1000003
+    g = Polynomial(ZZ, [5, -7, 9999991], "x")
+    h = Polynomial(ZZ, [0, 3 * u, u], "x")
+    f = compose(g, h)
+    assert len(str(f.coefficient(4))) == 20
+
+    def body():
+        out = quartic_ring_decide(f)
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert out.decomposition.certificate == f
+        # u runs over the 18 divisors of 2^2 * 1000003^2 * 9999991
+        assert len(out.candidates) == 18
+
+    _report(capsys, "twenty-digit-lead-over-z", 0.1, body)
+
+
+@pytest.mark.parametrize("d, classes", [(-1, 6336), (-3, 4032), (-2, 8448),
+                                        (-5, 7040)])
+def test_divisor_rich_lead(capsys, d, classes):
+    """The divisors of 21621600 = 2^5 3^3 5^2 7 11 13, norm 4.7e14,
+    enumerate in < 10 s: each class divides it, no two are associates, and
+    the complement x/u of every class is again a class."""
+    ring = QuadraticIntRing(d)
+    x = ring.element(21621600)
+
+    def body():
+        divisors = ring.divisors_up_to_associates(x)
+        assert len(divisors) == classes
+        keys = {(u.a, u.b) for u in divisors}
+        assert len(keys) == classes
+        assert [u.norm() for u in divisors] == \
+            sorted(u.norm() for u in divisors)
+        for u in divisors:
+            rep = ring.associate_representative(ring.divides_exact(u, x))
+            assert (rep.a, rep.b) in keys
+
+    _report(capsys, f"divisor-rich-lead-{ring.name}", 10.0, body)
+
+
+@pytest.mark.parametrize("ring, lead, message", [
+    ("Z", str(_MR_EXACT_BELOW),
+     f"|{_MR_EXACT_BELOW}| >= {_MR_EXACT_BELOW}, below which factoring is "
+     "exact"),
+    ("Z[sqrt(-5)]", str(2 ** 30), "norm 1152921504606846976 > "
+                                  "1000000000000000"),
+])
+def test_lead_past_the_divisor_bound_exits_1(capsys, ring, lead, message):
+    """A field-decomposable quartic whose lead is past the bound exits 1
+    with the message that names the bound, and no traceback."""
+
+    def body():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["quartic", "--ring", ring, f"{lead}*x^4+x^2"])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == \
+            f"error: divisor search bound exceeded: {message}\n"
+
+    _report(capsys, f"lead-past-the-bound-{ring}", 1.0, body)

@@ -182,9 +182,11 @@ class TestRingDescriptors:
             resolve_ring("GF(7)")
 
     @pytest.mark.parametrize("ring, message", [
-        ("O(-1000000000000000003)",
-         "d = -1000000000000000003: |d| above 10^18 is not supported "
-         "(squarefreeness is decided by trial division)"),
+        # the first d = 1 (mod 4) at or above the Miller-Rabin bound
+        ("O(-3317044064679887385961983)",
+         "d = -3317044064679887385961983: |d| >= 3317044064679887385961981 "
+         "is not supported (squarefreeness is decided by factoring, exact "
+         "only below it)"),
         # -(10^9 + 7)^2: trial division to its square root would run to 10^9
         ("Z[sqrt(-1000000014000000049)]",
          "d = -1000000014000000049 is not squarefree"),
@@ -198,6 +200,19 @@ class TestRingDescriptors:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("ring", [
+        "O(-1000000000000000003)",          # a prime past the old 10^18 bound
+        # (10^12 + 39)(10^12 + 61): rho splits it
+        "O(-1000000000100000000002379)",
+    ])
+    def test_long_squarefree_d_is_accepted(self, ring, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["decompose", "--ring", ring, "x^4+x"],
+                                 capsys)
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        assert out.startswith("indecomposable over ")
 
     def test_w_meaning_depends_on_ring(self):
         half = parse_poly("w", "O(-15)")

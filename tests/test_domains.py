@@ -12,7 +12,7 @@ from polydecomp import (CapabilityError, Polynomial, PolynomialDomain,
                         descend_element, descend_poly, embed_element,
                         embed_poly, hull_of, order_in_field, q_times,
                         require_tier)
-from polydecomp.domains import _check_d
+from polydecomp.domains import _MR_EXACT_BELOW, _check_d
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -176,6 +176,10 @@ class TestQuadraticRingConstruction:
         (2 * 3 * 1000003 * 1000033, True),
         (10 ** 18 - 11, True),
         (4 * 10 ** 17, False),
+        (10 ** 18 + 3, True),               # a prime past the old bound
+        # four primes near 10^6: rho splits the cofactor three times
+        (1000003 * 1000033 * 1000037 * 1000039, True),
+        (1000003 ** 2 * 1000033 * 1000037, False),
     ])
     def test_squarefree_test_near_the_bound(self, n, squarefree):
         if squarefree:
@@ -185,13 +189,12 @@ class TestQuadraticRingConstruction:
                 _check_d(-n)
 
     def test_d_past_the_bound_is_rejected_at_once(self):
-        with pytest.raises(ValueError, match="above 10\\^18"):
-            _check_d(-(10 ** 18 + 3))
-        with pytest.raises(ValueError, match="above 10\\^18"):
-            _check_d(-(10 ** 4000 + 1))
-        # a square is still named as one
-        with pytest.raises(ValueError, match="not squarefree"):
-            _check_d(-(10 ** 4000))
+        # factoring is exact only below the Miller-Rabin bound, so |d| at
+        # or above it is rejected before any factoring, squares included
+        for n in (_MR_EXACT_BELOW, 10 ** 4000 + 1, 10 ** 4000):
+            with pytest.raises(ValueError,
+                               match=f">= {_MR_EXACT_BELOW} is not supported"):
+                _check_d(-n)
 
     def test_names_and_basis(self):
         assert R5.name == "Z[sqrt(-5)]"
@@ -517,9 +520,16 @@ class TestSubringDescriptors:
 
 class TestCapLimits:
     def test_divisor_bound_is_enforced(self):
-        big = w5(2 ** 20)                  # norm 2^40 > the divisor bound
-        with pytest.raises(ValueError):
+        big = w5(2 ** 30)                  # norm 2^60 > the bound 10^15
+        with pytest.raises(ValueError, match="norm 1152921504606846976 > "
+                                             "1000000000000000$"):
             R5.divisors_up_to_associates(big)
+        with pytest.raises(ValueError, match="> 1000000000000000$"):
+            R5.is_irreducible(big)
+        # over Z the bound is where factoring stops being exact
+        with pytest.raises(ValueError, match=f">= {_MR_EXACT_BELOW}, below "
+                                             "which factoring is exact$"):
+            ZZ.divisors_up_to_associates(-_MR_EXACT_BELOW)
 
     def test_divisors_of_zero_rejected(self):
         with pytest.raises(ValueError):

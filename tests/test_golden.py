@@ -182,6 +182,19 @@ UNIT_LEAD_ARGVS = (
     ("decompose", "--ring", "Q[t]", "2*x^4+x^2"),
 )
 
+#: The quartic g(h) over Z[sqrt(-5)] with g = (2+w) x^2 + (1-2w) x + 3 and
+#: h = (100+7w) x^2 + (-4+w) x: its lead (2+w)(100+7w)^2 has norm
+#: 944640225, past the divisor bound of 10^6 that the search had while it
+#: ran on trial division.
+LARGE_LEAD_QUARTIC = ("(12510+12555*w)*x^4+(-2460-582*w)*x^3"
+                      "+(232-198*w)*x^2+(6+9*w)*x+3")
+
+#: Leads past the old divisor bound, each also run with --json.  They come
+#: last so that earlier entries keep their indices.
+LARGE_LEAD_ARGVS = (
+    ("quartic", "--ring", "Z[sqrt(-5)]", LARGE_LEAD_QUARTIC),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
@@ -189,7 +202,8 @@ def _with_json(argv: tuple) -> tuple:
 
 def corpus_argvs() -> list:
     """The hand-picked vectors, the benchmark's cli-mixed ones, the
-    rerouted paths, the evaluation-order vectors, then the unit leads."""
+    rerouted paths, the evaluation-order vectors, the unit leads, then the
+    leads past the old divisor bound."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -199,7 +213,8 @@ def corpus_argvs() -> list:
         out += [argv, _with_json(argv)]
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
-    for argv in REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS:
+    for argv in (REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS
+                 + LARGE_LEAD_ARGVS):
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 

@@ -15,6 +15,7 @@ from polydecomp import (FactorizationPair, Polynomial, QuadraticField,
                         run_pipeline, strip_common_associates,
                         validate_inequivalent, verify_witness)
 from polydecomp import witness
+from polydecomp.domains import _MR_EXACT_BELOW
 from polydecomp.witness import Clause, WitnessReport
 
 R5 = QuadraticIntRing(-5)
@@ -418,6 +419,18 @@ def _tampered(data, rng):
     return data
 
 
+#: A prime whose square is past the bound of the divisor search over Z
+#: (factoring is exact only below _MR_EXACT_BELOW).
+BIG_PRIME = 1821275395081
+
+
+def _witness_past_the_divisor_bound():
+    """The Z witness with ell = 2q, a = 2, p_s = q: its lead q^2 is past
+    the divisor search bound, so its ring decision raises."""
+    assert BIG_PRIME ** 2 >= _MR_EXACT_BELOW
+    return build_witness_poly(2 * BIG_PRIME, 2, BIG_PRIME, ring=ZZ)
+
+
 class TestVerifyOnce:
     def test_report_matches_the_reference(self):
         rng = random.Random(71)
@@ -427,7 +440,7 @@ class TestVerifyOnce:
             cases += [data] + [_tampered(data, rng) for _ in range(12)]
         # over Z, a lead past the divisor search bound makes the ring
         # decision raise, so the field pair comes from the closed form
-        cases.append(build_witness_poly(2018, 2, 1009, ring=ZZ))
+        cases.append(_witness_past_the_divisor_bound())
         g = Polynomial(ZZ, [0, 1, 2], "x")
         h = Polynomial(ZZ, [0, 3, 1], "x")
         cases.append(WitnessData(ring=ZZ, ell=1, a=6, p_s=3, c=Fraction(3),
@@ -449,10 +462,18 @@ class TestVerifyOnce:
         for pair in builtin_examples():
             assert run_pipeline(pair)[2].passed
         assert calls == []
+        # the lead 1009^2 was past the old bound of 10^6; now the ring
+        # decision answers, so the closed form does not run
         report = verify_witness(build_witness_poly(2018, 2, 1009, ring=ZZ))
+        assert report.clauses[1].detail == \
+            "over-ring decision: decomposable_over_ring"
+        assert calls == []
+        report = verify_witness(_witness_past_the_divisor_bound())
         assert len(calls) == 1
         assert report.clauses[0].passed
-        assert "divisor search bound exceeded" in report.clauses[1].detail
+        assert report.clauses[1].detail == (
+            f"divisor search bound exceeded: |{BIG_PRIME ** 2}| >= "
+            f"{_MR_EXACT_BELOW}, below which factoring is exact")
 
 
 class TestPipeline:
