@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -1064,7 +1065,16 @@ def main(argv=None) -> int:
         return 1
     text = format_result(result, ns.json)
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: send what is left of stdout to devnull,
+            # so the flush at interpreter exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return result.exit_code
 
 

@@ -324,6 +324,8 @@ class RationalField:
         return x / n
 
     def div(self, x: Fraction, y: Fraction) -> Fraction:
+        if x.__class__ is int and y.__class__ is int:
+            return Fraction(x, y)       # x / y would be a float
         return x / y
 
     @property
@@ -629,6 +631,8 @@ class QuadraticIntRing(_QuadraticDomain):
         """
         if x.__class__ is not QuadraticElement or x.dom is not self:
             x = self.coerce(x)
+        if self.d != -1 and self.d != -3:       # the units are 1 and -1
+            return x if x.a > 0 or (x.a == 0 and x.b >= 0) else -x
         return max((x * u for u in self.units()), key=lambda z: (z.a, z.b))
 
     def elements_of_norm(self, k: int) -> list[QuadraticElement]:
@@ -890,7 +894,12 @@ class PolynomialDomain:
         return p.map_coefficients(lambda x: self.base.div(x, c))
 
     def q_algebra_hull(self) -> "PolynomialDomain":
-        """Polynomials over the hull of the base: Q[t] for Z[t] and Q[t]."""
+        """Polynomials over the hull of the base: Q[t] for Z[t] and Q[t],
+        built once per domain."""
+        return self._hull
+
+    @cached_property
+    def _hull(self) -> "PolynomialDomain":
         base = self.base.q_algebra_hull()
         if base is self.base:
             return self

@@ -167,12 +167,17 @@ def _relation_failures(ring: Any, ell: Any, a: Any, p_s: Any) -> list:
     return failures
 
 
-def _expansion(field: Any, ell: Any, c: Any, d: Any) -> Polynomial:
-    """(d x^2 + ell x) o (x^2 + c x) over the field."""
-    outer = Polynomial(field, [field.zero, field.coerce(ell), field.coerce(d)],
-                       "x")
-    inner = Polynomial(field, [field.zero, c, field.one], "x")
-    return compose(outer, inner)
+def _is_expansion(ring: Any, w: WitnessData) -> bool:
+    """Whether f == (d x^2 + ell x) o (x^2 + c x), decided in the ring:
+    with H = ell x^2 + (ell c) x, it holds iff ell*c is in the ring and
+    ell^2 f == (d y^2 + ell^2 y) o H (docs/math_notes.md, section 4).
+    ell != 0 here, as _relation_failures, which runs first, divides by it.
+    """
+    ell_c = ring.descend(w.ell * w.c)
+    ell2 = w.ell * w.ell
+    return ell_c is not None and w.f.scale(ell2) == compose(
+        Polynomial(ring, [ring.zero, ell2, w.d], "x"),
+        Polynomial(ring, [ring.zero, ell_c, w.ell], "x"))
 
 
 def build_witness_poly(ell: Any, a: Any, p_s: Any,
@@ -198,8 +203,7 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
     if failures:
         raise ValueError("; ".join(failures))
 
-    field = hull_of(ring)
-    c = field.div(field.coerce(a), field.coerce(ell))
+    c = hull_of(ring).div(a, ell)      # one division of two ring elements
     t = ring.divides_exact(ell, a * p_s)        # d*c = p_s*t, d*c^2 = t^2
     d = p_s * p_s
     f = Polynomial(ring, [ring.zero, a, t * t + ell, p_s * t * 2, d], "x")
@@ -232,13 +236,10 @@ def verify_witness(w: WitnessData) -> WitnessReport:
     form's when that decision raised.
     Clause 2: the over-ring decision returns indecomposable-over-ring.
     Clause 3: the stored ingredients satisfy their divisibility relations
-    and f really is the expansion of (d x^2 + ell x) o (x^2 + c x).
+    and f really is the expansion of (d x^2 + ell x) o (x^2 + c x), in R.
     Failures are reported, never raised.
     """
     ring = w.ring
-    field = hull_of(ring)
-    fK = embed_poly(w.f, field)
-
     try:
         outcome = quartic_ring_decide(w.f)
     except (ValueError, TypeError) as exc:
@@ -256,7 +257,7 @@ def verify_witness(w: WitnessData) -> WitnessReport:
         dec = outcome.field_evidence
     else:
         try:
-            dec = quartic_field_decompose(fK)
+            dec = quartic_field_decompose(embed_poly(w.f, hull_of(ring)))
         except ValueError as exc:
             dec, field_clause = None, Clause("field_decomposition", False,
                                              str(exc))
@@ -277,7 +278,7 @@ def verify_witness(w: WitnessData) -> WitnessReport:
         details.append(str(exc))
     if w.d != w.p_s * w.p_s:
         details.append("d is not p_s^2")
-    if fK != _expansion(field, w.ell, w.c, w.d):
+    if not _is_expansion(ring, w):
         details.append("f is not the expansion of (d x^2 + ell x) o (x^2 + c x)")
     relations_clause = Clause(
         "ingredient_relations", not details,

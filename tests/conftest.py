@@ -1,4 +1,4 @@
-"""Hypothesis profiles for the test suite.
+"""Hypothesis profiles and shared fixtures for the test suite.
 
 ``ci`` drops the per-example deadline, which flakes on shared runners,
 and prints the reproduction blob of a failing example.  Select it with
@@ -6,6 +6,21 @@ and prints the reproduction blob of a failing example.  Select it with
 applies.
 """
 
+import pytest
 from hypothesis import settings
 
+from polydecomp import QuadraticField, RationalField
+
 settings.register_profile("ci", deadline=None, print_blob=True)
+
+
+@pytest.fixture
+def hull_divisions(monkeypatch):
+    """A list that grows by one entry per call of a hull's div."""
+    calls = []
+    for cls in (RationalField, QuadraticField):
+        def counted(self, x, y, original=cls.div):
+            calls.append(self)
+            return original(self, x, y)
+        monkeypatch.setattr(cls, "div", counted)
+    return calls

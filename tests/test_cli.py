@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
                         ZT, ZZ, main, parse_expression, parse_poly,
                         resolve_ring)
+import polydecomp
 from polydecomp import cli
 from polydecomp.cli import ParseError, format_result, run, build_parser
 
@@ -589,6 +593,25 @@ class TestCommands:
 
 
 class TestErrorHandling:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the read end is closed before the child starts, so its first
+        # write fails every time; a pipe into `head` would race
+        src = os.path.dirname(os.path.dirname(polydecomp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from polydecomp.cli import main; "
+                 "sys.exit(main())", "demo-q2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
     def test_syntax_error_exits_1(self, capsys):
         code, out, err = run_cli(["compose", "2x", "x"], capsys)
         assert code == 1

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydecomp import (CapabilityError, Polynomial, PolynomialDomain,
                         QuadraticField, QuadraticIntRing, Tier,
@@ -271,6 +273,43 @@ class TestUnitsAndAssociates:
                 assert len(reps) == 1
 
 
+def reference_associate_representative(ring, x):
+    """The unit multiple of x with the largest coordinate pair, found by
+    multiplying by every unit."""
+    return max((x * u for u in ring.units()), key=lambda z: (z.a, z.b))
+
+
+ASSOCIATE_DS = (-1, -2, -3, -5, -6, -7, -15)
+
+
+class TestAssociateRepresentative:
+    """Orders whose units are 1 and -1 pick x or -x by sign; the others
+    multiply by every unit.  Both agree with the product loop."""
+
+    @pytest.mark.parametrize("d", ASSOCIATE_DS)
+    def test_every_element_of_small_norm(self, d):
+        ring = QuadraticIntRing(d)
+        for k in range(400):
+            for x in ring.elements_of_norm(k):
+                rep = ring.associate_representative(x)
+                assert rep == reference_associate_representative(ring, x)
+                assert rep.dom is ring and type(rep.a) is int
+
+    @pytest.mark.parametrize("d", ASSOCIATE_DS)
+    def test_random_elements(self, d):
+        ring = QuadraticIntRing(d)
+        coord = st.integers(-10 ** 12, 10 ** 12)
+
+        @settings(max_examples=200, deadline=None)
+        @given(coord, coord)
+        def check(a, b):
+            x = ring.element(a, b)
+            assert ring.associate_representative(x) == \
+                reference_associate_representative(ring, x)
+
+        check()
+
+
 class TestDividesAndDivisors:
     def test_divides_exact(self):
         # 6 = (1+w)(1-w) in Z[sqrt(-5)]
@@ -347,6 +386,19 @@ class TestFieldElements:
         assert x / x == K5.element(1)
         assert x * x ** -1 == K5.element(1)
 
+    def test_rational_division_of_two_ints_is_exact(self):
+        q = QQ.div(7, 2)
+        assert q == Fraction(7, 2) and type(q) is Fraction
+        assert QQ.div(Fraction(1, 3), 2) == Fraction(1, 6)
+        assert type(QQ.div(-6, 3)) is Fraction
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, 0)
+
+    def test_division_of_ring_elements_lands_in_the_field(self):
+        c = K5.div(w5(1, 1), w5(2))
+        assert c == K5.element(Fraction(1, 2), Fraction(1, 2))
+        assert c.dom is K5 and type(c.a) is Fraction
+
     def test_division_and_norm(self):
         a = K5.element(1, 1)
         b = K5.element(2)
@@ -413,6 +465,14 @@ class TestEmbedDescend:
         assert hull_of(ZT).name == "Q[t]"
         assert hull_of(QQ) is QQ
         assert hull_of(QT) is QT
+
+    def test_polynomial_hull_is_built_once(self):
+        assert hull_of(ZT) is hull_of(ZT)
+        assert hull_of(ZT).integral_ring is hull_of(ZT).integral_ring
+        assert hull_of(ZT).name == "Q[t]"
+        assert hull_of(ZT).integral_ring.name == "Z[t]"
+        r5t = PolynomialDomain(R5, "t", "Z[sqrt(-5)][t]", Tier.RING)
+        assert hull_of(r5t) is r5t.q_algebra_hull()
 
     def test_polynomial_hull_follows_its_base(self):
         r5t = PolynomialDomain(R5, "t", "Z[sqrt(-5)][t]", Tier.RING)

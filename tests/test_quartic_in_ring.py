@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (CandidateCheck, Decomposition, Polynomial,
-                        QuadraticField, QuadraticIntRing, RationalField,
-                        RingDecideOutcome, RingDecideStatus, WitnessData, ZZ,
+                        QuadraticIntRing, RingDecideOutcome,
+                        RingDecideStatus, WitnessData, ZZ,
                         build_witness_poly, builtin_examples, compose,
                         derive_witness_params, descend_poly, embed_poly,
                         hull_of, quartic_field_decompose, quartic_ring_decide,
                         run_pipeline, strip_common_associates)
-from polydecomp.witness import _expansion, _relation_failures
+from polydecomp.witness import _relation_failures
 
 RINGS = {
     "Z": ZZ,
@@ -65,6 +65,14 @@ def field_quartic_ring_decide(f):
     assert found.certificate == f
     return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
                              found, dec, tuple(candidates))
+
+
+def _expansion(field, ell, c, d):
+    """(d x^2 + ell x) o (x^2 + c x) over the field."""
+    outer = Polynomial(field, [field.zero, field.coerce(ell), field.coerce(d)],
+                       "x")
+    inner = Polynomial(field, [field.zero, c, field.one], "x")
+    return compose(outer, inner)
 
 
 def field_build_witness_poly(ell, a, p_s, ring):
@@ -238,18 +246,6 @@ def _fixed_quartics(ring, rng, count):
 def rich_lead(ring):
     """A lead with many divisor classes: 720, or 6*(1 + w)."""
     return 720 if ring is ZZ else ring.element(6, 6)
-
-
-@pytest.fixture
-def hull_divisions(monkeypatch):
-    """A list that grows by one entry per call of a hull's div."""
-    calls = []
-    for cls in (RationalField, QuadraticField):
-        def counted(self, x, y, original=cls.div):
-            calls.append(self)
-            return original(self, x, y)
-        monkeypatch.setattr(cls, "div", counted)
-    return calls
 
 
 class TestHullDivisions:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydecomp import (FactorizationPair, Polynomial, QuadraticField,
+from polydecomp import (FactorizationPair, Polynomial, QQ, QuadraticField,
                         QuadraticIntRing, RingDecideStatus, WitnessData, ZZ,
                         build_witness_poly, builtin_examples, compose,
                         derive_witness_params, embed_poly, hull_of,
@@ -394,10 +394,11 @@ def reference_verify_witness(w):
     return WitnessReport(tuple(clauses), dec, outcome)
 
 
-def _tampered(data, rng):
+def _tampered(data, rng, change=None):
     """data with one ingredient or coefficient changed, or unchanged."""
     ring, field = data.ring, hull_of(data.ring)
-    change = rng.randrange(6)
+    if change is None:
+        change = rng.randrange(7)
     if change == 0:
         return WitnessData(data.ring, data.ell * 3, data.a, data.p_s,
                            data.c, data.d, data.f)
@@ -416,6 +417,11 @@ def _tampered(data, rng):
                                    for i, c in enumerate(data.f.coeffs)], "x")
         return WitnessData(data.ring, data.ell, data.a, data.p_s,
                            data.c, data.d, bumped)
+    if change == 5:
+        # ell*c moves by 1/2 and leaves the ring
+        return WitnessData(data.ring, data.ell, data.a, data.p_s,
+                           data.c + field.div(ring.one, data.ell * 2),
+                           data.d, data.f)
     return data
 
 
@@ -450,6 +456,18 @@ class TestVerifyOnce:
         for data in cases:
             assert verify_witness(data) == reference_verify_witness(data)
 
+    def test_ell_c_outside_the_ring_fails_clause_3_like_the_reference(self):
+        rng = random.Random(73)
+        for pair in builtin_examples():
+            _, data, _ = run_pipeline(pair)
+            moved = _tampered(data, rng, change=5)
+            assert data.ring.descend(moved.ell * moved.c) is None
+            report = verify_witness(moved)
+            assert report == reference_verify_witness(moved)
+            assert not report.clauses[2].passed
+            assert report.clauses[2].detail == \
+                "f is not the expansion of (d x^2 + ell x) o (x^2 + c x)"
+
     def test_closed_form_runs_only_when_the_ring_decision_raised(
             self, monkeypatch):
         calls = []
@@ -474,6 +492,42 @@ class TestVerifyOnce:
         assert report.clauses[1].detail == (
             f"divisor search bound exceeded: |{BIG_PRIME ** 2}| >= "
             f"{_MR_EXACT_BELOW}, below which factoring is exact")
+
+
+class TestRingArithmetic:
+    """Building and checking a witness stays in the ring, except for the
+    one division that forms c."""
+
+    def test_verify_composes_only_over_the_ring(self, monkeypatch):
+        domains = []
+
+        def counted(g, h):
+            domains.append((g.domain, h.domain))
+            return compose(g, h)
+
+        monkeypatch.setattr(witness, "compose", counted)
+        for pair in builtin_examples():
+            _, data, report = run_pipeline(pair)
+            assert report.passed
+            assert domains == [(pair.ring, pair.ring)]
+            del domains[:]
+
+    def test_build_divides_once_in_the_hull(self, hull_divisions):
+        for pair in builtin_examples():
+            stripped = strip_common_associates(pair)
+            ell, a, p_s = derive_witness_params(stripped)
+            del hull_divisions[:]
+            data = build_witness_poly(ell, a, p_s, ring=stripped.ring)
+            assert hull_divisions == [hull_of(pair.ring)]
+            assert data.c == hull_of(pair.ring).div(a, ell)
+
+    def test_integer_witness_keeps_c_a_fraction(self, hull_divisions):
+        data = build_witness_poly(2018, 2, 1009, ring=ZZ)
+        assert hull_divisions == [QQ]
+        assert data.c == Fraction(1, 1009) and type(data.c) is Fraction
+        # over Z, ell = 2018 is reducible, so only the expansion is checked
+        assert witness._is_expansion(ZZ, data)
+        assert "expansion" not in verify_witness(data).clauses[2].detail
 
 
 class TestPipeline:
