@@ -13,13 +13,11 @@ from .poly import (MINUS_INFINITY, DomainMismatchError, Polynomial, compose,
                    derivative, divrem_monic, hadic_digits)
 from .domains import (CapabilityError, Tier, IntegerRing, RationalField,
                       QuadraticElement, QuadraticIntRing, QuadraticField,
-                      PolynomialDomain, SubringDescriptor,
-                      ZZ, QQ, ZT, QT, Z_IN_Q, ZT23_IN_ZT, QZT23_IN_QT,
-                      descend_element, descend_poly, embed_element,
-                      embed_poly, hull_of, order_in_field, q_times,
-                      require_tier)
+                      PolynomialDomain, NoLinearTermRing, ZZ, QQ, ZT, QT,
+                      ZT23, descend_element, descend_poly, embed_element,
+                      embed_poly, hull_of, require_tier)
 from .decomp import (CandidateCheck, Decomposition, RingDecideOutcome,
-                     RingDecideStatus, coefficients_in_QR, decompose_fully,
+                     RingDecideStatus, decompose_fully,
                      decompose_over_field, decompose_over_ring, linear_relate,
                      monic_decompose, proper_inner_degrees,
                      quartic_field_decompose, quartic_ring_decide,

@@ -18,8 +18,8 @@ from enum import Enum
 from typing import Any, Iterable, Optional
 
 from .poly import Polynomial, _divrem_monic_in_place, compose, derivative
-from .domains import (CapabilityError, SubringDescriptor, Tier,
-                      descend_poly, embed_poly, hull_of, require_tier)
+from .domains import (CapabilityError, Tier, descend_poly, embed_poly,
+                      hull_of, require_tier)
 
 
 class Decomposition:
@@ -216,11 +216,6 @@ def _inner_root(F: list, m: int, zero: Any, one: Any,
     return [zero] + P[::-1]
 
 
-def coefficients_in_QR(dec: Decomposition, sub: SubringDescriptor) -> bool:
-    """Do all coefficients of both factors pass the subring membership?"""
-    return all(sub.membership(c) for c in dec.g.coeffs + dec.h.coeffs)
-
-
 def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     """Decompose f with inner degree m, allowing any leading coefficient.
 
@@ -291,7 +286,7 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     nothing about decomposability over R.
     """
     ring = f.domain
-    if not hasattr(ring, "divisors_up_to_associates"):
+    if not ring.enumerates_divisors:
         raise CapabilityError(
             f"{ring.name} has no divisor enumeration; the over-ring quartic "
             "decision needs one")
@@ -329,21 +324,18 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
                              found, dec, tuple(candidates))
 
 
-def decompose_over_ring(
-        f: Polynomial, degrees: Iterable[int],
-        restriction: Optional[SubringDescriptor] = None) -> RingDecideOutcome:
+def decompose_over_ring(f: Polynomial,
+                        degrees: Iterable[int]) -> RingDecideOutcome:
     """Decide f = g(h) with every coefficient in the coefficient ring of f.
 
     When the leading coefficient of f is a unit of its ring, as it is
     when f is monic or the ring is a field, f is decomposed over the hull
     of the ring for each inner degree in ``degrees``, in order, by
     :func:`decompose_over_field`; the first pair that descends into the
-    ring, and whose coefficients pass ``restriction`` when one is given,
-    decides.  When no pair descends, the first hull pair is the field
+    ring decides.  When no pair descends, the first hull pair is the field
     evidence.  A quartic with any other lead, over a ring with divisor
     enumeration, goes to :func:`quartic_ring_decide`.
-    Anything else raises CapabilityError, whose message names the
-    restriction, when one is given, in place of the ring.
+    Anything else raises CapabilityError naming the ring.
     """
     ring = f.domain
     if ring.is_unit(f.leading_coefficient):
@@ -359,25 +351,20 @@ def decompose_over_ring(
             h = descend_poly(dec.h, ring)
             if g is None or h is None:
                 continue
-            found = Decomposition(g, h)
-            if restriction is None or coefficients_in_QR(found, restriction):
-                return RingDecideOutcome(
-                    RingDecideStatus.DECOMPOSABLE_OVER_RING, found, field_dec,
-                    None)
+            return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
+                                     Decomposition(g, h), field_dec, None)
         status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if field_dec is None
                   else RingDecideStatus.INDECOMPOSABLE_OVER_RING)
         return RingDecideOutcome(status, None, field_dec, None)
 
-    if f.degree == 4 and hasattr(ring, "divisors_up_to_associates") \
-            and restriction is None:
+    if f.degree == 4 and ring.enumerates_divisors:
         if any(m != 2 for m in degrees):
             raise ValueError("a quartic only admits inner degree 2")
         return quartic_ring_decide(f)
 
-    name = restriction.name if restriction is not None else ring.name
     raise CapabilityError(
         f"no over-ring decision procedure for a non-monic polynomial of "
-        f"degree {f.degree} over {name}; monic polynomials and "
+        f"degree {f.degree} over {ring.name}; monic polynomials and "
         f"quartics over Z or an imaginary-quadratic order are decidable")
 
 

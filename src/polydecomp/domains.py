@@ -1,16 +1,18 @@
 """Exact coefficient domains and decidable subring membership.
 
 Provides arbitrary-precision integers and rationals, imaginary-quadratic
-orders O_d and their fraction fields Q(sqrt(d)), polynomial coefficient
-domains Z[t] and Q[t], and subring descriptors with total membership
-predicates (for example integer polynomials with no linear term).
+orders O_d and their fraction fields Q(sqrt(d)), and polynomial coefficient
+domains Z[t], Q[t] and Z[t^2, t^3], the integer polynomials in t with no
+t^1 term.
 
 Every domain object exposes at least ``name``, ``tier``, ``zero``, ``one``,
-``coerce``, ``is_element``, ``is_unit``, ``descend`` and
-``format_element``.  Domains at tier QALGEBRA and above additionally
-provide exact division by nonzero integers (``div_int``); fields provide
-``div``, and so does Q[t], by a unit (a nonzero constant), so a unit
-leading coefficient over Z[t] or Q[t] is decided like a monic one.
+``coerce``, ``is_element``, ``is_unit``, ``descend``, ``format_element``
+and ``enumerates_divisors``, true where ``divisors_up_to_associates``
+lists divisors (Z and the orders O_d).  Domains at tier QALGEBRA and
+above additionally provide exact division by nonzero integers
+(``div_int``); fields provide ``div``, and so does Q[t], by a unit (a
+nonzero constant), so a unit leading coefficient over Z[t] or Q[t] is
+decided like a monic one.
 
 Every Q-algebra A here is R[1/n : n = 1, 2, ...] for an integrally closed
 ring R inside it, its ``integral_ring``: Z in Q, O_d in Q(sqrt(d)), Z[t]
@@ -209,6 +211,7 @@ class IntegerRing:
 
     name = "Z"
     tier = Tier.RING
+    enumerates_divisors = True
     zero = 0
     one = 1
 
@@ -298,6 +301,7 @@ class RationalField:
 
     name = "Q"
     tier = Tier.FIELD
+    enumerates_divisors = False
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -559,6 +563,7 @@ class QuadraticIntRing(_QuadraticDomain):
     """The imaginary quadratic order Z[sqrt(d)] or Z[(1+sqrt(d))/2]."""
 
     tier = Tier.RING
+    enumerates_divisors = True
     _units: Optional[tuple] = None
 
     def _name(self) -> str:
@@ -719,6 +724,7 @@ class QuadraticField(_QuadraticDomain):
     """
 
     tier = Tier.FIELD
+    enumerates_divisors = False
 
     def _name(self) -> str:
         return f"Q(sqrt({self.d}))"
@@ -802,6 +808,8 @@ class PolynomialDomain:
     Z[t] is a plain ring; Q[t] divides exactly by nonzero integers
     (coefficientwise) and therefore sits at tier QALGEBRA.
     """
+
+    enumerates_divisors = False
 
     def __init__(self, base: Any, var: str, name: str, tier: Tier):
         self.base = base
@@ -907,18 +915,46 @@ class PolynomialDomain:
                                 Tier.QALGEBRA)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, PolynomialDomain) and other.base == self.base
+        # the class too: a subring with this base and variable differs
+        return (other.__class__ is self.__class__ and other.base == self.base
                 and other.var == self.var)
 
     def __hash__(self) -> int:
-        return hash(("PolynomialDomain", self.base.name, self.var))
+        return hash((self.__class__.__name__, self.base.name, self.var))
 
     def __repr__(self) -> str:
         return self.name.replace("[", "_").replace("]", "")
 
 
+class NoLinearTermRing(PolynomialDomain):
+    """Z[t^2, t^3]: the elements of Z[t] with no t^1 term, with hull Q[t].
+    Monic decompositions over Q[t] stay in it (docs/math_notes.md, §5)."""
+
+    #: why an element of Z[t] is not in this ring
+    non_member_reason = "the coefficient of t^1 is nonzero"
+
+    def __init__(self):
+        super().__init__(ZZ, "t", "Z[t2,t3]", Tier.RING)
+
+    def coerce(self, v: Any) -> Polynomial:
+        p = super().coerce(v)
+        if p.coefficient(1) != 0:
+            raise TypeError(f"{p} is not in {self.name}: "
+                            f"{self.non_member_reason}")
+        return p
+
+    def is_element(self, v: Any) -> bool:
+        return super().is_element(v) and v.coefficient(1) == 0
+
+    def descend(self, x: Any) -> Optional[Polynomial]:
+        """x in Z[t] with no t^1 term, or None."""
+        p = super().descend(x)
+        return p if p is not None and p.coefficient(1) == 0 else None
+
+
 ZT = PolynomialDomain(ZZ, "t", "Z[t]", Tier.RING)
 QT = PolynomialDomain(QQ, "t", "Q[t]", Tier.QALGEBRA)
+ZT23 = NoLinearTermRing()
 
 
 # ---------------------------------------------------------------------------
@@ -954,60 +990,3 @@ def descend_poly(p: Polynomial, ring: Any) -> Optional[Polynomial]:
             return None
         out.append(cc)
     return Polynomial(ring, out, p.var)
-
-
-# ---------------------------------------------------------------------------
-# subring descriptors
-# ---------------------------------------------------------------------------
-
-class SubringDescriptor:
-    """A named subring R of an ambient domain with a total membership test."""
-
-    def __init__(self, name: str, ambient: Any,
-                 predicate: Callable[[Any], bool]):
-        self.name = name
-        self.ambient = ambient
-        self._predicate = predicate
-
-    def membership(self, x: Any) -> bool:
-        x = self.ambient.coerce(x)
-        return self._predicate(x)
-
-    def __contains__(self, x: Any) -> bool:
-        return self.membership(x)
-
-    def __repr__(self) -> str:
-        return f"SubringDescriptor({self.name})"
-
-
-Z_IN_Q = SubringDescriptor("Z_in_Q", QQ, lambda x: x.denominator == 1)
-
-ZT23_IN_ZT = SubringDescriptor(
-    "Z[t2,t3]", ZT, lambda p: p.coefficient(1) == 0)
-
-QZT23_IN_QT = SubringDescriptor(
-    "QZt23_in_Qt", QT, lambda p: p.coefficient(1) == 0)
-
-
-def order_in_field(d: int) -> SubringDescriptor:
-    """Descriptor for the order O_d inside Q(sqrt(d))."""
-    ring = QuadraticIntRing(d)
-    field = ring.fraction_field()
-    return SubringDescriptor(f"O_{d}_in_QsqrtD", field,
-                             lambda x: ring.descend(x) is not None)
-
-
-def q_times(ring: Any) -> SubringDescriptor:
-    """Descriptor for Q.R (the span of R over the rationals) in the hull of R.
-
-    For Z and the quadratic orders this is the whole hull; the interesting
-    case is integer polynomials with no linear term, whose rational span is
-    the rational polynomials with no linear term.
-    """
-    if isinstance(ring, SubringDescriptor):
-        if ring is ZT23_IN_ZT:
-            return SubringDescriptor(f"QtimesR_of({ring.name})", QT,
-                                     QZT23_IN_QT._predicate)
-        raise ValueError(f"no rational span rule for descriptor {ring.name}")
-    hull = hull_of(ring)
-    return SubringDescriptor(f"QtimesR_of({ring.name})", hull, lambda x: True)

@@ -180,8 +180,7 @@ def _is_expansion(ring: Any, w: WitnessData) -> bool:
         Polynomial(ring, [ring.zero, ell_c, w.ell], "x"))
 
 
-def build_witness_poly(ell: Any, a: Any, p_s: Any,
-                       ring: Any = None) -> WitnessData:
+def build_witness_poly(ell: Any, a: Any, p_s: Any, ring: Any) -> WitnessData:
     """Assemble the quartic from a triple satisfying the divisibility facts.
 
     Checks ell | a*p_s, ell ∤ a, ell ∤ p_s, then forms c = a/ell and
@@ -189,10 +188,6 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any,
     (d x^2 + ell x) o (x^2 + c x) is d x^4 + 2 p_s t x^3 + (t^2 + ell) x^2
     + a x, built in the ring (docs/math_notes.md, section 4).
     """
-    if ring is None:
-        ring = next((v.dom for v in (ell, a, p_s) if hasattr(v, "dom")), None)
-        if ring is None:
-            raise ValueError("pass ring= explicitly for plain integers")
     ell = ring.coerce(ell)
     a = ring.coerce(a)
     p_s = ring.coerce(p_s)

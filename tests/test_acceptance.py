@@ -16,9 +16,9 @@ import pytest
 
 from polydecomp import (Decomposition, FactorizationPair, Polynomial, QQ, QT,
                         QuadraticField, QuadraticIntRing, RingDecideStatus,
-                        ZT23_IN_ZT, ZZ, compose, decompose_over_field,
+                        ZT, ZT23, ZZ, compose, decompose_over_field,
                         embed_poly, linear_relate, monic_decompose,
-                        proper_inner_degrees, q_times,
+                        proper_inner_degrees,
                         quartic_field_decompose, quartic_ring_decide,
                         run_demo_q1, run_pipeline, verify_taylor_expansion)
 from polydecomp import cli, decomp
@@ -243,20 +243,25 @@ def test_subring_composition_transfer(capsys):
 
 def test_rational_span_identity(capsys):
     """Membership in Z[t^2,t^3] coincides with membership in its rational
-    span, over 1000 random integer polynomials of degree <= 6."""
+    span, over 1000 random integer polynomials of degree <= 6.
+
+    The span Q.Z[t^2,t^3] is the rational polynomials with no t^1 term;
+    a rational multiple q of p lies in it when q times its denominator
+    descends into Z[t^2,t^3]."""
 
     def body():
         rng = random.Random(4)
-        span = q_times(ZT23_IN_ZT)
         hits = 0
         for _ in range(1000):
             coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
             if len(coeffs) > 1 and rng.random() < 0.5:
                 coeffs[1] = 0
             p = Polynomial(ZZ, coeffs, "t")
-            in_sub = p in ZT23_IN_ZT
-            in_span = embed_poly(p, QQ) in span
-            assert in_sub == in_span
+            in_sub = ZT23.is_element(p)
+            q = embed_poly(p, QQ) * Fraction(1, rng.randint(1, 9))
+            in_span = ZT23.descend(q * QT.denominator(q)) is not None
+            assert in_sub == in_span == (ZT23.descend(p) is not None)
+            assert ZT.is_element(p)
             hits += in_sub
         assert 0 < hits < 1000   # both sides of the equivalence exercised
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
-                        ZT, ZZ, main, parse_expression, parse_poly,
+                        ZT, ZT23, ZZ, main, parse_expression, parse_poly,
                         resolve_ring)
 import polydecomp
 from polydecomp import cli
@@ -169,7 +169,9 @@ class TestRingDescriptors:
         assert resolve_ring("Z[sqrt(-5)]").domain is R5
         assert resolve_ring("Q(sqrt(-5))").domain is K5
         assert resolve_ring("O(-15)").domain is QuadraticIntRing(-15)
-        assert resolve_ring("Z[t2,t3]").restriction is not None
+        assert resolve_ring("Z[t2,t3]").domain is ZT23
+        assert resolve_ring("Z[t]").domain is ZT
+        assert resolve_ring("Z[t2,t3]").hull == QT
 
     def test_spaces_tolerated(self):
         assert resolve_ring(" Z[sqrt(-5)] ").domain is R5
@@ -285,8 +287,8 @@ class TestTextFormatRoundTrip:
     @given(st.lists(st.lists(st.integers(-9, 9), max_size=5),
                     min_size=1, max_size=5))
     def test_no_linear_term_polynomials_reparse(self, coeffs):
-        p = Polynomial(ZT, [Polynomial(ZZ, c[:1] + [0] + c[2:], "t")
-                            for c in coeffs], "x")
+        p = Polynomial(ZT23, [Polynomial(ZZ, c[:1] + [0] + c[2:], "t")
+                              for c in coeffs], "x")
         assert parse_poly(str(p), "Z[t2,t3]") == p
 
 
@@ -321,23 +323,25 @@ def reference_lower(program, ctx):
 
 
 def reference_parse_poly(text, ctx):
-    """parse_poly on the dense lowering, with its coefficient checks."""
+    """parse_poly on the dense lowering, with its coefficient checks:
+    every coefficient is first descended into Z[t] for Z[t2,t3] (and into
+    the ring itself otherwise), and only then tested for a t^1 term."""
     p = reference_lower(cli._parse(text, ctx.w_bits), ctx)
+    no_linear_term = ctx.descriptor == "Z[t2,t3]"
+    integral = ZT if no_linear_term else ctx.domain
     coeffs = []
     for k, c in enumerate(p.coeffs):
-        cc = ctx.domain.descend(c)
+        cc = integral.descend(c)
         if cc is None:
             raise ValueError(f"coefficient {ctx.hull.format_element(c)} "
                              f"of x^{k} does not lie in {ctx.descriptor}")
         coeffs.append(cc)
-    result = Polynomial(ctx.domain, coeffs, p.var)
-    if ctx.restriction is not None:
-        for k, c in enumerate(result.coeffs):
-            if not ctx.restriction.membership(c):
-                raise ValueError(
-                    f"coefficient {ctx.domain.format_element(c)} of x^{k} "
-                    f"is not in {ctx.descriptor}")
-    return result
+    if no_linear_term:
+        for k, c in enumerate(coeffs):
+            if c.coefficient(1) != 0:
+                raise ValueError(f"coefficient {c} of x^{k} "
+                                 f"is not in {ctx.descriptor}")
+    return Polynomial(ctx.domain, coeffs, p.var)
 
 
 def _outcome(call, *args):
@@ -611,6 +615,26 @@ class TestErrorHandling:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+    def test_python_m_polydecomp_runs_the_command_line(self):
+        # the package runs as a module without the RuntimeWarning that
+        # running its cli submodule would write
+        src = os.path.dirname(os.path.dirname(polydecomp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydecomp", "demo-q2"],
+            capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().splitlines()[-1] == (
+            "indecomposable over Z[sqrt(-5)], decomposable over "
+            "Q(sqrt(-5))")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydecomp", "decompose", "--ring",
+             "Z[t2,t3]", "x^4+t*x^2"],
+            capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == (b"error: coefficient t of x^2 is not in "
+                               b"Z[t2,t3]\n")
 
     def test_syntax_error_exits_1(self, capsys):
         code, out, err = run_cli(["compose", "2x", "x"], capsys)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from polydecomp import (CapabilityError, Decomposition, Polynomial,
                         QuadraticField, QuadraticIntRing, RingDecideOutcome,
-                        RingDecideStatus, QQ, QT, ZT, ZZ, ZT23_IN_ZT,
-                        QZT23_IN_QT, coefficients_in_QR, compose,
+                        RingDecideStatus, QQ, QT, ZT, ZT23, ZZ, compose,
                         decompose_fully, decompose_over_field,
                         decompose_over_ring, descend_poly, divrem_monic,
                         embed_poly, hadic_digits, hull_of, linear_relate,
@@ -627,7 +626,11 @@ class TestQuarticRingDecide:
         t = Polynomial.identity(ZZ, "t")
         f = Polynomial(ZT, [ZT.zero, ZT.zero, ZT.coerce(t), ZT.zero,
                             ZT.one], "x")
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match="^Z\\[t\\] has no"):
+            quartic_ring_decide(f)
+        # the message names the ring of f, Z[t2,t3] too
+        f = Polynomial(ZT23, [0, 0, t ** 2, 0, 1], "x")
+        with pytest.raises(CapabilityError, match="^Z\\[t2,t3\\] has no"):
             quartic_ring_decide(f)
 
     def test_rejects_non_quartic(self):
@@ -678,19 +681,20 @@ class TestDecomposeOverRing:
             decompose_over_ring(f, [3])
 
     def test_restriction_is_checked(self):
+        # Z[t2,t3] restricts Z[t]: the pair found lies in it
         t = Polynomial.identity(ZZ, "t")
-        g = Polynomial(ZT, [ZT.zero, ZT.coerce(t ** 2), ZT.one], "x")
-        h = Polynomial(ZT, [ZT.zero, ZT.coerce(t ** 3), ZT.one], "x")
-        out = decompose_over_ring(compose(g, h), [2], ZT23_IN_ZT)
+        g = Polynomial(ZT23, [ZT23.zero, t ** 2, ZT23.one], "x")
+        h = Polynomial(ZT23, [ZT23.zero, t ** 3, ZT23.one], "x")
+        out = decompose_over_ring(compose(g, h), [2])
         assert out.decomposition == Decomposition(g, h)
+        assert out.decomposition.g.domain is ZT23
 
     def test_undecidable_input_names_the_ring(self):
         f = zpoly([0, 0, 0, 1, 0, 0, 2])
         with pytest.raises(CapabilityError, match="degree 6 over Z;"):
             decompose_over_ring(f, [2, 3])
         with pytest.raises(CapabilityError, match="over Z\\[t2,t3\\];"):
-            decompose_over_ring(Polynomial(ZT, [0, 0, 1, 0, 2], "x"), [2],
-                                ZT23_IN_ZT)
+            decompose_over_ring(Polynomial(ZT23, [0, 0, 1, 0, 2], "x"), [2])
 
 
 def parent_unit_lead_decide(f, degrees):
@@ -955,13 +959,16 @@ class TestSubringTransfer:
         g = Polynomial(ZT, [r1, r2, ZT.one], "x")
         h = Polynomial(ZT, [r3, r1, ZT.one], "x")
         f = compose(g, h)
-        assert all(ZT23_IN_ZT.membership(c) for c in f.coeffs)
+        assert all(ZT23.is_element(c) for c in f.coeffs)
         dec = monic_decompose(embed_poly(f, QT), 2)
         assert dec is not None
-        assert coefficients_in_QR(dec, QZT23_IN_QT)
+        assert descend_poly(dec.g, ZT23) is not None
+        assert descend_poly(dec.h, ZT23) is not None
 
     def test_membership_check_spots_escapes(self):
         t = Polynomial.identity(QQ, "t")
         g = Polynomial(QT, [QT.zero, QT.coerce(t), QT.one], "x")
         dec = Decomposition(g, g)
-        assert not coefficients_in_QR(dec, QZT23_IN_QT)
+        assert descend_poly(dec.g, ZT) is not None
+        assert descend_poly(dec.g, ZT23) is None
+        assert descend_poly(dec.h, ZT23) is None

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydecomp import (CapabilityError, Polynomial, PolynomialDomain,
-                        QuadraticField, QuadraticIntRing, Tier,
-                        QQ, QT, ZT, ZZ, Z_IN_Q, ZT23_IN_ZT, QZT23_IN_QT,
-                        descend_element, descend_poly, embed_element,
-                        embed_poly, hull_of, order_in_field, q_times,
+from polydecomp import (CapabilityError, NoLinearTermRing, Polynomial,
+                        PolynomialDomain, QuadraticField, QuadraticIntRing,
+                        Tier, QQ, QT, ZT, ZT23, ZZ, descend_element,
+                        descend_poly, embed_element, embed_poly, hull_of,
                         require_tier)
 from polydecomp.domains import _MR_EXACT_BELOW, _check_d
 
@@ -135,6 +134,14 @@ class TestTiers:
             require_tier(ZZ, Tier.QALGEBRA, "integer division")
         with pytest.raises(CapabilityError):
             require_tier(QT, Tier.FIELD, "general division")
+
+    def test_divisor_enumeration_is_declared(self):
+        for dom, expected in ((ZZ, True), (R5, True), (O15, True),
+                              (QQ, False), (K5, False), (ZT, False),
+                              (QT, False), (ZT23, False)):
+            assert dom.enumerates_divisors is expected, dom
+            assert callable(getattr(dom, "divisors_up_to_associates",
+                                    None)) is expected, dom
 
     def test_div_int(self):
         assert QQ.div_int(Fraction(3), 2) == Fraction(3, 2)
@@ -531,17 +538,47 @@ class TestEmbedDescend:
 
 
 class TestSubringDescriptors:
+    """The subrings the --ring descriptors name inside their hulls: Z in Q,
+    O_d in Q(sqrt(d)) and, above all, Z[t2,t3] in Q[t]."""
+
     def test_z_in_q(self):
-        assert Z_IN_Q.membership(Fraction(4, 2))
-        assert not Z_IN_Q.membership(Fraction(1, 2))
-        assert Fraction(3) in Z_IN_Q
+        assert ZZ.descend(Fraction(4, 2)) == 2
+        assert ZZ.descend(Fraction(1, 2)) is None
+        assert ZZ.descend(Fraction(3)) == 3
+
+    def test_the_domain(self):
+        assert (ZT23.name, ZT23.tier, ZT23.base, ZT23.var) \
+            == ("Z[t2,t3]", Tier.RING, ZZ, "t")
+        assert hull_of(ZT23) == QT and hull_of(ZT23).name == "Q[t]"
+        assert hull_of(ZT23).integral_ring == ZT
+
+    def test_compares_unequal_to_z_t_both_ways(self):
+        assert ZT23 != ZT and ZT != ZT23
+        assert not ZT23 == ZT and not ZT == ZT23
+        assert ZT23 == NoLinearTermRing() and hash(ZT23) == hash(
+            NoLinearTermRing())
+        assert ZT == PolynomialDomain(ZZ, "t", "Z[t]", Tier.RING)
+        assert len({ZT, ZT23, NoLinearTermRing()}) == 2
+        f = Polynomial(ZT, [0, 0, 1], "x")
+        assert f != Polynomial(ZT23, [0, 0, 1], "x")
 
     def test_no_linear_term_subring(self):
         t = Polynomial.identity(ZZ, "t")
-        assert ZT23_IN_ZT.membership(t ** 2 + 5)
-        assert ZT23_IN_ZT.membership(t ** 3 - t ** 2)
-        assert not ZT23_IN_ZT.membership(t)
-        assert not ZT23_IN_ZT.membership(t ** 3 + 2 * t)
+        for p, member in ((t ** 2 + 5, True), (t ** 3 - t ** 2, True),
+                          (t, False), (t ** 3 + 2 * t, False)):
+            assert ZT23.is_element(p) is member
+            assert (ZT23.descend(embed_element(p, ZT, QT)) == p) is member
+        assert ZT.is_element(t)
+
+    def test_coerce_refuses_a_linear_term(self):
+        t = Polynomial.identity(ZZ, "t")
+        assert ZT23.coerce(t ** 2) == t ** 2
+        assert ZT23.coerce(3) == Polynomial(ZZ, [3], "t")
+        with pytest.raises(TypeError, match="the coefficient of t\\^1 is "
+                                            "nonzero"):
+            ZT23.coerce(t ** 3 + t)
+        with pytest.raises(TypeError):
+            Polynomial(ZT23, [t, 1], "x")
 
     def test_subring_is_multiplicatively_closed(self):
         rng = random.Random(29)
@@ -551,31 +588,33 @@ class TestSubringDescriptors:
             a[1] = b[1] = 0
             p = Polynomial(ZZ, a, "t")
             q = Polynomial(ZZ, b, "t")
-            assert ZT23_IN_ZT.membership(p * q)
-            assert ZT23_IN_ZT.membership(p + q)
+            assert ZT23.is_element(p * q)
+            assert ZT23.is_element(p + q)
 
     def test_rational_span_meets_integers_exactly_in_subring(self):
-        # (Q.R) intersect Z[t] = R for R the no-linear-term subring
+        # (Q.S) intersect Z[t] = S for S = Z[t2,t3]: p in Z[t] lies in the
+        # rational span when n*p lies in S for an integer n > 0
         rng = random.Random(31)
-        span = q_times(ZT23_IN_ZT)
         for _ in range(1000):
             coeffs = [rng.randint(-8, 8) for _ in range(rng.randint(0, 7))]
             p = Polynomial(ZZ, coeffs, "t")
-            pq = embed_element(p, ZT, QT)
-            in_span_and_integral = span.membership(pq)
-            in_subring = ZT23_IN_ZT.membership(p)
-            assert in_span_and_integral == in_subring
+            in_span = ZT23.is_element(p * rng.randint(1, 9))
+            in_subring = ZT23.descend(embed_element(p, ZT, QT)) is not None
+            assert in_span == in_subring == ZT23.is_element(p)
 
     def test_order_in_field_descriptor(self):
-        sub = order_in_field(-15)
-        assert sub.membership(K15.element(Fraction(1, 2), Fraction(1, 2)))
-        assert sub.membership(K15.element(3, -2))
-        assert not sub.membership(K15.element(Fraction(1, 2), 0))
+        assert O15.descend(K15.element(Fraction(1, 2), Fraction(1, 2))) \
+            is not None
+        assert O15.descend(K15.element(3, -2)) is not None
+        assert O15.descend(K15.element(Fraction(1, 2), 0)) is None
 
     def test_qzt23_descriptor(self):
+        # Q.S in Q[t] is the rational polynomials with no t^1 term: q lies
+        # in it when q times its denominator descends into S
         t = Polynomial.identity(QQ, "t")
-        assert QZT23_IN_QT.membership(t ** 2 * Fraction(1, 2))
-        assert not QZT23_IN_QT.membership(t * Fraction(1, 3))
+        for q, member in ((t ** 2 * Fraction(1, 2), True),
+                          (t * Fraction(1, 3), False)):
+            assert (ZT23.descend(q * QT.denominator(q)) is not None) is member
 
 
 class TestCapLimits:

@@ -195,6 +195,15 @@ LARGE_LEAD_ARGVS = (
     ("quartic", "--ring", "Z[sqrt(-5)]", LARGE_LEAD_QUARTIC),
 )
 
+#: Z[t2,t3] inputs that fail the Z[t] integrality test before the t^1
+#: test, and a Q[t] member that is not integral, each also run with
+#: --json.  They come last so that earlier entries keep their indices.
+SUBRING_ARGVS = (
+    ("decompose", "--ring", "Z[t2,t3]", "t*x+1/2*x^2"),
+    ("check-subring", "--ring", "Z[t2,t3]", "1/2*t"),
+    ("check-subring", "--ring", "Q[t]", "1/2*t"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
@@ -202,8 +211,9 @@ def _with_json(argv: tuple) -> tuple:
 
 def corpus_argvs() -> list:
     """The hand-picked vectors, the benchmark's cli-mixed ones, the
-    rerouted paths, the evaluation-order vectors, the unit leads, then the
-    leads past the old divisor bound."""
+    rerouted paths, the evaluation-order vectors, the unit leads, the
+    leads past the old divisor bound, then the membership checks of the
+    t-rings."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -214,7 +224,7 @@ def corpus_argvs() -> list:
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
     for argv in (REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS
-                 + LARGE_LEAD_ARGVS):
+                 + LARGE_LEAD_ARGVS + SUBRING_ARGVS):
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 

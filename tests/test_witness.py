@@ -216,7 +216,7 @@ class TestDeriveParams:
 
 class TestBuildWitness:
     def test_classic_witness_polynomial(self):
-        data = build_witness_poly(w5(2), w5(1, 1), w5(1, -1))
+        data = build_witness_poly(w5(2), w5(1, 1), w5(1, -1), R5)
         assert data.f == Polynomial(R5, [w5(0), w5(1, 1), w5(11), w5(6, -6),
                                          w5(-4, -2)], "x")
         assert data.c == K5.element(Fraction(1, 2), Fraction(1, 2))
@@ -227,7 +227,7 @@ class TestBuildWitness:
     def test_expansion_identity(self):
         # f = d*x^4 + 2*d*c*x^3 + (d*c^2 + ell)*x^2 + ell*c*x
         ell, a, p_s = w5(2), w5(1, 1), w5(1, -1)
-        data = build_witness_poly(ell, a, p_s)
+        data = build_witness_poly(ell, a, p_s, R5)
         c = K5.element(Fraction(1, 2), Fraction(1, 2))
         d = R5.fraction_field().coerce(p_s * p_s)
         ellf = R5.fraction_field().coerce(ell)
@@ -236,10 +236,6 @@ class TestBuildWitness:
         lifted = compose(g, h)
         assert ([R5.fraction_field().coerce(x) for x in data.f.coeffs]
                 == list(lifted.coeffs))
-
-    def test_plain_integers_need_explicit_ring(self):
-        with pytest.raises(ValueError):
-            build_witness_poly(2, 6, 3)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -545,5 +541,5 @@ class TestPipeline:
 
     def test_witness_polynomial_matches_build(self):
         _, data, _ = run_pipeline(pair5())
-        rebuilt = build_witness_poly(data.ell, data.a, data.p_s)
+        rebuilt = build_witness_poly(data.ell, data.a, data.p_s, data.ring)
         assert data.f == rebuilt.f and data.c == rebuilt.c
