@@ -570,7 +570,7 @@ def _field_evidence(dec, field_name: str) -> dict:
 
 
 def _ring_result(command: str, ctx: RingContext, outcome,
-                 degrees: Optional[list], fail: bool,
+                 degrees: Optional[list],
                  over_field: bool = False) -> CommandResult:
     """Render an over-ring outcome.
 
@@ -616,9 +616,8 @@ def _ring_result(command: str, ctx: RingContext, outcome,
             lines.append(f"over {desc}: indecomposable")
         if outcome.candidates:
             lines.extend(_candidate_lines(ctx.domain, outcome.candidates))
-    code = 2 if fail and dec is None else 0
     payload = _payload(command, desc, status, g, h, evidence)
-    return CommandResult(payload, lines, code)
+    return CommandResult(payload, lines)
 
 
 def _cmd_decompose(ns) -> CommandResult:
@@ -656,22 +655,19 @@ def _cmd_decompose(ns) -> CommandResult:
                 "chain_text": [str(c) for c in chain],
                 "field": ctx.hull.name,
             }
-            code = 2 if (ns.fail_on_indecomposable
-                         and status.startswith("indecomposable")) else 0
             return CommandResult(
                 _payload("decompose", ctx.descriptor, status,
-                         evidence=evidence), lines, code)
+                         evidence=evidence), lines)
         # decompose_over_ring would blame the missing over-ring procedure
         # for a non-unit lead over Q[t]; over the hull, the missing field
         # division is the reason
         if not fh.domain.is_unit(fh.leading_coefficient):
             require_tier(fh.domain, Tier.FIELD, "non-monic decomposition")
         return _ring_result("decompose", ctx, decompose_over_ring(fh, degrees),
-                            degrees, ns.fail_on_indecomposable, over_field=True)
+                            degrees, over_field=True)
 
     outcome = decompose_over_ring(f, degrees)
-    return _ring_result("decompose", ctx, outcome, degrees,
-                        ns.fail_on_indecomposable)
+    return _ring_result("decompose", ctx, outcome, degrees)
 
 
 def _cmd_quartic(ns) -> CommandResult:
@@ -681,18 +677,16 @@ def _cmd_quartic(ns) -> CommandResult:
         dec = quartic_field_decompose(f)
         if dec is None:
             lines = [f"indecomposable over {ctx.descriptor}"]
-            code = 2 if ns.fail_on_indecomposable else 0
             return CommandResult(
                 _payload("quartic", ctx.descriptor,
-                         "indecomposable_over_field"), lines, code)
+                         "indecomposable_over_field"), lines)
         evidence = {"g_text": str(dec.g), "h_text": str(dec.h)}
         lines = [f"decomposable over {ctx.descriptor}:",
                  f"  g = {dec.g}", f"  h = {dec.h}"]
         return CommandResult(
             _payload("quartic", ctx.descriptor, "decomposable_over_field",
                      dec.g, dec.h, evidence), lines)
-    return _ring_result("quartic", ctx, quartic_ring_decide(f), None,
-                        ns.fail_on_indecomposable)
+    return _ring_result("quartic", ctx, quartic_ring_decide(f), None)
 
 
 def _cmd_witness(ns) -> CommandResult:
@@ -1041,8 +1035,13 @@ _HANDLERS = {
 
 
 def run(ns) -> CommandResult:
-    """Dispatch a parsed command; raises ValueError family on bad input."""
-    return _HANDLERS[ns.command](ns)
+    """Dispatch a parsed command; raises ValueError family on bad input.
+    With --fail-on-indecomposable, an indecomposable_* status exits 2."""
+    result = _HANDLERS[ns.command](ns)
+    if (getattr(ns, "fail_on_indecomposable", False)
+            and result.payload["status"].startswith("indecomposable")):
+        result.exit_code = 2
+    return result
 
 
 def main(argv=None) -> int:

@@ -143,7 +143,7 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     zero = ring.zero
     lam = _integral_scale(f)
     F = dom.integral_lift(f.coeffs[:N], lam) + [ring.one]
-    H = _inner_root(F, m, zero, ring.one, ring.div_int_exact)
+    H = _inner_root(F, m, ring)
     if H is None:
         return None
 
@@ -158,9 +158,9 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
         rem = rem[m:]
     # the domain embeds R, so with lam = 1 its coercion maps the pair back
     if lam != 1:
-        H = [dom.from_integral(c, lam ** (m - k)) for k, c in enumerate(H)]
-        G = [dom.from_integral(c, lam ** (N - m * j))
-             for j, c in enumerate(G)]
+        divide = dom.divides_exact
+        H = [divide(lam ** (m - k), c) for k, c in enumerate(H)]
+        G = [divide(lam ** (N - m * j), c) for j, c in enumerate(G)]
     return Decomposition(Polynomial(dom, G, f.var), Polynomial(dom, H, f.var))
 
 
@@ -187,29 +187,29 @@ def _integral_scale(f: Polynomial) -> int:
     return lam
 
 
-def _inner_root(F: list, m: int, zero: Any, one: Any,
-                div_int) -> Optional[list]:
+def _inner_root(F: list, m: int, ring: Any) -> Optional[list]:
     """Coefficients of the monic H of degree m with H(0) = 0 whose n-th
     power agrees with F in its top m coefficients, or None when the root
-    leaves the coefficient ring.
+    leaves the ring.
 
-    F lists the coefficients of a monic polynomial of degree N = n*m low
-    to high.  ``div_int(a, k)`` divides by a positive integer, and
-    returns None when the quotient leaves the coefficient ring.
+    F lists the coefficients over the ring of a monic polynomial of
+    degree N = n*m, low to high.  The root divides only by the integers
+    n*k, through ``ring.divides_exact``.
     """
     N = len(F) - 1
     n = N // m
+    zero = ring.zero
 
     # P = A^(1/n) with A_j = F_{N-j}, A_0 = 1:
     #   P_k = sum_{j=1..k} ((n+1)*j - n*k) * A_j * P_{k-j} / (n*k)
     A = F[N:N - m:-1]
-    P = [one]
+    P = [ring.one]
     for k in range(1, m):
         acc = zero
         for j in range(1, k + 1):
             if A[j] != zero:
                 acc = acc + A[j] * P[k - j] * ((n + 1) * j - n * k)
-        p = div_int(acc, n * k)
+        p = ring.divides_exact(n * k, acc)
         if p is None:
             return None
         P.append(p)
@@ -233,7 +233,7 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     lc = f.leading_coefficient
     if dom.tier < Tier.QALGEBRA or not dom.is_unit(lc):
         require_tier(dom, Tier.FIELD, "non-monic decomposition")
-    ftilde = f.map_coefficients(lambda c: dom.div(c, lc))
+    ftilde = f.map_coefficients(lambda c: dom.divides_exact(lc, c))
     inner = monic_decompose(ftilde - ftilde.constant_term, m)
     if inner is None:
         return None
@@ -253,7 +253,7 @@ def quartic_field_decompose(f: Polynomial) -> Optional[Decomposition]:
     require_tier(f.domain, Tier.FIELD, "the quartic closed form")
     dom = f.domain
     a4 = f.coefficient(4)
-    c = dom.div(f.coefficient(3), a4 * 2)
+    c = dom.divides_exact(a4 * 2, f.coefficient(3))
     e = f.coefficient(2) - a4 * c * c
     if f.coefficient(1) != e * c:
         return None
@@ -379,7 +379,7 @@ def linear_relate(h: Polynomial, H: Polynomial) -> Optional[tuple]:
         raise ValueError("both polynomials must share a degree >= 1")
     require_tier(h.domain, Tier.FIELD, "relating inner factors")
     dom = h.domain
-    a = dom.div(H.leading_coefficient, h.leading_coefficient)
+    a = dom.divides_exact(h.leading_coefficient, H.leading_coefficient)
     diff = H - h.scale(a)
     if not diff.is_constant():
         return None
@@ -407,7 +407,8 @@ def verify_taylor_expansion(G: Polynomial, h: Polynomial, h0: Polynomial,
     i = 0
     while True:
         term = compose(gi, h0) * power
-        rhs = rhs + term.map_coefficients(lambda cc: dom.div_int(cc, factorial))
+        rhs = rhs + term.map_coefficients(
+            lambda cc: dom.divides_exact(factorial, cc))
         if gi.is_constant():
             break
         gi = derivative(gi)

@@ -6,23 +6,23 @@ domains Z[t], Q[t] and Z[t^2, t^3], the integer polynomials in t with no
 t^1 term.
 
 Every domain object exposes at least ``name``, ``tier``, ``zero``, ``one``,
-``coerce``, ``is_element``, ``is_unit``, ``descend``, ``format_element``
-and ``enumerates_divisors``, true where ``divisors_up_to_associates``
-lists divisors (Z and the orders O_d).  Domains at tier QALGEBRA and
-above additionally provide exact division by nonzero integers
-(``div_int``); fields provide ``div``, and so does Q[t], by a unit (a
-nonzero constant), so a unit leading coefficient over Z[t] or Q[t] is
-decided like a monic one.
+``coerce``, ``is_element``, ``is_unit``, ``descend``, ``format_element``,
+``divides_exact`` and ``enumerates_divisors``, true where
+``divisors_up_to_associates`` lists divisors (Z and the orders O_d).
+
+``divides_exact(x, y)`` is the one exact division: y/x when that lies in
+the domain, else None; ZeroDivisionError for x = 0.  A Q-algebra never
+answers None for a nonzero integer x, nor a field for any nonzero x.
+Z[t], Q[t] and Z[t^2, t^3] divide only by constants, coefficientwise.
 
 Every Q-algebra A here is R[1/n : n = 1, 2, ...] for an integrally closed
 ring R inside it, its ``integral_ring``: Z in Q, O_d in Q(sqrt(d)), Z[t]
 in Q[t].  A answers ``denominator(x)``, the least positive integer s with
 s*x in R; ``to_integral(x, s)``, that s*x (or any multiple of it) as an
-element of R; ``integral_lift(coeffs, lam)``, the list of
-lam^(N-k) * coeffs[k] in R for N = len(coeffs); and
-``from_integral(X, s)``, the element X/s of A.  R answers
-``div_int_exact(x, n)``, x/n when it lies in R and None otherwise.
-Monic decomposition runs on R (docs/math_notes.md, section 1).
+element of R; and ``integral_lift(coeffs, lam)``, the list of
+lam^(N-k) * coeffs[k] in R for N = len(coeffs).  ``divides_exact(s, X)``
+maps X in R back to X/s in A.  Monic decomposition runs on R
+(docs/math_notes.md, section 1).
 
 O_d and Q(sqrt(d)) share one element class, :class:`QuadraticElement`,
 on the integral basis 1, w of O_d, with int coordinates in the order and
@@ -243,17 +243,11 @@ class IntegerRing:
     def norm(self, x: int) -> int:
         return abs(x)
 
-    def units(self) -> tuple[int, int]:
-        return (1, -1)
-
     def is_unit(self, x: int) -> bool:
         return x == 1 or x == -1
 
     def are_associates(self, x: int, y: int) -> bool:
         return abs(x) == abs(y)
-
-    def associate_representative(self, x: int) -> int:
-        return abs(x)
 
     def divides_exact(self, x: int, y: int) -> Optional[int]:
         if x == 0:
@@ -281,11 +275,6 @@ class IntegerRing:
         if x == 0 or self.is_unit(x):
             raise ValueError("irreducibility is undefined for zero and units")
         return _is_prime(abs(x))
-
-    def div_int_exact(self, x: int, n: int) -> Optional[int]:
-        """x / n when n divides x, else None."""
-        q, r = divmod(x, n)
-        return None if r else q
 
     def q_algebra_hull(self) -> "RationalField":
         return QQ
@@ -324,13 +313,11 @@ class RationalField:
     def is_unit(self, x: Fraction) -> bool:
         return x != 0
 
-    def div_int(self, x: Fraction, n: int) -> Fraction:
-        return x / n
-
-    def div(self, x: Fraction, y: Fraction) -> Fraction:
+    def divides_exact(self, x: Fraction, y: Fraction) -> Fraction:
+        """y / x, never None: every nonzero rational is a unit."""
         if x.__class__ is int and y.__class__ is int:
-            return Fraction(x, y)       # x / y would be a float
-        return x / y
+            return Fraction(y, x)       # y / x would be a float
+        return y / x
 
     @property
     def integral_ring(self) -> IntegerRing:
@@ -354,9 +341,6 @@ class RationalField:
             c = coeffs[k]
             out[k] = c.numerator * (scale // c.denominator)
         return out
-
-    def from_integral(self, x: int, s: int) -> Fraction:
-        return Fraction(x, s)
 
     def q_algebra_hull(self) -> "RationalField":
         return self
@@ -588,11 +572,16 @@ class QuadraticIntRing(_QuadraticDomain):
 
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> Optional[QuadraticElement]:
-        """y / x when the quotient lies in the ring, else None."""
-        if x.__class__ is not QuadraticElement or x.dom is not self:
-            x = self.coerce(x)
+        """y / x when the quotient lies in the ring, else None.  An int x
+        divides y's coordinates: the inner root of monic_decompose."""
         if y.__class__ is not QuadraticElement or y.dom is not self:
             y = self.coerce(y)
+        if x.__class__ is int:              # not bool, which coerce refuses
+            qa, ra = divmod(y.a, x)
+            qb, rb = divmod(y.b, x)
+            return None if ra or rb else QuadraticElement(self, qa, qb)
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
         n = x.norm()
         if n == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
@@ -600,13 +589,6 @@ class QuadraticIntRing(_QuadraticDomain):
         if z.a % n == 0 and z.b % n == 0:
             return QuadraticElement(self, z.a // n, z.b // n)
         return None
-
-    def div_int_exact(self, x: QuadraticElement,
-                      n: int) -> Optional[QuadraticElement]:
-        """x / n when both coordinates of x are multiples of n, else None."""
-        qa, ra = divmod(x.a, n)
-        qb, rb = divmod(x.b, n)
-        return None if ra or rb else QuadraticElement(self, qa, qb)
 
     def units(self) -> tuple[QuadraticElement, ...]:
         if self._units is None:
@@ -747,11 +729,15 @@ class QuadraticField(_QuadraticDomain):
     def is_unit(self, x: QuadraticElement) -> bool:
         return x != self.zero
 
-    def div_int(self, x: QuadraticElement, n: int) -> QuadraticElement:
-        return QuadraticElement(self, Fraction(x.a, n), Fraction(x.b, n))
-
-    def div(self, x: QuadraticElement, y: QuadraticElement) -> QuadraticElement:
-        return x / y
+    def divides_exact(self, x: QuadraticElement,
+                      y: QuadraticElement) -> QuadraticElement:
+        """y / x, never None.  An int x divides y's coordinates: the map
+        back from O_d in monic_decompose."""
+        if y.__class__ is not QuadraticElement or y.dom.d != self.d:
+            y = self.coerce(y)
+        if x.__class__ is int:              # not bool, which coerce refuses
+            return QuadraticElement(self, Fraction(y.a, x), Fraction(y.b, x))
+        return self.coerce(y) / x
 
     @cached_property
     def integral_ring(self) -> QuadraticIntRing:
@@ -771,9 +757,6 @@ class QuadraticField(_QuadraticDomain):
 
     def integral_lift(self, coeffs: list, lam: int) -> list:
         return _integral_lift(self.to_integral, coeffs, lam)
-
-    def from_integral(self, x: QuadraticElement, s: int) -> QuadraticElement:
-        return QuadraticElement(self, Fraction(x.a, s), Fraction(x.b, s))
 
 
 def _integral_lift(to_integral: Callable[[Any, int], Any], coeffs: list,
@@ -844,21 +827,21 @@ class PolynomialDomain:
             return None
         return descend_poly(x, self.base)
 
-    def div_int(self, p: Polynomial, n: int) -> Polynomial:
-        require_tier(self, Tier.QALGEBRA, "integer division")
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        return p.map_coefficients(lambda c: self.base.div_int(c, n))
-
-    def div_int_exact(self, p: Polynomial, n: int) -> Optional[Polynomial]:
-        """p / n when the base divides every coefficient by n, else None."""
-        out = []
-        for c in p.coeffs:
-            q = self.base.div_int_exact(c, n)
-            if q is None:
-                return None
-            out.append(q)
-        return Polynomial(self.base, out, self.var)
+    def divides_exact(self, x: Any, p: Polynomial) -> Optional[Polynomial]:
+        """p / x for a nonzero constant x, a base element or a degree-0
+        polynomial: every coefficient divided by the base, or None when
+        the base refuses one.  A non-constant x raises ValueError."""
+        if x.__class__ is Polynomial:
+            if x.degree > 0:
+                raise ValueError(f"{self.name} divides only by constants, "
+                                 f"not by {x}")
+            x = x.coefficient(0)
+        if x == 0:
+            raise ZeroDivisionError(f"division by zero in {self.name}")
+        if p.__class__ is not Polynomial:
+            p = self.coerce(p)
+        out = [self.base.divides_exact(x, c) for c in p.coeffs]
+        return None if None in out else Polynomial(self.base, out, self.var)
 
     @cached_property
     def integral_ring(self) -> "PolynomialDomain":
@@ -885,21 +868,9 @@ class PolynomialDomain:
     def integral_lift(self, coeffs: list, lam: int) -> list:
         return _integral_lift(self.to_integral, coeffs, lam)
 
-    def from_integral(self, p: Polynomial, s: int) -> Polynomial:
-        back = self.base.from_integral
-        return Polynomial(self.base, [back(c, s) for c in p.coeffs], self.var)
-
     def is_unit(self, p: Polynomial) -> bool:
         """Whether p is a constant that is a unit of the base."""
         return p.degree == 0 and self.base.is_unit(p.coeffs[0])
-
-    def div(self, p: Polynomial, u: Polynomial) -> Polynomial:
-        """p / u for a unit u over a field base."""
-        require_tier(self, Tier.QALGEBRA, "division by a unit")
-        if not self.is_unit(u):
-            raise ValueError(f"{u} is not a unit of {self.name}")
-        c = u.coeffs[0]
-        return p.map_coefficients(lambda x: self.base.div(x, c))
 
     def q_algebra_hull(self) -> "PolynomialDomain":
         """Polynomials over the hull of the base: Q[t] for Z[t] and Q[t],

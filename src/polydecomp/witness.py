@@ -198,7 +198,7 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any, ring: Any) -> WitnessData:
     if failures:
         raise ValueError("; ".join(failures))
 
-    c = hull_of(ring).div(a, ell)      # one division of two ring elements
+    c = hull_of(ring).divides_exact(ell, a)    # one division in the hull
     t = ring.divides_exact(ell, a * p_s)        # d*c = p_s*t, d*c^2 = t^2
     d = p_s * p_s
     f = Polynomial(ring, [ring.zero, a, t * t + ell, p_s * t * 2, d], "x")

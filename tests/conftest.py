@@ -16,11 +16,11 @@ settings.register_profile("ci", deadline=None, print_blob=True)
 
 @pytest.fixture
 def hull_divisions(monkeypatch):
-    """A list that grows by one entry per call of a hull's div."""
+    """A list that grows by one entry per call of a hull's divides_exact."""
     calls = []
     for cls in (RationalField, QuadraticField):
-        def counted(self, x, y, original=cls.div):
+        def counted(self, x, y, original=cls.divides_exact):
             calls.append(self)
             return original(self, x, y)
-        monkeypatch.setattr(cls, "div", counted)
+        monkeypatch.setattr(cls, "divides_exact", counted)
     return calls

@@ -151,7 +151,7 @@ def _exact_monic_decompose(f, m):
     """monic_decompose as it ran over Q(sqrt(d)) and Q[t] before the
     integral lift: the root and the digits in the Q-algebra itself."""
     dom = f.domain
-    H = decomp._inner_root(list(f.coeffs), m, dom.zero, dom.one, dom.div_int)
+    H = decomp._inner_root(list(f.coeffs), m, dom)
     G = []
     rem = list(f.coeffs)
     while rem:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (CapabilityError, NoLinearTermRing, Polynomial,
-                        PolynomialDomain, QuadraticField, QuadraticIntRing,
+                        PolynomialDomain, QuadraticElement, QuadraticField,
+                        QuadraticIntRing,
                         Tier, QQ, QT, ZT, ZT23, ZZ, descend_element,
                         descend_poly, embed_element, embed_poly, hull_of,
                         require_tier)
@@ -44,10 +46,8 @@ class TestIntegerRing:
         with pytest.raises(TypeError):
             ZZ.coerce(True)
         assert ZZ.norm(-7) == 7
-        assert ZZ.units() == (1, -1)
         assert ZZ.are_associates(3, -3)
         assert not ZZ.are_associates(3, 6)
-        assert ZZ.associate_representative(-9) == 9
 
     def test_divides_exact(self):
         assert ZZ.divides_exact(3, 12) == 4
@@ -143,13 +143,14 @@ class TestTiers:
             assert callable(getattr(dom, "divisors_up_to_associates",
                                     None)) is expected, dom
 
-    def test_div_int(self):
-        assert QQ.div_int(Fraction(3), 2) == Fraction(3, 2)
+    def test_divides_exact_by_an_integer(self):
+        assert QQ.divides_exact(2, Fraction(3)) == Fraction(3, 2)
         p = Polynomial(QQ, [Fraction(1), Fraction(3)], "t")
-        assert QT.div_int(p, 3) == Polynomial(
+        assert QT.divides_exact(3, p) == Polynomial(
             QQ, [Fraction(1, 3), Fraction(1)], "t")
-        with pytest.raises(CapabilityError):
-            ZT.div_int(Polynomial(ZZ, [2], "t"), 2)
+        # Z[t] divides too, and answers None when the quotient leaves it
+        assert ZT.divides_exact(2, Polynomial(ZZ, [2], "t")) == ZT.one
+        assert ZT.divides_exact(2, Polynomial(ZZ, [3], "t")) is None
 
 
 class TestQuadraticRingConstruction:
@@ -394,15 +395,15 @@ class TestFieldElements:
         assert x * x ** -1 == K5.element(1)
 
     def test_rational_division_of_two_ints_is_exact(self):
-        q = QQ.div(7, 2)
+        q = QQ.divides_exact(2, 7)
         assert q == Fraction(7, 2) and type(q) is Fraction
-        assert QQ.div(Fraction(1, 3), 2) == Fraction(1, 6)
-        assert type(QQ.div(-6, 3)) is Fraction
+        assert QQ.divides_exact(2, Fraction(1, 3)) == Fraction(1, 6)
+        assert type(QQ.divides_exact(3, -6)) is Fraction
         with pytest.raises(ZeroDivisionError):
-            QQ.div(1, 0)
+            QQ.divides_exact(0, 1)
 
     def test_division_of_ring_elements_lands_in_the_field(self):
-        c = K5.div(w5(1, 1), w5(2))
+        c = K5.divides_exact(w5(2), w5(1, 1))
         assert c == K5.element(Fraction(1, 2), Fraction(1, 2))
         assert c.dom is K5 and type(c.a) is Fraction
 
@@ -457,11 +458,173 @@ class TestUnits:
     def test_q_t_divides_by_a_unit_only(self):
         t = Polynomial.identity(QQ, "t")
         p = t * 4 + 2
-        assert QT.div(p, QT.coerce(Fraction(2))) == t * 2 + 1
-        with pytest.raises(ValueError, match="not a unit of Q\\[t\\]"):
-            QT.div(p, t)
-        with pytest.raises(CapabilityError):
-            ZT.div(ZT.one, ZT.coerce(-1))
+        assert QT.divides_exact(QT.coerce(Fraction(2)), p) == t * 2 + 1
+        with pytest.raises(ValueError, match="divides only by constants"):
+            QT.divides_exact(t, p)
+        # Z[t] divides by any nonzero constant, not only by its units
+        assert ZT.divides_exact(ZT.coerce(-1), ZT.one) == ZT.coerce(-1)
+        assert ZT.divides_exact(ZT.coerce(2), ZT.one) is None
+
+
+def _tz(*coeffs):
+    """An element of Z[t], coefficients low to high."""
+    return ZT.element(coeffs)
+
+
+#: Every kind of domain, with nonzero divisors x and dividends y.  The
+#: polynomial domains divide only by constants, so their x are constants.
+DIVISION_TABLE = {
+    "Z": (ZZ, [1, -1, 2, 3, -6], [0, 6, -7, 12]),
+    "Q": (QQ, [1, 2, Fraction(-2, 3)],
+          [0, 3, Fraction(1, 3), Fraction(-5, 6)]),
+    "Z[sqrt(-5)]": (R5, [1, 2, -3, w5(1, 1), w5(1, -1), w5(2)],
+                    [R5.zero, w5(6), w5(1, 1), w5(-4, -2), w5(4, 6)]),
+    "O(-15)": (O15, [2, O15.element(0, 1), O15.element(1, -1)],
+               [O15.zero, O15.element(4), O15.element(6, -4),
+                O15.element(6, -3), O15.element(5, 4)]),
+    "Q(sqrt(-5))": (K5, [2, Fraction(1, 3), K5.element(1, 1), w5(1, 1)],
+                    [K5.zero, K5.element(3, -2), w5(6), 5]),
+    "Q(sqrt(-15))": (K15, [2, K15.element(Fraction(1, 2), Fraction(1, 2)),
+                           O15.element(0, 1)],
+                     [K15.element(1, 1), O15.element(6, -3), 4]),
+    "Z[t]": (ZT, [1, 2, -3, _tz(2), _tz(-1)],
+             [ZT.zero, _tz(4, 0, -6), _tz(4, 1, -6), _tz(3)]),
+    "Q[t]": (QT, [2, Fraction(2, 3), QT.coerce(Fraction(-1, 2))],
+             [QT.zero, QT.element([Fraction(1, 4), 0, 3]), _tz(6, 0, 20)]),
+    "Z[t2,t3]": (ZT23, [1, 2, ZT23.coerce(3)],
+                 [ZT23.zero, ZT23.coerce(_tz(4, 0, 6, 2)),
+                  ZT23.coerce(_tz(3, 0, 0, 6))]),
+}
+
+
+def _coordinates(v):
+    """The rational coordinates of a domain element."""
+    if isinstance(v, Polynomial):
+        return [c for co in v.coeffs for c in _coordinates(co)]
+    if isinstance(v, QuadraticElement):
+        return [v.a, v.b]
+    return [v]
+
+
+class TestOneExactDivision:
+    """divides_exact(x, y) is y/x when that lies in the domain, else None."""
+
+    @pytest.mark.parametrize("name", sorted(DIVISION_TABLE))
+    def test_semantics(self, name):
+        dom, divisors, dividends = DIVISION_TABLE[name]
+        hull = hull_of(dom)
+        for x in divisors:
+            for y in dividends:
+                q = dom.divides_exact(x, y)
+                # the quotient in the hull, pulled back into the domain
+                assert q == dom.descend(hull.divides_exact(x, y)), (x, y)
+                if dom.tier == Tier.FIELD or (dom.tier >= Tier.QALGEBRA
+                                              and isinstance(x, int)):
+                    assert q is not None, (x, y)
+                if q is not None:
+                    assert dom.is_element(q), (x, y, q)
+                    assert q * dom.coerce(x) == dom.coerce(y), (x, y)
+        for y in dividends:
+            for zero in (0, dom.zero):
+                with pytest.raises(ZeroDivisionError):
+                    dom.divides_exact(zero, y)
+
+    @pytest.mark.parametrize("name", sorted(DIVISION_TABLE))
+    def test_the_old_division_names_are_gone(self, name):
+        dom = DIVISION_TABLE[name][0]
+        for old in ("div", "div_int", "div_int_exact", "from_integral"):
+            assert not hasattr(dom, old), (name, old)
+
+    def test_known_quotients(self):
+        assert R5.divides_exact(w5(1, 1), w5(6)) == w5(1, -1)
+        assert R5.divides_exact(2, w5(4, 6)) == w5(2, 3)
+        assert R5.divides_exact(2, w5(4, 5)) is None
+        assert O15.divides_exact(O15.element(0, 1), 4) == O15.element(1, -1)
+        assert K15.divides_exact(2, O15.element(6, -3)) == \
+            QuadraticElement(K15, Fraction(3), Fraction(-3, 2))
+        assert ZT.divides_exact(_tz(-1), _tz(4, 1, -6)) == _tz(-4, -1, 6)
+        assert ZT23.divides_exact(2, _tz(4, 0, 6, 2)) == _tz(2, 0, 3, 1)
+        assert ZT23.divides_exact(2, _tz(3, 0, 0, 6)) is None
+        assert QT.divides_exact(24, _tz(6, 0, 20)) == \
+            QT.element([Fraction(1, 4), 0, Fraction(5, 6)])
+
+    @pytest.mark.parametrize("dom", [ZT, QT, ZT23], ids=repr)
+    def test_polynomial_domains_refuse_a_non_constant_divisor(self, dom):
+        x = dom.coerce(_tz(1, 0, 1))
+        with pytest.raises(ValueError, match=re.escape(str(x))):
+            dom.divides_exact(x, dom.one)
+
+    @pytest.mark.parametrize("dom", [R5, O15, K5, K15], ids=repr)
+    def test_quadratic_domains_refuse_a_bool_divisor(self, dom):
+        with pytest.raises(TypeError):
+            dom.divides_exact(True, dom.one)
+
+    def test_two_ints_over_q_give_a_fraction(self):
+        q = QQ.divides_exact(2, 3)
+        assert q == Fraction(3, 2) and type(q) is Fraction
+
+    @pytest.mark.parametrize("dom", [QQ, K5, QT], ids=repr)
+    def test_int_operands_never_give_a_float(self, dom):
+        for x in (1, 2, -3, 7):
+            for y in (0, 1, 3, -5):
+                q = dom.divides_exact(x, y)
+                assert q == dom.coerce(Fraction(y, x))
+                assert all(type(c) is Fraction for c in _coordinates(q)), \
+                    (x, y, q)
+
+
+def parent_div_int_exact(ring, x, n):
+    """QuadraticIntRing.div_int_exact(x, n), the int division that
+    divides_exact(n, x) replaced."""
+    qa, ra = divmod(x.a, n)
+    qb, rb = divmod(x.b, n)
+    return None if ra or rb else QuadraticElement(ring, qa, qb)
+
+
+def parent_from_integral(field, x, s):
+    """QuadraticField.from_integral(x, s), the map back that
+    divides_exact(s, x) replaced."""
+    return QuadraticElement(field, Fraction(x.a, s), Fraction(x.b, s))
+
+
+quadratic_ds = st.sampled_from((-1, -3, -5, -15))
+coordinates = st.integers(-60, 60)
+nonzero_ints = st.integers(-12, 12).filter(bool)
+
+
+class TestIntFastPaths:
+    """The int divisor paths against the formulas they replaced, and
+    against division by the same integer as a domain element."""
+
+    @given(d=quadratic_ds, a=coordinates, b=coordinates, n=nonzero_ints)
+    def test_order(self, d, a, b, n):
+        ring = QuadraticIntRing(d)
+        x = ring.element(a, b)
+        got = ring.divides_exact(n, x)
+        assert got == parent_div_int_exact(ring, x, n)
+        assert got == ring.divides_exact(ring.element(n), x)
+        if got is not None:
+            assert got.dom is ring and (type(got.a), type(got.b)) == (int, int)
+
+    @given(d=quadratic_ds, a=coordinates, b=coordinates, n=nonzero_ints)
+    def test_field(self, d, a, b, n):
+        field = QuadraticField(d)
+        x = field.integral_ring.element(a, b)
+        got = field.divides_exact(n, x)
+        assert got == parent_from_integral(field, x, n)
+        assert got == field.divides_exact(field.coerce(n), x)
+        assert got.dom is field
+        assert (type(got.a), type(got.b)) == (Fraction, Fraction)
+
+    @given(cs=st.lists(coordinates, max_size=5), n=nonzero_ints)
+    def test_polynomials(self, cs, n):
+        p = ZT.element(cs)
+        exact = [divmod(c, n) for c in p.coeffs]
+        want = (None if any(r for _, r in exact)
+                else ZT.element([q for q, _ in exact]))
+        assert ZT.divides_exact(n, p) == want
+        assert QT.divides_exact(n, p) == \
+            QT.element([Fraction(c, n) for c in p.coeffs])
 
 
 class TestEmbedDescend:
@@ -489,7 +652,7 @@ class TestEmbedDescend:
         assert hull.tier == Tier.QALGEBRA
         assert hull != QT and hull_of(hull) is hull
         p = r5t.element([w5(1, 1), w5(2)])
-        assert hull.div_int(embed_element(p, r5t, hull), 2) \
+        assert hull.divides_exact(2, embed_element(p, r5t, hull)) \
             == hull.element([K5.element(Fraction(1, 2), Fraction(1, 2)),
                              K5.one])
 

@@ -50,7 +50,7 @@ def field_quartic_ring_decide(f):
     for u in ring.divisors_up_to_associates(lead):
         uK = field.coerce(u)
         D_by_u2 = ring.divides_exact(u * u, lead)
-        E_by_u = ring.descend(field.div(E, uK))
+        E_by_u = ring.descend(field.divides_exact(uK, E))
         uC = ring.descend(uK * C)
         check = CandidateCheck(u, D_by_u2 is not None, E_by_u is not None,
                                uC is not None)
@@ -84,7 +84,7 @@ def field_build_witness_poly(ell, a, p_s, ring):
     if failures:
         raise ValueError("; ".join(failures))
     field = hull_of(ring)
-    c = field.div(field.coerce(a), field.coerce(ell))
+    c = field.divides_exact(field.coerce(ell), field.coerce(a))
     d = p_s * p_s
     f = descend_poly(_expansion(field, ell, c, d), ring)
     assert f is not None

@@ -116,7 +116,7 @@ def factorization_pairs(draw, ring_name):
     Each block puts an irreducible on both sides, or one side of a
     relation on each, so some pairs are inequivalent."""
     ring, atoms, relations = ASSOCIATE_BLOCKS[ring_name]
-    unit = st.sampled_from(ring.units()).map(ring.coerce)
+    unit = st.sampled_from(ring.elements_of_norm(1)).map(ring.coerce)
     first, second = [], []
     for _ in range(draw(st.integers(1, 4))):
         if relations and draw(st.booleans()):
@@ -416,7 +416,7 @@ def _tampered(data, rng, change=None):
     if change == 5:
         # ell*c moves by 1/2 and leaves the ring
         return WitnessData(data.ring, data.ell, data.a, data.p_s,
-                           data.c + field.div(ring.one, data.ell * 2),
+                           data.c + field.divides_exact(data.ell * 2, ring.one),
                            data.d, data.f)
     return data
 
@@ -515,7 +515,7 @@ class TestRingArithmetic:
             del hull_divisions[:]
             data = build_witness_poly(ell, a, p_s, ring=stripped.ring)
             assert hull_divisions == [hull_of(pair.ring)]
-            assert data.c == hull_of(pair.ring).div(a, ell)
+            assert data.c == hull_of(pair.ring).divides_exact(ell, a)
 
     def test_integer_witness_keeps_c_a_fraction(self, hull_divisions):
         data = build_witness_poly(2018, 2, 1009, ring=ZZ)
