@@ -563,21 +563,16 @@ def _cmd_compose(ns) -> CommandResult:
     return CommandResult(payload, [f_text])
 
 
-def _field_evidence(dec, field_name: str) -> dict:
-    return {"field_g": poly_pairs(dec.g), "field_h": poly_pairs(dec.h),
-            "field_g_text": str(dec.g), "field_h_text": str(dec.h),
-            "field": field_name}
-
-
 def _ring_result(command: str, ctx: RingContext, outcome,
                  degrees: Optional[list],
                  over_field: bool = False) -> CommandResult:
     """Render an over-ring outcome.
 
     An outcome without a candidate search (monic, over a field, or with
-    a unit lead) gets the short form; a candidate search gets both verdicts and its table.  With
-    ``over_field`` the outcome is a decision over the hull, and its
-    verdicts name the hull instead of the ring.
+    a unit lead) gets the short form; a candidate search gets both
+    verdicts and its table.  With ``over_field`` the outcome is a
+    decision over the hull, and its verdicts name the hull instead of the
+    ring.
     """
     dec, fd = outcome.decomposition, outcome.field_evidence
     desc, field = ctx.descriptor, ctx.hull.name
@@ -592,11 +587,6 @@ def _ring_result(command: str, ctx: RingContext, outcome,
             if over_field:
                 evidence["field"] = field
                 status = "decomposable_over_field"
-        elif fd is not None:
-            evidence = _field_evidence(fd, field)
-            lines = [f"indecomposable over {desc}",
-                     f"  (decomposable over {field}: "
-                     f"g = {fd.g}, h = {fd.h})"]
         else:
             evidence = {"field": field, "inner_degrees_tried": degrees}
             lines = [f"indecomposable over {field}"
@@ -605,7 +595,9 @@ def _ring_result(command: str, ctx: RingContext, outcome,
         evidence = {"candidates": _candidates_json(ctx.domain,
                                                    outcome.candidates)}
         if fd is not None:
-            evidence.update(_field_evidence(fd, field))
+            evidence.update(
+                field_g=poly_pairs(fd.g), field_h=poly_pairs(fd.h),
+                field_g_text=str(fd.g), field_h_text=str(fd.h), field=field)
             lines = [f"over {field}: decomposable, g = {fd.g}, h = {fd.h}"]
         else:
             lines = [f"over {field}: indecomposable"]
@@ -634,6 +626,9 @@ def _cmd_decompose(ns) -> CommandResult:
     if ns.full and over == "ring":
         raise ValueError("--full builds chains over the fraction field; "
                          "drop --over ring")
+    if ns.full and ns.inner_degree is not None:
+        raise ValueError("--full tries every inner degree; "
+                         "drop --inner-degree")
     if over is None:
         over = "field" if (ctx.is_field or ns.full) else "ring"
     degrees = ([ns.inner_degree] if ns.inner_degree is not None
@@ -852,9 +847,10 @@ def run_demo_q1(trials: int = 200, seed: int = 0) -> dict:
     """Monic compositions over Z[t2,t3] never need coefficients outside it.
 
     Draws random monic pairs with every coefficient free of a t-linear
-    term, composes them, recovers the normalized decomposition over Q[t],
-    and checks the recovered pair still has no t-linear terms (and is the
-    expected normalization of the inputs).  Returns a summary dict.
+    term, composes them, and recovers the normalized decomposition over
+    Z[t2,t3]: its root and digits run in Z[t], and building the pair
+    checks that it has no t-linear terms.  Each recovered pair must be
+    the expected normalization of the inputs.  Returns a summary dict.
     """
     rng = random.Random(seed)
     failures = 0
@@ -886,6 +882,8 @@ def run_demo_q1(trials: int = 200, seed: int = 0) -> dict:
 
 
 def _cmd_demo_q1(ns) -> CommandResult:
+    if ns.trials < 1:
+        raise ValueError(f"--trials must be at least 1, not {ns.trials}")
     summary = run_demo_q1(ns.trials, ns.seed)
     ok = summary["failures"] == 0
     status = "ok" if ok else "failed"

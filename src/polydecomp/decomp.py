@@ -1,13 +1,13 @@
 """Deciding and constructing functional decompositions f = g(h(x)).
 
-The monic case over any Q-algebra is solved by a power-series root: the
-top m coefficients of f = g(h) are those of h^n, so rev(h) is the n-th
-root of rev(f) modulo x^m, where rev reverses the coefficient list.  That
-fixes a unique monic candidate h with h(0) = 0, and the h-adic digits of
-f then decide the question.  Field decomposition reduces to the monic
-case by a linear change; quartics additionally get a closed form and,
-over Z and the imaginary-quadratic orders, an exact over-the-ring
-decision.
+The monic case is solved by a power-series root: the top m coefficients
+of f = g(h) are those of h^n, so rev(h) is the n-th root of rev(f)
+modulo x^m, where rev reverses the coefficient list.  That fixes a
+unique monic candidate h with h(0) = 0, and the h-adic digits of f then
+decide the question, over a ring in its own coefficients.  Field
+decomposition and a unit lead reduce to the monic case by a linear
+change; quartics additionally get a closed form and, over Z and the
+imaginary-quadratic orders, an exact over-the-ring decision.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from enum import Enum
 from typing import Any, Iterable, Optional
 
 from .poly import Polynomial, _divrem_monic_in_place, compose, derivative
-from .domains import (CapabilityError, Tier, descend_poly, embed_poly,
-                      hull_of, require_tier)
+from .domains import CapabilityError, Tier, embed_poly, hull_of, require_tier
 
 
 class Decomposition:
@@ -93,7 +92,8 @@ class RingDecideOutcome:
     that decomposition; when it also decomposes over the ring,
     ``decomposition`` holds a pair with all coefficients in the ring.
     ``candidates`` records every leading coefficient tried, for audit; it
-    is None when the leading coefficient is a unit and no search ran.
+    is None for a unit lead, where no search runs and ``field_evidence``
+    is ``decomposition`` (docs/math_notes.md, sections 1 and 5).
     """
 
     status: RingDecideStatus
@@ -110,9 +110,9 @@ def proper_inner_degrees(n: int) -> list[int]:
 def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     """The unique monic h (deg m, h(0)=0) with f = g(h), if one exists.
 
-    Works over every Q-algebra domain of the package.  With n = deg(f)/m,
-    the top m coefficients of g(h) are those of h^n, so rev(f) = rev(h)^n
-    mod x^m and rev(h) is the power-series n-th root of rev(f) to order m.
+    Works over every domain of the package.  With n = deg(f)/m, the top
+    m coefficients of g(h) are those of h^n, so rev(f) = rev(h)^n mod x^m
+    and rev(h) is the power-series n-th root of rev(f) to order m.
     J.C.P. Miller's recurrence computes that root in O(m^2) coefficient
     operations, dividing only by the integers n*k.
     Once h is fixed, f decomposes through it iff all h-adic digits of f
@@ -121,16 +121,17 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     is not a constant; a full expansion proves f = g(h) exactly, so the
     pair is not recomposed.
 
-    Both steps run on the integral ring R of f's domain A (Z for Q, O_d
-    for Q(sqrt(d)), Z[t] for Q[t]; see domains).  With lam a positive
+    Both steps run on an integrally closed ring R: a ring domain itself
+    (Z[t2,t3] computes in Z[t], and section 5 keeps its pair in it), or
+    the integral ring of a Q-algebra (Z for Q, O_d for Q(sqrt(d)), Z[t]
+    for Q[t]; see domains).  With lam = 1 over a ring, else a positive
     integer such that every lam^(N-k) f_k lies in R, F(x) =
     lam^N f(x/lam) is monic in R[x], and f = g(h) iff F = G(H) with
-    H(x) = lam^m h(x/lam) and G(y) = lam^N g(y/lam^m).  R is integrally
-    closed, so a monic F in R[x] only decomposes with H and G in R[x]: a
-    root coefficient outside R rejects the degree at once, and the digits
-    are taken by division in R (docs/math_notes.md, section 1).
+    H(x) = lam^m h(x/lam) and G(y) = lam^N g(y/lam^m).  A monic F in
+    R[x] only decomposes with H and G in R[x]: a root coefficient outside
+    R rejects the degree at once, and the digits are taken by division
+    in R (docs/math_notes.md, section 1).
     """
-    require_tier(f.domain, Tier.QALGEBRA, "monic decomposition")
     N = f.degree
     if N < 4:
         raise ValueError("degree must be at least 4")
@@ -139,10 +140,13 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     if not (1 < m < N) or N % m != 0:
         raise ValueError(f"inner degree {m} is not a proper divisor of {N}")
     dom = f.domain
-    ring = dom.integral_ring
+    if dom.tier == Tier.RING:
+        ring, lam, F = dom, 1, list(f.coeffs)
+    else:
+        ring = dom.integral_ring
+        lam = _integral_scale(f)
+        F = dom.integral_lift(f.coeffs[:N], lam) + [ring.one]
     zero = ring.zero
-    lam = _integral_scale(f)
-    F = dom.integral_lift(f.coeffs[:N], lam) + [ring.one]
     H = _inner_root(F, m, ring)
     if H is None:
         return None
@@ -156,7 +160,7 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
             return None
         G.append(rem[0])
         rem = rem[m:]
-    # the domain embeds R, so with lam = 1 its coercion maps the pair back
+    # the domain is R or embeds it, so with lam = 1 it takes the pair as is
     if lam != 1:
         divide = dom.divides_exact
         H = [divide(lam ** (m - k), c) for k, c in enumerate(H)]
@@ -221,8 +225,8 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
 
     Reduces to the monic case via f~ = (f - f(0)) / lc(f) and conjugates
     the answer back, so compose(g, h) = f exactly.  A unit leading
-    coefficient (1, say, or 2 over Q[t]) needs only a Q-algebra; any
-    other requires a field.
+    coefficient (1, say, -1 over Z or 2 over Q[t]) works over any domain,
+    and the pair lies over it; any other lead requires a field.
     """
     N = f.degree
     if N < 4:
@@ -231,7 +235,7 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
         return monic_decompose(f, m)
     dom = f.domain
     lc = f.leading_coefficient
-    if dom.tier < Tier.QALGEBRA or not dom.is_unit(lc):
+    if not dom.is_unit(lc):
         require_tier(dom, Tier.FIELD, "non-monic decomposition")
     ftilde = f.map_coefficients(lambda c: dom.divides_exact(lc, c))
     inner = monic_decompose(ftilde - ftilde.constant_term, m)
@@ -329,33 +333,23 @@ def decompose_over_ring(f: Polynomial,
     """Decide f = g(h) with every coefficient in the coefficient ring of f.
 
     When the leading coefficient of f is a unit of its ring, as it is
-    when f is monic or the ring is a field, f is decomposed over the hull
-    of the ring for each inner degree in ``degrees``, in order, by
-    :func:`decompose_over_field`; the first pair that descends into the
-    ring decides.  When no pair descends, the first hull pair is the field
-    evidence.  A quartic with any other lead, over a ring with divisor
-    enumeration, goes to :func:`quartic_ring_decide`.
+    when f is monic or the ring is a field, the first inner degree in
+    ``degrees`` at which :func:`decompose_over_field` finds a pair over
+    the ring decides, and that pair is the field evidence too: a pair
+    over the fraction field already lies in the ring (docs/math_notes.md,
+    sections 1 and 5).  A quartic with any other lead, over a ring with
+    divisor enumeration, goes to :func:`quartic_ring_decide`.
     Anything else raises CapabilityError naming the ring.
     """
     ring = f.domain
     if ring.is_unit(f.leading_coefficient):
-        fh = embed_poly(f, hull_of(ring))
-        field_dec = None
         for m in degrees:
-            dec = decompose_over_field(fh, m)
-            if dec is None:
-                continue
-            if field_dec is None:
-                field_dec = dec
-            g = descend_poly(dec.g, ring)
-            h = descend_poly(dec.h, ring)
-            if g is None or h is None:
-                continue
-            return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
-                                     Decomposition(g, h), field_dec, None)
-        status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if field_dec is None
-                  else RingDecideStatus.INDECOMPOSABLE_OVER_RING)
-        return RingDecideOutcome(status, None, field_dec, None)
+            dec = decompose_over_field(f, m)
+            if dec is not None:
+                return RingDecideOutcome(
+                    RingDecideStatus.DECOMPOSABLE_OVER_RING, dec, dec, None)
+        return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
+                                 None, None, None)
 
     if f.degree == 4 and ring.enumerates_divisors:
         if any(m != 2 for m in degrees):

@@ -250,6 +250,8 @@ class IntegerRing:
         return abs(x) == abs(y)
 
     def divides_exact(self, x: int, y: int) -> Optional[int]:
+        if x.__class__ is not int or y.__class__ is not int:
+            x, y = self.coerce(x), self.coerce(y)   # refuses a bool
         if x == 0:
             raise ZeroDivisionError("division by zero in Z")
         q, r = divmod(y, x)
@@ -317,6 +319,8 @@ class RationalField:
         """y / x, never None: every nonzero rational is a unit."""
         if x.__class__ is int and y.__class__ is int:
             return Fraction(y, x)       # y / x would be a float
+        if x.__class__ is bool or y.__class__ is bool:
+            raise TypeError("bool is not a rational coefficient")
         return y / x
 
     @property

@@ -510,6 +510,14 @@ class TestCommands:
         assert payload["status"] == "decomposable_over_field"
         assert payload["evidence"]["chain_text"] == ["x^2", "x^2", "x^2"]
 
+    def test_decompose_full_refuses_an_inner_degree(self, capsys):
+        # 3 does not divide 8: a chain would ignore the pinned degree
+        code, out, err = run_cli(
+            ["decompose", "--full", "--inner-degree", "3", "x^8"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: --full tries every inner degree; " \
+                      "drop --inner-degree\n"
+
     def test_decompose_over_field_flag(self, capsys):
         code, out, _ = run_cli(
             ["decompose", "--ring", "Z", "--over", "field", "--json",
@@ -583,6 +591,12 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["status"] == "ok"
         assert payload["evidence"]["failures"] == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_demo_q1_needs_a_trial(self, trials, capsys):
+        code, out, err = run_cli(["demo-q1", "--trials", trials], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: --trials must be at least 1, not {trials}\n"
 
     def test_json_output_is_byte_stable(self, capsys):
         argv = ["witness", "--builtin", "--json"]

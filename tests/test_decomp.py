@@ -104,8 +104,10 @@ class TestMonicDecompose:
             monic_decompose(qpoly([0, 1, 1]), 2)         # degree below 4
         with pytest.raises(ValueError):
             monic_decompose(qpoly([0, 0, 0, 0, 2]), 2)   # not monic
-        with pytest.raises(CapabilityError):
-            monic_decompose(zpoly([0, 0, 2, 0, 1]), 2)   # Z is only a ring
+        # a ring is no bad input: the pair is found over Z itself
+        dec = monic_decompose(zpoly([0, 0, 2, 0, 1]), 2)
+        assert dec == Decomposition(zpoly([0, 2, 1]), zpoly([0, 0, 1]))
+        assert dec.g.domain is ZZ and dec.h.domain is ZZ
 
     def test_works_over_rational_t_polys(self):
         t = Polynomial.identity(QQ, "t")
@@ -646,7 +648,7 @@ class TestDecomposeOverRing:
         assert out.candidates is None
         assert out.decomposition.g.domain is ZZ
         assert out.decomposition.certificate == f
-        assert out.field_evidence.certificate == embed_poly(f, QQ)
+        assert out.field_evidence is out.decomposition
 
     def test_unit_lead_is_multiplied_back(self):
         f = zpoly([3, 0, -2, 0, -1])  # -x^4 - 2x^2 + 3
@@ -654,7 +656,7 @@ class TestDecomposeOverRing:
         assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
         assert out.decomposition.g == zpoly([3, -2, -1])
         assert out.decomposition.certificate == f
-        assert out.field_evidence.certificate == embed_poly(f, QQ)
+        assert out.field_evidence is out.decomposition
 
     def test_unit_lead_over_the_t_rings(self):
         t = Polynomial.identity(ZZ, "t")
@@ -747,11 +749,21 @@ def parent_field_loop(fh, degrees):
 
 O3 = QuadraticIntRing(-3)
 small_ints = st.integers(-3, 3)
+t_coeffs = st.lists(small_ints, max_size=3)
+#: ring, its elements and its units
 UNIT_LEAD_RINGS = {
-    "Z": (ZZ, small_ints),
-    "O(-3)": (O3, st.builds(O3.element, small_ints, small_ints)),
-    "Z[sqrt(-5)]": (R5, st.builds(R5.element, small_ints, small_ints)),
+    "Z": (ZZ, small_ints, ZZ.elements_of_norm(1)),
+    "O(-3)": (O3, st.builds(O3.element, small_ints, small_ints),
+              O3.elements_of_norm(1)),
+    "Z[sqrt(-5)]": (R5, st.builds(R5.element, small_ints, small_ints),
+                    R5.elements_of_norm(1)),
+    "Z[t]": (ZT, t_coeffs.map(ZT.element), [ZT.one, -ZT.one]),
+    "Z[t2,t3]": (ZT23, t_coeffs.map(
+        lambda c: ZT23.element(c[:1] + [0] + c[2:])), [ZT23.one, -ZT23.one]),
 }
+#: an element of each ring beyond the integers
+RING_EXTRAS = {"Z": 3, "Z[sqrt(-5)]": R5.element(1, 1),
+               "Z[t]": ZT.element([0, 1]), "Z[t2,t3]": ZT23.element([0, 0, 1])}
 FIELDS = {name: DOMAIN_ELEMENTS[name] for name in ("Q", "Q(sqrt(-5))")}
 
 
@@ -769,6 +781,27 @@ def led_composition(draw, dom, element, leads):
     return f
 
 
+class TestUnitLeadStaysInTheRing:
+    @pytest.mark.parametrize("ring", sorted(RING_EXTRAS))
+    def test_no_hull_round_trip(self, ring, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a unit lead went through the hull")
+
+        monkeypatch.setattr(decomp, "hull_of", refuse)
+        monkeypatch.setattr(decomp, "embed_poly", refuse)
+        dom, a = UNIT_LEAD_RINGS[ring][0], RING_EXTRAS[ring]
+        g = Polynomial(dom, [1, a, 0, -1], "x")      # -x^3 + a*x + 1
+        h = Polynomial(dom, [a, 0, a, 1], "x")       # x^3 + a*x^2 + a
+        f = compose(g, h)
+        degrees = proper_inner_degrees(9)
+        out = decompose_over_ring(f, degrees)
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert out.decomposition.g.domain is dom
+        assert out.decomposition.certificate == f
+        out = decompose_over_ring(f + Polynomial(dom, [0, 1], "x"), degrees)
+        assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
+
+
 class TestOneLeadNormalisation:
     """decompose_over_ring against the two paths it replaced."""
 
@@ -776,12 +809,20 @@ class TestOneLeadNormalisation:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_unit_lead_matches_the_pre_division(self, ring, data):
-        dom, element = UNIT_LEAD_RINGS[ring]
-        f = data.draw(led_composition(dom, element,
-                                      st.sampled_from(dom.elements_of_norm(1))))
+        dom, element, units = UNIT_LEAD_RINGS[ring]
+        f = data.draw(led_composition(dom, element, st.sampled_from(units)))
         degrees = proper_inner_degrees(f.degree)
         out = decompose_over_ring(f, degrees)
-        assert out == parent_unit_lead_decide(f, degrees)
+        ref = parent_unit_lead_decide(f, degrees)
+        assert (out.status, out.decomposition, out.candidates) \
+            == (ref.status, ref.decomposition, ref.candidates)
+        # the reference's evidence is its pair over the hull
+        hull = hull_of(dom)
+        evidence = out.field_evidence
+        if evidence is not None:
+            evidence = Decomposition(embed_poly(evidence.g, hull),
+                                     embed_poly(evidence.h, hull))
+        assert evidence == ref.field_evidence
         if out.decomposition is not None:
             assert out.decomposition.certificate == f
 
@@ -858,6 +899,20 @@ class TestTaylorExpansion:
 
 
 class TestDecomposeFully:
+    def test_unit_lead_over_z_is_the_q_chain(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            shape = rng.choice(((2, 2), (2, 3), (3, 2), (2, 2, 2)))
+            chain = [zpoly([rng.randint(-4, 4) for _ in range(d)]
+                           + [rng.choice((1, -1))]) for d in shape]
+            f = chain[-1]
+            for c in reversed(chain[:-1]):
+                f = compose(c, f)
+            found = decompose_fully(f)
+            assert found == [descend_poly(c, ZZ)
+                             for c in decompose_fully(embed_poly(f, QQ))]
+            assert len(found) == len(shape)
+
     def test_power_chain(self):
         f = qpoly([0] * 8 + [1])                 # x^8
         chain = decompose_fully(f)

@@ -559,6 +559,12 @@ class TestOneExactDivision:
         with pytest.raises(TypeError):
             dom.divides_exact(True, dom.one)
 
+    @pytest.mark.parametrize("dom", [ZZ, QQ], ids=repr)
+    def test_z_and_q_refuse_a_bool_operand(self, dom):
+        for x, y in ((True, 6), (2, False), (True, Fraction(6))):
+            with pytest.raises(TypeError, match="^bool is not"):
+                dom.divides_exact(x, y)
+
     def test_two_ints_over_q_give_a_fraction(self):
         q = QQ.divides_exact(2, 3)
         assert q == Fraction(3, 2) and type(q) is Fraction
