@@ -27,7 +27,7 @@ from .witness import (Clause, FactorizationPair, WitnessData, WitnessReport,
                       derive_witness_params, run_pipeline,
                       strip_common_associates, validate_inequivalent,
                       verify_witness)
-from .cli import (RingContext, format_result, main, parse_expression,
-                  parse_poly, resolve_ring, run_demo_q1, run_demo_q2)
+from .cli import (format_result, main, parse_expression, parse_poly,
+                  resolve_ring, run_demo_q1, run_demo_q2)
 
 __version__ = "0.1.0"

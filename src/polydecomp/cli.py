@@ -9,13 +9,16 @@ demo-q1, demo-q2.  Polynomials are written in a small expression grammar
     base   := int | int '/' uint | 'x' | 't' | 'w' | '(' expr ')'
 
 over a ring chosen by a descriptor string: "Z", "Q", "Z[sqrt(-5)]",
-"Q(sqrt(-5))", "O(-15)", "Z[t]", "Q[t]", "Z[t2,t3]".  The symbol w is the
-quadratic generator of the ambient ring (sqrt(d), or (1+sqrt(d))/2 for the
-O(d) rings); t is the polynomial indeterminate of the t-rings.  Expressions
+"Q(sqrt(-5))", "O(-15)", "Z[t]", "Q[t]", "Z[t2,t3]"; ``resolve_ring``
+returns the domain itself, whose ``name`` is the canonical descriptor.
+The domain binds the symbols (its ``symbols``): w is the quadratic
+generator of the ambient ring (sqrt(d), or (1+sqrt(d))/2 for the O(d)
+rings); t is the polynomial indeterminate of the t-rings.  Expressions
 are evaluated exactly over the rational hull of the ring and then checked
 coefficient by coefficient for membership, so "4/2" is a fine integer,
 while "1/2+1/2*w" over O(-15) is 3/4+1/4*sqrt(-15), not a member: w
-already is the half-basis generator there.
+already is the half-basis generator there.  This module only parses and
+renders.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from typing import Any, Optional, Union
+from functools import cache
+from typing import Any, Optional
 
 from .poly import Polynomial
 from .poly import compose as poly_compose
-from .domains import (PolynomialDomain, QuadraticElement, QuadraticIntRing,
-                      QuadraticField, Tier, QQ, QT, ZT, ZT23, ZZ,
-                      descend_poly, embed_poly, hull_of, require_tier,
-                      _decimal)
+from .domains import (QuadraticElement, QuadraticIntRing, QuadraticField,
+                      Tier, QQ, QT, ZT, ZT23, ZZ, descend_poly, embed_poly,
+                      hull_of, require_tier, _decimal)
 from .decomp import (decompose_fully, decompose_over_ring,
                      proper_inner_degrees, quartic_field_decompose,
                      quartic_ring_decide)
@@ -289,42 +291,6 @@ def parse_expression(text: str) -> Program:
 # ring descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RingContext:
-    """Everything the CLI needs to know about a --ring descriptor."""
-
-    descriptor: str
-    domain: Any                      # where inputs and answers live
-
-    @cached_property
-    def hull(self) -> Any:
-        """The Q-algebra used for parsing and algorithms."""
-        return hull_of(self.domain)
-
-    @property
-    def is_field(self) -> bool:
-        return self.domain.tier == Tier.FIELD
-
-    @cached_property
-    def w(self) -> Any:
-        """The hull element the symbol w denotes, or None without one."""
-        if isinstance(self.domain, (QuadraticIntRing, QuadraticField)):
-            return self.hull.coerce(self.domain.element(0, 1))
-        return None
-
-    @property
-    def w_bits(self) -> int:
-        """Bits counted for a factor w: about log2|d| + 1."""
-        return abs(self.domain.d).bit_length() + 1 if self.w is not None else 1
-
-    @cached_property
-    def t(self) -> Any:
-        """The hull element the symbol t denotes, or None without one."""
-        if isinstance(self.hull, PolynomialDomain):
-            return self.hull.element([0, 1])
-        return None
-
-
 _SQRT_RING_RE = re.compile(r"^Z\[sqrt\((-?\d+)\)\]$")
 _SQRT_FIELD_RE = re.compile(r"^Q\(sqrt\((-?\d+)\)\)$")
 _ORDER_RE = re.compile(r"^O\((-?\d+)\)$")
@@ -333,12 +299,12 @@ _SUPPORTED = ('"Z", "Q", "Z[sqrt(d)]", "Q(sqrt(d))", "O(d)", '
               '"Z[t]", "Q[t]", "Z[t2,t3]"')
 
 
-def resolve_ring(descriptor: str) -> RingContext:
-    """Turn a descriptor string into domains, hull, and symbol bindings."""
+def resolve_ring(descriptor: str) -> Any:
+    """The domain a descriptor string names."""
     text = "".join(descriptor.split())
     named = {"Z": ZZ, "Q": QQ, "Z[t]": ZT, "Q[t]": QT, "Z[t2,t3]": ZT23}
     if text in named:
-        return RingContext(text, named[text])
+        return named[text]
     m = _SQRT_RING_RE.match(text) or _ORDER_RE.match(text)
     if m:
         d = int(m.group(1))
@@ -346,12 +312,10 @@ def resolve_ring(descriptor: str) -> RingContext:
             raise ValueError(
                 f"Z[sqrt({d})] is not supported for d = 1 (mod 4); "
                 f"use O({d}), whose integral basis includes (1+sqrt({d}))/2")
-        ring = QuadraticIntRing(d)
-        return RingContext(ring.name, ring)
+        return QuadraticIntRing(d)
     m = _SQRT_FIELD_RE.match(text)
     if m:
-        field = QuadraticField(int(m.group(1)))
-        return RingContext(field.name, field)
+        return QuadraticField(int(m.group(1)))
     raise ValueError(f"unknown ring descriptor {descriptor!r}; "
                      f"supported: {_SUPPORTED}")
 
@@ -396,14 +360,19 @@ def _pow(base: Terms, n: int, zero: Any, one: Any) -> Terms:
     return result
 
 
-def _lower(program: Program, ctx: RingContext) -> Polynomial:
-    """Evaluate a program over the hull of ctx.
+def _w_bits(ring: Any) -> int:
+    """Bits counted for a factor w over the ring: 1 where w is unbound."""
+    return ring.symbols["w"][1] if "w" in ring.symbols else 1
+
+
+def _lower(program: Program, ring: Any) -> Polynomial:
+    """Evaluate a program over the hull of the ring.
 
     The stack holds sparse terms, so x^k is one monomial and a power of
     one term is one power of its coefficient; the dense polynomial is
     built once, at the end.
     """
-    dom = ctx.hull
+    dom = hull_of(ring)
     zero, one = dom.zero, dom.one
     stack = []
     for op, arg, pos in program:
@@ -413,11 +382,10 @@ def _lower(program: Program, ctx: RingContext) -> Polynomial:
             if arg == "x":
                 stack.append({1: one})
                 continue
-            value = ctx.t if arg == "t" else ctx.w
-            if value is None:
+            if arg not in ring.symbols:
                 raise ParseError(f"symbol {arg} is not defined over "
-                                 f"{ctx.descriptor}", pos)
-            stack.append({0: value})
+                                 f"{ring.name}", pos)
+            stack.append({0: ring.symbols[arg][0]})
         elif op == "neg":
             stack.append({k: -c for k, c in stack.pop().items()})
         elif op == "^":
@@ -434,39 +402,43 @@ def _lower(program: Program, ctx: RingContext) -> Polynomial:
     return Polynomial(dom, coeffs, "x")
 
 
-def parse_poly(text: str, ring: Union[str, RingContext]) -> Polynomial:
-    """Parse an expression into an exact Polynomial over the descriptor.
+def parse_poly(text: str, ring: Any) -> Polynomial:
+    """Parse an expression into an exact Polynomial over the ring, a
+    domain or a descriptor string.
 
     Evaluation happens over the rational hull; afterwards every coefficient
     must descend into the named ring, otherwise the parse is rejected.
     """
-    ctx = resolve_ring(ring) if isinstance(ring, str) else ring
-    return _descend(_lower(_parse(text, ctx.w_bits), ctx), ctx)
+    if isinstance(ring, str):
+        ring = resolve_ring(ring)
+    return _descend(_lower(_parse(text, _w_bits(ring)), ring), ring)
 
 
-def _descend(p: Polynomial, ctx: RingContext) -> Polynomial:
-    """p over the descriptor's ring, or ValueError naming the first
-    coefficient that is not in it: every coefficient is tested for
-    integrality ("does not lie in") before any for membership ("is not in")."""
-    if ctx.domain == ctx.hull:
+def _descend(p: Polynomial, ring: Any) -> Polynomial:
+    """p, lowered over the ring's hull, as a polynomial over the ring, or
+    ValueError naming the first coefficient that is not in it: every
+    coefficient is tested for integrality ("does not lie in") before any
+    for membership ("is not in")."""
+    hull = p.domain
+    if ring is hull:
         return p
-    integral = ctx.hull.integral_ring
+    integral = hull.integral_ring
     coeffs = []
     for k, c in enumerate(p.coeffs):
         cc = integral.descend(c)
         if cc is None:
-            raise ValueError(f"coefficient {ctx.hull.format_element(c)} "
-                             f"of x^{k} does not lie in {ctx.descriptor}")
+            raise ValueError(f"coefficient {hull.format_element(c)} "
+                             f"of x^{k} does not lie in {ring.name}")
         coeffs.append(cc)
     for k, c in enumerate(coeffs):
-        if not ctx.domain.is_element(c):
-            raise ValueError(f"coefficient {ctx.domain.format_element(c)} "
-                             f"of x^{k} is not in {ctx.descriptor}")
-    return Polynomial(ctx.domain, coeffs, p.var)
+        if not ring.is_element(c):
+            raise ValueError(f"coefficient {ring.format_element(c)} "
+                             f"of x^{k} is not in {ring.name}")
+    return Polynomial(ring, coeffs, p.var)
 
 
-def _parse_ring_element(text: str, ctx: RingContext) -> Any:
-    p = parse_poly(text, ctx)
+def _parse_ring_element(text: str, ring: Any) -> Any:
+    p = parse_poly(text, ring)
     if not p.is_constant():
         raise ValueError(f"expected a ring element, got a polynomial in x: {text!r}")
     return p.constant_term
@@ -543,14 +515,15 @@ def _candidate_lines(ring: Any, candidates) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_compose(ns) -> CommandResult:
-    ctx = resolve_ring(ns.ring)
-    outer = _parse(ns.outer, ctx.w_bits)
-    G = _descend(_lower(outer, ctx), ctx)
-    inner = _parse(ns.inner, ctx.w_bits)
-    H = _descend(_lower(inner, ctx), ctx)
+    ring = resolve_ring(ns.ring)
+    w_bits = _w_bits(ring)
+    outer = _parse(ns.outer, w_bits)
+    G = _descend(_lower(outer, ring), ring)
+    inner = _parse(ns.inner, w_bits)
+    H = _descend(_lower(inner, ring), ring)
     # G(H) is the outer expression with x standing for the inner one, so
     # it gets the parser's bounds, at the outer operator that crosses them
-    _degree_bound(outer, ctx.w_bits, _degree_bound(inner, ctx.w_bits))
+    _degree_bound(outer, w_bits, _degree_bound(inner, w_bits))
     f = poly_compose(G, H)
     f_text = str(f)
     evidence = {
@@ -559,11 +532,11 @@ def _cmd_compose(ns) -> CommandResult:
         "composition": poly_pairs(f),
         "composition_text": f_text,
     }
-    payload = _payload("compose", ctx.descriptor, "ok", G, H, evidence)
+    payload = _payload("compose", ring.name, "ok", G, H, evidence)
     return CommandResult(payload, [f_text])
 
 
-def _ring_result(command: str, ctx: RingContext, outcome,
+def _ring_result(command: str, ring: Any, outcome,
                  degrees: Optional[list],
                  over_field: bool = False) -> CommandResult:
     """Render an over-ring outcome.
@@ -575,7 +548,7 @@ def _ring_result(command: str, ctx: RingContext, outcome,
     ring.
     """
     dec, fd = outcome.decomposition, outcome.field_evidence
-    desc, field = ctx.descriptor, ctx.hull.name
+    desc, field = ring.name, hull_of(ring).name
     g, h = (dec.g, dec.h) if dec is not None else (None, None)
     status = outcome.status.value
     if outcome.candidates is None:
@@ -592,8 +565,7 @@ def _ring_result(command: str, ctx: RingContext, outcome,
             lines = [f"indecomposable over {field}"
                      + ("" if over_field else f" (hence over {desc})")]
     else:
-        evidence = {"candidates": _candidates_json(ctx.domain,
-                                                   outcome.candidates)}
+        evidence = {"candidates": _candidates_json(ring, outcome.candidates)}
         if fd is not None:
             evidence.update(
                 field_g=poly_pairs(fd.g), field_h=poly_pairs(fd.h),
@@ -607,21 +579,22 @@ def _ring_result(command: str, ctx: RingContext, outcome,
         else:
             lines.append(f"over {desc}: indecomposable")
         if outcome.candidates:
-            lines.extend(_candidate_lines(ctx.domain, outcome.candidates))
+            lines.extend(_candidate_lines(ring, outcome.candidates))
     payload = _payload(command, desc, status, g, h, evidence)
     return CommandResult(payload, lines)
 
 
 def _cmd_decompose(ns) -> CommandResult:
-    ctx = resolve_ring(ns.ring)
-    f = parse_poly(ns.poly, ctx)
+    ring = resolve_ring(ns.ring)
+    f = parse_poly(ns.poly, ring)
     N = f.degree
     if N < 2:
         raise ValueError("nothing to decompose: degree is below 2")
 
+    is_field = ring.tier == Tier.FIELD
     over = ns.over
-    if over == "ring" and ctx.is_field:
-        raise ValueError(f"{ctx.descriptor} is a field; --over ring needs a "
+    if over == "ring" and is_field:
+        raise ValueError(f"{ring.name} is a field; --over ring needs a "
                          f"ring descriptor")
     if ns.full and over == "ring":
         raise ValueError("--full builds chains over the fraction field; "
@@ -630,68 +603,73 @@ def _cmd_decompose(ns) -> CommandResult:
         raise ValueError("--full tries every inner degree; "
                          "drop --inner-degree")
     if over is None:
-        over = "field" if (ctx.is_field or ns.full) else "ring"
+        over = "field" if (is_field or ns.full) else "ring"
     degrees = ([ns.inner_degree] if ns.inner_degree is not None
                else proper_inner_degrees(N))
 
     if over == "field":
-        fh = embed_poly(f, ctx.hull)
+        hull = hull_of(ring)
+        fh = embed_poly(f, hull)
         if ns.full:
             chain = decompose_fully(fh)
             if len(chain) > 1:
                 status = "decomposable_over_field"
                 lines = [f"f = {' o '.join(str(c) for c in chain)}"
-                         f"  over {ctx.hull.name}"]
+                         f"  over {hull.name}"]
             else:
                 status = "indecomposable_over_field"
-                lines = [f"indecomposable over {ctx.hull.name}"]
+                lines = [f"indecomposable over {hull.name}"]
             evidence = {
                 "chain": [poly_pairs(c) for c in chain],
                 "chain_text": [str(c) for c in chain],
-                "field": ctx.hull.name,
+                "field": hull.name,
             }
             return CommandResult(
-                _payload("decompose", ctx.descriptor, status,
-                         evidence=evidence), lines)
+                _payload("decompose", ring.name, status, evidence=evidence),
+                lines)
         # decompose_over_ring would blame the missing over-ring procedure
         # for a non-unit lead over Q[t]; over the hull, the missing field
         # division is the reason
         if not fh.domain.is_unit(fh.leading_coefficient):
             require_tier(fh.domain, Tier.FIELD, "non-monic decomposition")
-        return _ring_result("decompose", ctx, decompose_over_ring(fh, degrees),
+        return _ring_result("decompose", ring, decompose_over_ring(fh, degrees),
                             degrees, over_field=True)
 
     outcome = decompose_over_ring(f, degrees)
-    return _ring_result("decompose", ctx, outcome, degrees)
+    return _ring_result("decompose", ring, outcome, degrees)
 
 
 def _cmd_quartic(ns) -> CommandResult:
-    ctx = resolve_ring(ns.ring)
-    f = parse_poly(ns.poly, ctx)
-    if ctx.is_field:
+    ring = resolve_ring(ns.ring)
+    f = parse_poly(ns.poly, ring)
+    if ring.tier == Tier.FIELD:
         dec = quartic_field_decompose(f)
         if dec is None:
-            lines = [f"indecomposable over {ctx.descriptor}"]
+            lines = [f"indecomposable over {ring.name}"]
             return CommandResult(
-                _payload("quartic", ctx.descriptor,
-                         "indecomposable_over_field"), lines)
+                _payload("quartic", ring.name, "indecomposable_over_field"),
+                lines)
         evidence = {"g_text": str(dec.g), "h_text": str(dec.h)}
-        lines = [f"decomposable over {ctx.descriptor}:",
+        lines = [f"decomposable over {ring.name}:",
                  f"  g = {dec.g}", f"  h = {dec.h}"]
         return CommandResult(
-            _payload("quartic", ctx.descriptor, "decomposable_over_field",
+            _payload("quartic", ring.name, "decomposable_over_field",
                      dec.g, dec.h, evidence), lines)
-    return _ring_result("quartic", ctx, quartic_ring_decide(f), None)
+    return _ring_result("quartic", ring, quartic_ring_decide(f), None)
 
 
 def _cmd_witness(ns) -> CommandResult:
     if ns.builtin is not None:
-        ctx = resolve_ring(ns.builtin)
-        pair = next((p for p in builtin_examples() if p.ring == ctx.domain),
-                    None)
+        manual = [f"--{name}" for name in ("ring", "element", "factorization")
+                  if getattr(ns, name) is not None]
+        if manual:
+            raise ValueError(f"--builtin runs a built-in example; "
+                             f"drop {', '.join(manual)}")
+        ring = resolve_ring(ns.builtin)
+        pair = next((p for p in builtin_examples() if p.ring is ring), None)
         if pair is None:
             names = ", ".join(p.ring.name for p in builtin_examples())
-            raise ValueError(f"no builtin example over {ctx.descriptor}; "
+            raise ValueError(f"no builtin example over {ring.name}; "
                              f"available: {names}")
     else:
         if not (ns.ring and ns.element and ns.factorization):
@@ -699,16 +677,16 @@ def _cmd_witness(ns) -> CommandResult:
                              "--element and two --factorization lists")
         if len(ns.factorization) != 2:
             raise ValueError("exactly two --factorization lists are required")
-        ctx = resolve_ring(ns.ring)
-        if not ctx.domain.enumerates_divisors:
-            raise ValueError(f"{ctx.descriptor} does not support factorization "
+        ring = resolve_ring(ns.ring)
+        if not ring.enumerates_divisors:
+            raise ValueError(f"{ring.name} does not support factorization "
                              f"witnesses; use Z or an imaginary-quadratic ring")
-        element = _parse_ring_element(ns.element, ctx)
-        first = tuple(_parse_ring_element(s, ctx)
+        element = _parse_ring_element(ns.element, ring)
+        first = tuple(_parse_ring_element(s, ring)
                       for s in ns.factorization[0].split(","))
-        second = tuple(_parse_ring_element(s, ctx)
+        second = tuple(_parse_ring_element(s, ring)
                        for s in ns.factorization[1].split(","))
-        pair = FactorizationPair(ctx.domain, element, first, second)
+        pair = FactorizationPair(ring, element, first, second)
 
     if not validate_inequivalent(pair):
         lines = ["the two factorizations are equivalent; no witness arises"]
@@ -791,36 +769,37 @@ def _witness_result(command: str, pipeline: tuple, intro: list,
 
 
 def _cmd_check_subring(ns) -> CommandResult:
-    ctx = resolve_ring(ns.ring)
-    p = _lower(_parse(ns.element, ctx.w_bits), ctx)
+    ring = resolve_ring(ns.ring)
+    hull = hull_of(ring)
+    p = _lower(_parse(ns.element, _w_bits(ring)), ring)
     if not p.is_constant():
         raise ValueError("check-subring expects a coefficient-ring element, "
                          "not a polynomial in x")
     value = p.constant_term
     detail = ""
-    if ctx.is_field:
+    if ring.tier == Tier.FIELD:
         member = True
-        detail = f"{ctx.descriptor} is the whole ambient field"
-    elif ctx.domain.descend(value) is not None:
+        detail = f"{ring.name} is the whole ambient field"
+    elif ring.descend(value) is not None:
         member = True
-    elif ctx.hull.integral_ring.descend(value) is None:
+    elif hull.integral_ring.descend(value) is None:
         member = False
-        detail = f"not integral over {ctx.hull.name}"
+        detail = f"not integral over {hull.name}"
     else:
         member = False
-        detail = ctx.domain.non_member_reason
+        detail = ring.non_member_reason
     status = "member" if member else "not_member"
     shown = ns.element.strip()
     evidence = {"element": shown,
-                "value": ctx.hull.format_element(value),
-                "ambient": ctx.hull.name}
+                "value": hull.format_element(value),
+                "ambient": hull.name}
     if detail:
         evidence["detail"] = detail
-    line = (f"{shown} is a member of {ctx.descriptor}" if member else
-            f"{shown} is not a member of {ctx.descriptor}"
+    line = (f"{shown} is a member of {ring.name}" if member else
+            f"{shown} is not a member of {ring.name}"
             + (f" ({detail})" if detail else ""))
     return CommandResult(
-        _payload("check-subring", ctx.descriptor, status, evidence=evidence),
+        _payload("check-subring", ring.name, status, evidence=evidence),
         [line])
 
 

@@ -7,8 +7,11 @@ t^1 term.
 
 Every domain object exposes at least ``name``, ``tier``, ``zero``, ``one``,
 ``coerce``, ``is_element``, ``is_unit``, ``descend``, ``format_element``,
-``divides_exact`` and ``enumerates_divisors``, true where
-``divisors_up_to_associates`` lists divisors (Z and the orders O_d).
+``divides_exact``, ``symbols``, the expression symbols it binds as {name:
+(value in the hull, bits a factor of it counts)}, and
+``enumerates_divisors``, true where ``divisors_up_to_associates`` lists
+divisors (Z and the orders O_d).  Each ring is one object, built once per
+constructor arguments, so domains compare by identity.
 
 ``divides_exact(x, y)`` is the one exact division: y/x when that lies in
 the domain, else None; ZeroDivisionError for x = 0.  A Q-algebra never
@@ -212,6 +215,7 @@ class IntegerRing:
     name = "Z"
     tier = Tier.RING
     enumerates_divisors = True
+    symbols: dict = {}
     zero = 0
     one = 1
 
@@ -293,6 +297,7 @@ class RationalField:
     name = "Q"
     tier = Tier.FIELD
     enumerates_divisors = False
+    symbols: dict = {}
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -543,6 +548,12 @@ class _QuadraticDomain:
 
     fraction_field = q_algebra_hull
 
+    @cached_property
+    def symbols(self) -> dict:
+        """w (sqrt(d) in the field) and about log2|d| + 1 bits a factor."""
+        w = self.q_algebra_hull().coerce(self.element(0, 1))
+        return {"w": (w, abs(self.d).bit_length() + 1)}
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.d})"
 
@@ -789,38 +800,48 @@ def _format_two_coords(first: Any, second: Any) -> str:
 # polynomials in t as a coefficient domain
 # ---------------------------------------------------------------------------
 
-class PolynomialDomain:
-    """Polynomials in one indeterminate used as coefficients.
+#: The one instance of each polynomial domain class per base and variable.
+_POLYNOMIAL_DOMAINS: dict = {}
 
-    Z[t] is a plain ring; Q[t] divides exactly by nonzero integers
-    (coefficientwise) and therefore sits at tier QALGEBRA.
+
+class PolynomialDomain:
+    """Polynomials in one indeterminate used as coefficients, one instance
+    per class, base and variable.  Z[t] is a plain ring; Q[t] divides
+    exactly by nonzero integers (coefficientwise): tier QALGEBRA.
     """
 
     enumerates_divisors = False
 
-    def __init__(self, base: Any, var: str, name: str, tier: Tier):
-        self.base = base
-        self.var = var
-        self.name = name
-        self.tier = tier
-        self.zero = Polynomial.zero(base, var)
-        self.one = Polynomial.constant(base, base.one, var)
+    def __new__(cls, base: Any, var: str):
+        self = _POLYNOMIAL_DOMAINS.get((cls, base, var))
+        if self is None:
+            self = _POLYNOMIAL_DOMAINS[cls, base, var] = super().__new__(cls)
+            self.base = base
+            self.var = var
+            self.name = self._name()
+            self.tier = min(base.tier, Tier.QALGEBRA)
+            self.zero = Polynomial.zero(base, var)
+            self.one = Polynomial.constant(base, base.one, var)
+        return self
+
+    def _name(self) -> str:
+        return f"{self.base.name}[{self.var}]"
 
     def coerce(self, v: Any) -> Polynomial:
         if isinstance(v, Polynomial):
             if v.var != self.var:
                 raise TypeError(f"expected a polynomial in {self.var}, got {v.var}")
-            if v.domain == self.base:
+            if v.domain is self.base:
                 return v
             return v.map_coefficients(self.base.coerce, domain=self.base)
         return Polynomial.constant(self.base, self.base.coerce(v), self.var)
 
     def is_element(self, v: Any) -> bool:
-        return (isinstance(v, Polynomial) and v.domain == self.base
+        return (isinstance(v, Polynomial) and v.domain is self.base
                 and v.var == self.var)
 
     def element(self, coeffs: Iterable[Any]) -> Polynomial:
-        return Polynomial(self.base, coeffs, self.var)
+        return self.coerce(Polynomial(self.base, coeffs, self.var))
 
     def format_element(self, p: Polynomial) -> str:
         return str(p)
@@ -850,9 +871,7 @@ class PolynomialDomain:
     @cached_property
     def integral_ring(self) -> "PolynomialDomain":
         """Polynomials over the integral ring of the base: Z[t] for Q[t]."""
-        base = self.base.integral_ring
-        return PolynomialDomain(base, self.var, f"{base.name}[{self.var}]",
-                                Tier.RING)
+        return PolynomialDomain(self.base.integral_ring, self.var)
 
     def denominator(self, p: Polynomial) -> int:
         # a loop, not math.lcm(*generator): unpacking a generator builds a
@@ -877,25 +896,13 @@ class PolynomialDomain:
         return p.degree == 0 and self.base.is_unit(p.coeffs[0])
 
     def q_algebra_hull(self) -> "PolynomialDomain":
-        """Polynomials over the hull of the base: Q[t] for Z[t] and Q[t],
-        built once per domain."""
-        return self._hull
+        """Polynomials over the hull of the base: Q[t] for Z[t] and Q[t]."""
+        return PolynomialDomain(self.base.q_algebra_hull(), self.var)
 
     @cached_property
-    def _hull(self) -> "PolynomialDomain":
-        base = self.base.q_algebra_hull()
-        if base is self.base:
-            return self
-        return PolynomialDomain(base, self.var, f"{base.name}[{self.var}]",
-                                Tier.QALGEBRA)
-
-    def __eq__(self, other: object) -> bool:
-        # the class too: a subring with this base and variable differs
-        return (other.__class__ is self.__class__ and other.base == self.base
-                and other.var == self.var)
-
-    def __hash__(self) -> int:
-        return hash((self.__class__.__name__, self.base.name, self.var))
+    def symbols(self) -> dict:
+        """The indeterminate, as a constant of the hull; it counts no bits."""
+        return {self.var: (self.q_algebra_hull().element([0, 1]), 0)}
 
     def __repr__(self) -> str:
         return self.name.replace("[", "_").replace("]", "")
@@ -908,8 +915,11 @@ class NoLinearTermRing(PolynomialDomain):
     #: why an element of Z[t] is not in this ring
     non_member_reason = "the coefficient of t^1 is nonzero"
 
-    def __init__(self):
-        super().__init__(ZZ, "t", "Z[t2,t3]", Tier.RING)
+    def __new__(cls):
+        return super().__new__(cls, ZZ, "t")
+
+    def _name(self) -> str:
+        return "Z[t2,t3]"
 
     def coerce(self, v: Any) -> Polynomial:
         p = super().coerce(v)
@@ -927,8 +937,8 @@ class NoLinearTermRing(PolynomialDomain):
         return p if p is not None and p.coefficient(1) == 0 else None
 
 
-ZT = PolynomialDomain(ZZ, "t", "Z[t]", Tier.RING)
-QT = PolynomialDomain(QQ, "t", "Q[t]", Tier.QALGEBRA)
+ZT = PolynomialDomain(ZZ, "t")
+QT = PolynomialDomain(QQ, "t")
 ZT23 = NoLinearTermRing()
 
 
@@ -943,12 +953,12 @@ def hull_of(domain: Any) -> Any:
 
 def embed_element(x: Any, src: Any, dst: Any) -> Any:
     """Reinterpret an element of src inside the larger domain dst."""
-    return x if src == dst else dst.coerce(x)
+    return x if src is dst else dst.coerce(x)
 
 
 def embed_poly(p: Polynomial, dst: Any) -> Polynomial:
     """Coefficientwise embedding of p into the larger domain dst."""
-    return p if p.domain == dst else Polynomial(dst, p.coeffs, p.var)
+    return p if p.domain is dst else Polynomial(dst, p.coeffs, p.var)
 
 
 def descend_element(x: Any, ring: Any) -> Optional[Any]:

@@ -99,7 +99,7 @@ class Polynomial:
         return Polynomial(target, [func(c) for c in self.coeffs], self.var)
 
     def _check_compatible(self, other: "Polynomial") -> None:
-        if self.domain != other.domain or self.var != other.var:
+        if self.domain is not other.domain or self.var != other.var:
             raise DomainMismatchError(
                 f"polynomials over {self.domain!r} in {self.var!r} and "
                 f"{other.domain!r} in {other.var!r} cannot be combined")
@@ -178,7 +178,7 @@ class Polynomial:
                     return NotImplemented
             else:
                 return NotImplemented
-        return (self.domain == other.domain and self.var == other.var
+        return (self.domain is other.domain and self.var == other.var
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:

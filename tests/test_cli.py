@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
-                        ZT, ZT23, ZZ, main, parse_expression, parse_poly,
-                        resolve_ring)
+                        Tier, ZT, ZT23, ZZ, hull_of, main, parse_expression,
+                        parse_poly, resolve_ring)
 import polydecomp
 from polydecomp import cli
 from polydecomp.cli import ParseError, format_result, run, build_parser
@@ -164,17 +164,29 @@ class TestGrammar:
 
 class TestRingDescriptors:
     def test_known_descriptors(self):
-        assert resolve_ring("Z").domain is ZZ
-        assert resolve_ring("Q").is_field
-        assert resolve_ring("Z[sqrt(-5)]").domain is R5
-        assert resolve_ring("Q(sqrt(-5))").domain is K5
-        assert resolve_ring("O(-15)").domain is QuadraticIntRing(-15)
-        assert resolve_ring("Z[t2,t3]").domain is ZT23
-        assert resolve_ring("Z[t]").domain is ZT
-        assert resolve_ring("Z[t2,t3]").hull == QT
+        assert resolve_ring("Z") is ZZ
+        assert resolve_ring("Q").tier == Tier.FIELD
+        assert resolve_ring("Z[sqrt(-5)]") is R5
+        assert resolve_ring("Q(sqrt(-5))") is K5
+        assert resolve_ring("O(-15)") is QuadraticIntRing(-15)
+        assert resolve_ring("Z[t2,t3]") is ZT23
+        assert resolve_ring("Z[t]") is ZT
+        assert hull_of(resolve_ring("Z[t2,t3]")) is QT
 
     def test_spaces_tolerated(self):
-        assert resolve_ring(" Z[sqrt(-5)] ").domain is R5
+        assert resolve_ring(" Z[sqrt(-5)] ") is R5
+
+    @pytest.mark.parametrize("descriptor, name", [
+        ("Z", "Z"), ("Q", "Q"), ("Z[sqrt(-5)]", "Z[sqrt(-5)]"),
+        ("Q(sqrt(-5))", "Q(sqrt(-5))"), ("O(-15)", "O(-15)"),
+        ("Z[t]", "Z[t]"), ("Q[t]", "Q[t]"), ("Z[t2,t3]", "Z[t2,t3]"),
+        (" Z[ sqrt(-05) ] ", "Z[sqrt(-5)]"),
+        ("Q( sqrt( -005 ) )", "Q(sqrt(-5))"), (" O(-015)", "O(-15)"),
+        (" Z [ t2 , t3 ] ", "Z[t2,t3]"), ("Q [t]", "Q[t]")])
+    def test_the_descriptor_is_the_name_of_the_domain(self, descriptor, name):
+        ring = resolve_ring(descriptor)
+        assert ring.name == name
+        assert resolve_ring(ring.name) is ring
 
     def test_half_basis_needs_order_descriptor(self):
         with pytest.raises(ValueError) as info:
@@ -222,7 +234,7 @@ class TestRingDescriptors:
 
     def test_w_meaning_depends_on_ring(self):
         half = parse_poly("w", "O(-15)")
-        ring = resolve_ring("O(-15)").domain
+        ring = resolve_ring("O(-15)")
         assert half.constant_term == ring.element(0, 1)
         sqrt5 = parse_poly("w", "Z[sqrt(-5)]")
         assert sqrt5.constant_term == R5.element(0, 1)
@@ -252,7 +264,7 @@ class TestTextFormatRoundTrip:
     def test_random_polynomials_reparse(self):
         rng = random.Random(71)
         for ring_name in ("Z", "Q", "Z[sqrt(-5)]", "Q(sqrt(-5))", "O(-15)"):
-            ctx = resolve_ring(ring_name)
+            ring = resolve_ring(ring_name)
             for _ in range(100):
                 coeffs = []
                 for _ in range(rng.randint(1, 6)):
@@ -262,20 +274,20 @@ class TestTextFormatRoundTrip:
                         coeffs.append(Fraction(rng.randint(-9, 9),
                                                rng.randint(1, 9)))
                     else:
-                        coeffs.append(ctx.domain.element(rng.randint(-9, 9),
-                                                         rng.randint(-9, 9)))
-                p = Polynomial(ctx.domain, coeffs, "x")
-                assert parse_poly(str(p), ctx) == p
+                        coeffs.append(ring.element(rng.randint(-9, 9),
+                                                   rng.randint(-9, 9)))
+                p = Polynomial(ring, coeffs, "x")
+                assert parse_poly(str(p), ring) == p
 
     def test_t_polynomials_reparse(self):
         rng = random.Random(73)
-        ctx = resolve_ring("Z[t]")
+        ring = resolve_ring("Z[t]")
         for _ in range(100):
             coeffs = [Polynomial(ZZ, [rng.randint(-5, 5)
                                       for _ in range(rng.randint(0, 4))], "t")
                       for _ in range(rng.randint(1, 5))]
-            p = Polynomial(ctx.domain, coeffs, "x")
-            assert parse_poly(str(p), ctx) == p
+            p = Polynomial(ring, coeffs, "x")
+            assert parse_poly(str(p), ring) == p
 
     @given(st.lists(st.lists(st.fractions(min_value=-9, max_value=9,
                                           max_denominator=7), max_size=4),
@@ -295,10 +307,10 @@ class TestTextFormatRoundTrip:
 _DENSE_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def reference_lower(program, ctx):
+def reference_lower(program, ring):
     """The dense lowering the sparse one replaced: every step builds a
     Polynomial over the hull, and x^k is a power of the polynomial x."""
-    dom = ctx.hull
+    dom = hull_of(ring)
     stack = []
     for op, arg, pos in program:
         if op == "num":
@@ -307,11 +319,10 @@ def reference_lower(program, ctx):
             if arg == "x":
                 stack.append(Polynomial.identity(dom, "x"))
                 continue
-            value = ctx.t if arg == "t" else ctx.w
-            if value is None:
+            if arg not in ring.symbols:
                 raise ParseError(f"symbol {arg} is not defined over "
-                                 f"{ctx.descriptor}", pos)
-            stack.append(Polynomial.constant(dom, value, "x"))
+                                 f"{ring.name}", pos)
+            stack.append(Polynomial.constant(dom, ring.symbols[arg][0], "x"))
         elif op == "neg":
             stack.append(-stack.pop())
         elif op == "^":
@@ -322,26 +333,26 @@ def reference_lower(program, ctx):
     return stack.pop()
 
 
-def reference_parse_poly(text, ctx):
+def reference_parse_poly(text, ring):
     """parse_poly on the dense lowering, with its coefficient checks:
     every coefficient is first descended into Z[t] for Z[t2,t3] (and into
     the ring itself otherwise), and only then tested for a t^1 term."""
-    p = reference_lower(cli._parse(text, ctx.w_bits), ctx)
-    no_linear_term = ctx.descriptor == "Z[t2,t3]"
-    integral = ZT if no_linear_term else ctx.domain
+    p = reference_lower(cli._parse(text, cli._w_bits(ring)), ring)
+    no_linear_term = ring.name == "Z[t2,t3]"
+    integral = ZT if no_linear_term else ring
     coeffs = []
     for k, c in enumerate(p.coeffs):
         cc = integral.descend(c)
         if cc is None:
-            raise ValueError(f"coefficient {ctx.hull.format_element(c)} "
-                             f"of x^{k} does not lie in {ctx.descriptor}")
+            raise ValueError(f"coefficient {hull_of(ring).format_element(c)} "
+                             f"of x^{k} does not lie in {ring.name}")
         coeffs.append(cc)
     if no_linear_term:
         for k, c in enumerate(coeffs):
             if c.coefficient(1) != 0:
                 raise ValueError(f"coefficient {c} of x^{k} "
-                                 f"is not in {ctx.descriptor}")
-    return Polynomial(ctx.domain, coeffs, p.var)
+                                 f"is not in {ring.name}")
+    return Polynomial(ring, coeffs, p.var)
 
 
 def _outcome(call, *args):
@@ -381,12 +392,12 @@ class TestSparseLowering:
     @example(text="-(1/2*x-w)^3*(t-x^2)^2")
     @settings(max_examples=60, deadline=None)
     def test_same_polynomial_as_the_dense_lowering(self, descriptor, text):
-        ctx = resolve_ring(descriptor)
+        ring = resolve_ring(descriptor)
         program = parse_expression(text)
-        assert _outcome(cli._lower, program, ctx) == \
-            _outcome(reference_lower, program, ctx)
-        assert _outcome(parse_poly, text, ctx) == \
-            _outcome(reference_parse_poly, text, ctx)
+        assert _outcome(cli._lower, program, ring) == \
+            _outcome(reference_lower, program, ring)
+        assert _outcome(parse_poly, text, ring) == \
+            _outcome(reference_parse_poly, text, ring)
 
     def test_zero_to_the_zero_is_one(self):
         assert parse_poly("0^0", "Z") == Polynomial(ZZ, [1], "x")
@@ -517,6 +528,19 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err == "error: --full tries every inner degree; " \
                       "drop --inner-degree\n"
+
+    @pytest.mark.parametrize("manual, named", [
+        (["--ring", "Z", "--element", "6", "--factorization", "2,3",
+          "--factorization", "6"], "--ring, --element, --factorization"),
+        (["--ring", "Z"], "--ring"),
+        (["--element", "6"], "--element"),
+    ])
+    def test_witness_builtin_refuses_the_manual_flags(self, manual, named,
+                                                      capsys):
+        code, out, err = run_cli(["witness", "--builtin", *manual], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: --builtin runs a built-in example; " \
+                      f"drop {named}\n"
 
     def test_decompose_over_field_flag(self, capsys):
         code, out, _ = run_cli(
@@ -844,7 +868,7 @@ class TestErrorHandling:
         ["decompose", "--ring", "Z[sqrt(-5)]", "x^4+w^10000000000"],
     ])
     def test_constant_past_the_bound_exits_1(self, argv, capsys, monkeypatch):
-        def no_lowering(node, ctx):
+        def no_lowering(node, ring):
             raise AssertionError("lowered an expression past the bound")
 
         monkeypatch.setattr(cli, "_lower", no_lowering)

@@ -647,11 +647,11 @@ class TestEmbedDescend:
         assert hull_of(ZT).integral_ring is hull_of(ZT).integral_ring
         assert hull_of(ZT).name == "Q[t]"
         assert hull_of(ZT).integral_ring.name == "Z[t]"
-        r5t = PolynomialDomain(R5, "t", "Z[sqrt(-5)][t]", Tier.RING)
+        r5t = PolynomialDomain(R5, "t")
         assert hull_of(r5t) is r5t.q_algebra_hull()
 
     def test_polynomial_hull_follows_its_base(self):
-        r5t = PolynomialDomain(R5, "t", "Z[sqrt(-5)][t]", Tier.RING)
+        r5t = PolynomialDomain(R5, "t")
         hull = hull_of(r5t)
         assert hull.base is K5 and hull.var == "t"
         assert hull.name == "Q(sqrt(-5))[t]"
@@ -706,6 +706,44 @@ class TestEmbedDescend:
         assert q is not None and q.domain == ZT
 
 
+class TestOneObjectPerRing:
+    def test_polynomial_rings_are_built_once(self):
+        assert ZT.q_algebra_hull() is QT
+        assert QT.integral_ring is ZT
+        assert QT.q_algebra_hull() is QT
+        assert ZT23.q_algebra_hull() is QT
+        assert ZT23 is not ZT
+        assert PolynomialDomain(QQ, "t") is QT
+        assert PolynomialDomain(ZZ, "s") is not ZT
+
+    def test_name_and_tier_follow_the_base(self):
+        assert (ZT.name, ZT.tier) == ("Z[t]", Tier.RING)
+        assert (QT.name, QT.tier) == ("Q[t]", Tier.QALGEBRA)
+        assert (ZT23.name, ZT23.tier) == ("Z[t2,t3]", Tier.RING)
+        k5t = PolynomialDomain(K5, "t")
+        assert (k5t.name, k5t.tier) == ("Q(sqrt(-5))[t]", Tier.QALGEBRA)
+        assert PolynomialDomain(R5, "t").q_algebra_hull() is k5t
+
+    def test_no_domain_class_defines_equality(self):
+        for cls in (type(ZZ), type(QQ), QuadraticIntRing, QuadraticField,
+                    PolynomialDomain, NoLinearTermRing):
+            for klass in cls.__mro__[:-1]:
+                assert "__eq__" not in vars(klass), klass
+                assert "__hash__" not in vars(klass), klass
+
+    def test_symbols(self):
+        assert ZZ.symbols == {} and QQ.symbols == {}
+        assert R5.symbols == {"w": (K5.element(0, 1), 4)}
+        assert K5.symbols == {"w": (K5.element(0, 1), 4)}
+        # w is the half-basis generator of O(-15), and sqrt(-15) in K15
+        assert O15.symbols["w"] == (K15.element(Fraction(1, 2),
+                                                Fraction(1, 2)), 5)
+        assert K15.symbols["w"] == (K15.element(0, 1), 5)
+        t = QT.element([0, 1])
+        assert ZT.symbols == QT.symbols == ZT23.symbols == {"t": (t, 0)}
+        assert ZT.symbols["t"][0].domain is QQ
+
+
 class TestSubringDescriptors:
     """The subrings the --ring descriptors name inside their hulls: Z in Q,
     O_d in Q(sqrt(d)) and, above all, Z[t2,t3] in Q[t]."""
@@ -724,12 +762,19 @@ class TestSubringDescriptors:
     def test_compares_unequal_to_z_t_both_ways(self):
         assert ZT23 != ZT and ZT != ZT23
         assert not ZT23 == ZT and not ZT == ZT23
-        assert ZT23 == NoLinearTermRing() and hash(ZT23) == hash(
+        assert ZT23 is NoLinearTermRing() and hash(ZT23) == hash(
             NoLinearTermRing())
-        assert ZT == PolynomialDomain(ZZ, "t", "Z[t]", Tier.RING)
+        assert ZT is PolynomialDomain(ZZ, "t")
         assert len({ZT, ZT23, NoLinearTermRing()}) == 2
         f = Polynomial(ZT, [0, 0, 1], "x")
         assert f != Polynomial(ZT23, [0, 0, 1], "x")
+
+    def test_element_refuses_a_linear_term(self):
+        with pytest.raises(TypeError, match=r"is not in Z\[t2,t3\]"):
+            ZT23.element([0, 1])
+        t = Polynomial.identity(ZZ, "t")
+        assert ZT23.element([1, 0, 1]) == t ** 2 + 1
+        assert ZT23.is_element(ZT23.element([1, 0, 1]))
 
     def test_no_linear_term_subring(self):
         t = Polynomial.identity(ZZ, "t")

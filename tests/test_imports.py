@@ -1,0 +1,79 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import polydecomp
+
+PACKAGE = Path(polydecomp.__file__).parent
+
+#: Modules whose imports are the package's public names, not their own use.
+RE_EXPORTERS = {"__init__.py"}
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """{name bound by an import: its line}, __future__ imports left out."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None:
+                    yield arg.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, those inside string annotations too."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
+                 if path.name not in RE_EXPORTERS)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = ast.parse((PACKAGE / module).read_text(), module)
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items()
+              if name not in used}
+    assert unused == {}, f"{module} imports names it never uses"
+
+
+def test_a_name_used_only_in_an_annotation_counts():
+    tree = ast.parse("from typing import Any\n"
+                     "from .domains import QQ\n"
+                     "def f(x: 'Any') -> 'list[QQ]': pass\n")
+    assert set(imported_names(tree)) <= used_names(tree)
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from functools import cache, cached_property\n"
+                     "import os.path\n"
+                     "@cache\n"
+                     "def f(): pass\n")
+    assert set(imported_names(tree)) - used_names(tree) == {"cached_property",
+                                                           "os"}
