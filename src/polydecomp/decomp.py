@@ -121,13 +121,15 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
     is not a constant; a full expansion proves f = g(h) exactly, so the
     pair is not recomposed.
 
-    Both steps run on an integrally closed ring R: a ring domain itself
-    (Z[t2,t3] computes in Z[t], and section 5 keeps its pair in it), or
-    the integral ring of a Q-algebra (Z for Q, O_d for Q(sqrt(d)), Z[t]
-    for Q[t]; see domains).  With lam = 1 over a ring, else a positive
-    integer such that every lam^(N-k) f_k lies in R, F(x) =
-    lam^N f(x/lam) is monic in R[x], and f = g(h) iff F = G(H) with
-    H(x) = lam^m h(x/lam) and G(y) = lam^N g(y/lam^m).  A monic F in
+    Since h(0) = 0, g(0) = f(0): the constant term is set directly and
+    enters neither the root nor the digits.  Both steps run on an
+    integrally closed ring R: a ring domain itself (Z[t2,t3] computes in
+    Z[t], and section 5 keeps its pair in it), or the integral ring of a
+    Q-algebra (Z for Q, O_d for Q(sqrt(d)), Z[t] for Q[t]; see domains).
+    With lam = 1 over a ring, else a positive integer such that
+    lam^(N-k) f_k lies in R for 0 < k < N, F(x) = lam^N (f(x/lam) - f(0))
+    is monic in R[x], and f = g(h) iff F = G(H) with H(x) =
+    lam^m h(x/lam) and G(y) = lam^N (g(y/lam^m) - g(0)).  A monic F in
     R[x] only decomposes with H and G in R[x]: a root coefficient outside
     R rejects the degree at once, and the digits are taken by division
     in R (docs/math_notes.md, section 1).
@@ -141,17 +143,22 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
         raise ValueError(f"inner degree {m} is not a proper divisor of {N}")
     dom = f.domain
     if dom.tier == Tier.RING:
-        ring, lam, F = dom, 1, list(f.coeffs)
+        ring, lam, F = dom, 1, [dom.zero, *f.coeffs[1:]]
     else:
         ring = dom.integral_ring
         lam = _integral_scale(f)
-        F = dom.integral_lift(f.coeffs[:N], lam) + [ring.one]
+        F = [ring.zero] * N + [ring.one]
+        to_integral, scale = dom.to_integral, 1
+        for k in range(N - 1, 0, -1):
+            scale *= lam
+            F[k] = to_integral(f.coeffs[k], scale)
     zero = ring.zero
     H = _inner_root(F, m, ring)
     if H is None:
         return None
 
-    # H-adic digits, lowest first, one division at a time
+    # H-adic digits, lowest first, one division at a time; digit 0 is
+    # F(0) = 0, and g(0) is f(0)
     G = []
     rem = F
     while rem:
@@ -160,17 +167,20 @@ def monic_decompose(f: Polynomial, m: int) -> Optional[Decomposition]:
             return None
         G.append(rem[0])
         rem = rem[m:]
+    G[0] = f.constant_term
     # the domain is R or embeds it, so with lam = 1 it takes the pair as is
     if lam != 1:
         divide = dom.divides_exact
         H = [divide(lam ** (m - k), c) for k, c in enumerate(H)]
-        G = [divide(lam ** (N - m * j), c) for j, c in enumerate(G)]
+        for j in range(1, len(G)):
+            G[j] = divide(lam ** (N - m * j), G[j])
     return Decomposition(Polynomial(dom, G, f.var), Polynomial(dom, H, f.var))
 
 
 def _integral_scale(f: Polynomial) -> int:
     """A positive integer lam with lam^(N-k) f_k in the integral ring of
-    f's domain for every k, for f monic of degree N.
+    f's domain for 0 < k < N, for f monic of degree N.  f(0) is g(0) and
+    never enters the lift, so its denominator does not enter lam.
 
     Walking down from the top, each denominator d_k multiplies lam by
     only the part of it that lam^(N-k) does not already cover.  So lam
@@ -181,7 +191,7 @@ def _integral_scale(f: Polynomial) -> int:
     N = f.degree
     denominator = f.domain.denominator
     lam = 1
-    for k in range(N - 1, -1, -1):
+    for k in range(N - 1, 0, -1):
         d = denominator(f.coeffs[k])
         if lam % d:
             # no prime divides d more often than d has bits, so
@@ -223,10 +233,11 @@ def _inner_root(F: list, m: int, ring: Any) -> Optional[list]:
 def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     """Decompose f with inner degree m, allowing any leading coefficient.
 
-    Reduces to the monic case via f~ = (f - f(0)) / lc(f) and conjugates
-    the answer back, so compose(g, h) = f exactly.  A unit leading
-    coefficient (1, say, -1 over Z or 2 over Q[t]) works over any domain,
-    and the pair lies over it; any other lead requires a field.
+    Reduces to the monic case via f/lc(f), whose monic decomposition
+    keeps f(0)/lc(f) as g(0), and returns (lc(f)*g, h), so compose(g, h)
+    = f exactly.  A unit leading coefficient (1, say, -1 over Z or 2 over
+    Q[t]) works over any domain, and the pair lies over it; any other
+    lead requires a field.
     """
     N = f.degree
     if N < 4:
@@ -237,12 +248,11 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     lc = f.leading_coefficient
     if not dom.is_unit(lc):
         require_tier(dom, Tier.FIELD, "non-monic decomposition")
-    ftilde = f.map_coefficients(lambda c: dom.divides_exact(lc, c))
-    inner = monic_decompose(ftilde - ftilde.constant_term, m)
+    inner = monic_decompose(
+        f.map_coefficients(lambda c: dom.divides_exact(lc, c)), m)
     if inner is None:
         return None
-    g = inner.g.scale(lc) + f.constant_term
-    return Decomposition(g, inner.h)
+    return Decomposition(inner.g.scale(lc), inner.h)
 
 
 def quartic_field_decompose(f: Polynomial) -> Optional[Decomposition]:

@@ -11,7 +11,8 @@ Every domain object exposes at least ``name``, ``tier``, ``zero``, ``one``,
 (value in the hull, bits a factor of it counts)}, and
 ``enumerates_divisors``, true where ``divisors_up_to_associates`` lists
 divisors (Z and the orders O_d).  Each ring is one object, built once per
-constructor arguments, so domains compare by identity.
+constructor arguments, so domains compare by identity, and a copy or a
+pickle round trip of a domain returns that object (``__reduce__``).
 
 ``divides_exact(x, y)`` is the one exact division: y/x when that lies in
 the domain, else None; ZeroDivisionError for x = 0.  A Q-algebra never
@@ -20,12 +21,11 @@ Z[t], Q[t] and Z[t^2, t^3] divide only by constants, coefficientwise.
 
 Every Q-algebra A here is R[1/n : n = 1, 2, ...] for an integrally closed
 ring R inside it, its ``integral_ring``: Z in Q, O_d in Q(sqrt(d)), Z[t]
-in Q[t].  A answers ``denominator(x)``, the least positive integer s with
-s*x in R; ``to_integral(x, s)``, that s*x (or any multiple of it) as an
-element of R; and ``integral_lift(coeffs, lam)``, the list of
-lam^(N-k) * coeffs[k] in R for N = len(coeffs).  ``divides_exact(s, X)``
-maps X in R back to X/s in A.  Monic decomposition runs on R
-(docs/math_notes.md, section 1).
+in Q[t].  A answers only element questions: ``integral_ring``;
+``denominator(x)``, the least positive integer s with s*x in R; and
+``to_integral(x, s)``, s*x as an element of R for s any multiple of that
+denominator.  ``divides_exact(s, X)`` maps X in R back to X/s in A.
+Monic decomposition lifts f onto R itself (docs/math_notes.md, section 1).
 
 O_d and Q(sqrt(d)) share one element class, :class:`QuadraticElement`,
 on the integral basis 1, w of O_d, with int coordinates in the order and
@@ -41,7 +41,7 @@ import operator
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .poly import Polynomial, power
 
@@ -287,6 +287,9 @@ class IntegerRing:
 
     fraction_field = q_algebra_hull
 
+    def __reduce__(self) -> str:
+        return "ZZ"
+
     def __repr__(self) -> str:
         return "ZZ"
 
@@ -340,19 +343,11 @@ class RationalField:
         """s*x as an integer, for s a multiple of x's denominator."""
         return x.numerator * (s // x.denominator)
 
-    def integral_lift(self, coeffs: list, lam: int) -> list:
-        # _integral_lift with to_integral written out: every field
-        # decision over Q runs this once per coefficient and inner degree
-        out = [0] * len(coeffs)
-        scale = 1
-        for k in range(len(coeffs) - 1, -1, -1):
-            scale *= lam
-            c = coeffs[k]
-            out[k] = c.numerator * (scale // c.denominator)
-        return out
-
     def q_algebra_hull(self) -> "RationalField":
         return self
+
+    def __reduce__(self) -> str:
+        return "QQ"
 
     def __repr__(self) -> str:
         return "QQ"
@@ -553,6 +548,9 @@ class _QuadraticDomain:
         """w (sqrt(d) in the field) and about log2|d| + 1 bits a factor."""
         w = self.q_algebra_hull().coerce(self.element(0, 1))
         return {"w": (w, abs(self.d).bit_length() + 1)}
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.d,))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.d})"
@@ -770,21 +768,6 @@ class QuadraticField(_QuadraticDomain):
                                 a.numerator * (s // a.denominator),
                                 b.numerator * (s // b.denominator))
 
-    def integral_lift(self, coeffs: list, lam: int) -> list:
-        return _integral_lift(self.to_integral, coeffs, lam)
-
-
-def _integral_lift(to_integral: Callable[[Any, int], Any], coeffs: list,
-                   lam: int) -> list:
-    """[lam^(N-k) * coeffs[k] for k < N] in the integral ring, N =
-    len(coeffs), for lam with every such multiple in it."""
-    out = [None] * len(coeffs)
-    scale = 1
-    for k in range(len(coeffs) - 1, -1, -1):
-        scale *= lam
-        out[k] = to_integral(coeffs[k], scale)
-    return out
-
 
 def _format_two_coords(first: Any, second: Any) -> str:
     """Render first + second*w compatibly with the expression grammar."""
@@ -888,9 +871,6 @@ class PolynomialDomain:
         return Polynomial(self.integral_ring.base,
                           [lift(c, s) for c in p.coeffs], self.var)
 
-    def integral_lift(self, coeffs: list, lam: int) -> list:
-        return _integral_lift(self.to_integral, coeffs, lam)
-
     def is_unit(self, p: Polynomial) -> bool:
         """Whether p is a constant that is a unit of the base."""
         return p.degree == 0 and self.base.is_unit(p.coeffs[0])
@@ -903,6 +883,9 @@ class PolynomialDomain:
     def symbols(self) -> dict:
         """The indeterminate, as a constant of the hull; it counts no bits."""
         return {self.var: (self.q_algebra_hull().element([0, 1]), 0)}
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.base, self.var))
 
     def __repr__(self) -> str:
         return self.name.replace("[", "_").replace("]", "")
@@ -917,6 +900,9 @@ class NoLinearTermRing(PolynomialDomain):
 
     def __new__(cls):
         return super().__new__(cls, ZZ, "t")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), ())
 
     def _name(self) -> str:
         return "Z[t2,t3]"

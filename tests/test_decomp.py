@@ -327,9 +327,11 @@ class TestIntegerPath:
         assert ZZ.divides_exact(2, -7) is None
 
     def test_large_scale_maps_back_exactly(self):
-        # the scale is 999983 * 999979 * 999961 and F's constant term
-        # has 156 digits, yet the pair comes back in lowest terms
-        g = qpoly([Fraction(1, 999_983), Fraction(-2, 999_979), 0, 1])
+        # the scale is 999983 * 999979 * 999961 and F's x coefficient has
+        # 133 digits, yet the pair comes back in lowest terms; the 7 of
+        # f(0) = g(0) stays out of the scale
+        g = qpoly([Fraction(1, 7), Fraction(-2, 999_979),
+                   Fraction(1, 999_983), 1])
         h = qpoly([0, Fraction(5, 999_961), 0, 1])
         f = compose(g, h)
         assert decomp._integral_scale(f) == 999_983 * 999_979 * 999_961
@@ -340,13 +342,28 @@ class TestIntegerPath:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_the_scale_clears_every_denominator(self, data):
+        # every coefficient but the lead and f(0), which is g(0)
         N = data.draw(st.integers(4, 12))
         f = qpoly([data.draw(wide_fractions) for _ in range(N)] + [1])
         lam = decomp._integral_scale(f)
         assert lam >= 1
-        assert all((lam ** (N - k) * c).denominator == 1
-                   for k, c in enumerate(f.coeffs))
-        assert math.lcm(*(c.denominator for c in f.coeffs)) % lam == 0
+        assert all((lam ** (N - k) * f.coeffs[k]).denominator == 1
+                   for k in range(1, N))
+        assert math.lcm(*(f.coeffs[k].denominator
+                          for k in range(1, N))) % lam == 0
+
+    def test_a_denominator_only_in_the_constant_term_stays_out(self):
+        # f = (y^2 + 3y + 1/999983) o (x^2 + x): f(0) is g(0), so the
+        # integer lift of f needs no scale at all
+        g = qpoly([Fraction(1, 999_983), 3, 1])
+        h = qpoly([0, 1, 1])
+        f = compose(g, h)
+        assert f.coeffs[1:] == qpoly([0, 3, 4, 2, 1]).coeffs[1:]
+        assert decomp._integral_scale(f) == 1
+        assert monic_decompose(f, 2) == Decomposition(g, h)
+        assert decompose_over_field(f.scale(Fraction(2, 3)), 2) == \
+            Decomposition(g.scale(Fraction(2, 3)), h)
+        assert monic_decompose(f + qpoly([0, 1]), 2) is None
 
     def test_the_scale_stays_below_the_lcm(self):
         # f = x^4 + 2/3 x^3 + 4/9 x^2 + 1/9 x: the 3 that f_3 needs
@@ -838,6 +855,99 @@ class TestOneLeadNormalisation:
         assert out == parent_field_loop(f, degrees)
         if out.decomposition is not None:
             assert out.decomposition.certificate == f
+
+
+def subtract_and_add_back(f, m):
+    """decompose_over_field in the form that subtracted f~(0) from
+    f~ = f / lc(f) before the monic solve and added f(0) back to g after
+    it, here applied to monic f as well."""
+    dom = f.domain
+    lc = f.leading_coefficient
+    ftilde = f.map_coefficients(lambda c: dom.divides_exact(lc, c))
+    inner = monic_decompose(ftilde - ftilde.constant_term, m)
+    if inner is None:
+        return None
+    return Decomposition(inner.g.scale(lc) + f.constant_term, inner.h)
+
+
+def _nonzero(dom, element):
+    return element.filter(lambda c: c != dom.zero)
+
+
+_k5_elements = DOMAIN_ELEMENTS["Q(sqrt(-5))"][1]
+#: domain, its elements, and the leads of g and h: any nonzero element of
+#: a field, a unit elsewhere
+CONSTANT_TERM_DOMAINS = {
+    "Q": (QQ, small_fractions, _nonzero(QQ, small_fractions)),
+    "Q(sqrt(-5))": (K5, _k5_elements, _nonzero(K5, _k5_elements)),
+    "Q[t]": (QT, st.lists(small_fractions, max_size=3).map(QT.element),
+             _nonzero(QQ, small_fractions).map(QT.coerce)),
+    "Z": (ZZ, small_ints, st.sampled_from([1, -1])),
+    "Z[t]": (ZT, t_coeffs.map(ZT.element), st.sampled_from([ZT.one,
+                                                            -ZT.one])),
+}
+
+
+@st.composite
+def constant_term_input(draw, dom, element, leads):
+    """f of degree 4..16 with a random constant term: g(h) for g and h of
+    degree 2..4, sometimes plus c*x^k, or a random polynomial."""
+    def poly(deg):
+        return Polynomial(dom, [draw(element) for _ in range(deg)]
+                          + [draw(leads)], "x")
+
+    if draw(st.booleans()):
+        f = compose(poly(draw(st.integers(2, 4))),
+                    poly(draw(st.integers(2, 4))))
+        if draw(st.booleans()):
+            k = draw(st.integers(1, f.degree - 1))
+            f = f + Polynomial.monomial(dom, draw(element), k, "x")
+    else:
+        f = poly(draw(st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16])))
+    return Polynomial(dom, [draw(element), *f.coeffs[1:]], "x")
+
+
+class TestConstantTermOutsideTheLift:
+    """f(0) is g(0): monic_decompose sets it directly, and
+    decompose_over_field passes f/lc(f) on with its constant term."""
+
+    def test_no_polynomial_is_subtracted_or_added(self, monkeypatch):
+        w = K5.element(0, 1)
+        pairs = [  # non-monic over Q and Q(sqrt(-5)), lead -1 over Z
+            (qpoly([Fraction(1, 7), 2, Fraction(-3, 5)]), qpoly([1, 0, 2, 1])),
+            (Polynomial(K5, [Fraction(1, 3), w, w + 2], "x"),
+             Polynomial(K5, [1, w, 1], "x")),
+            (zpoly([5, 3, 0, -1]), zpoly([2, 1, 1])),
+        ]
+        hits = [(compose(g, h), h) for g, h in pairs]
+        misses = [(f + Polynomial(f.domain, [0, 1], "x"), h)
+                  for f, h in hits]
+
+        def refuse(self, other):
+            raise AssertionError("a polynomial was added or subtracted")
+
+        monkeypatch.setattr(Polynomial, "__add__", refuse)
+        monkeypatch.setattr(Polynomial, "__sub__", refuse)
+        found = [decompose_over_field(f, h.degree) for f, h in hits]
+        missed = [decompose_over_field(f, h.degree) for f, h in misses]
+        monkeypatch.undo()
+        for (f, h), dec in zip(hits, found):
+            assert dec.h == h - h.constant_term
+            assert dec.g.constant_term == f.constant_term
+            assert dec.certificate == f
+        assert missed == [None, None, None]
+
+    @pytest.mark.parametrize("domain", sorted(CONSTANT_TERM_DOMAINS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_subtract_and_add_back_form(self, domain, data):
+        dom, element, leads = CONSTANT_TERM_DOMAINS[domain]
+        f = data.draw(constant_term_input(dom, element, leads))
+        for m in proper_inner_degrees(f.degree):
+            dec = decompose_over_field(f, m)
+            assert dec == subtract_and_add_back(f, m)
+            if dec is not None:
+                assert dec.certificate == f
 
 
 class TestLinearRelate:

@@ -1,6 +1,8 @@
 """Coefficient domains: quadratic orders, norms, divisors, subrings."""
 
+import copy
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydecomp import (CapabilityError, NoLinearTermRing, Polynomial,
-                        PolynomialDomain, QuadraticElement, QuadraticField,
-                        QuadraticIntRing,
-                        Tier, QQ, QT, ZT, ZT23, ZZ, descend_element,
+from polydecomp import (CapabilityError, Decomposition, NoLinearTermRing,
+                        Polynomial, PolynomialDomain, QuadraticElement,
+                        QuadraticField, QuadraticIntRing,
+                        Tier, QQ, QT, ZT, ZT23, ZZ, compose,
+                        decompose_over_field, descend_element,
                         descend_poly, embed_element, embed_poly, hull_of,
-                        require_tier)
+                        quartic_ring_decide, require_tier)
 from polydecomp.domains import _MR_EXACT_BELOW, _check_d
 
 R5 = QuadraticIntRing(-5)
@@ -742,6 +745,58 @@ class TestOneObjectPerRing:
         t = QT.element([0, 1])
         assert ZT.symbols == QT.symbols == ZT23.symbols == {"t": (t, 0)}
         assert ZT.symbols["t"][0].domain is QQ
+
+
+#: One domain of every descriptor family, and a polynomial ring over each
+#: kind of base.
+EVERY_FAMILY = {
+    "Z": ZZ, "Q": QQ, "Z[sqrt(-5)]": R5, "O(-15)": O15, "Z[i]": GAUSS,
+    "Q(sqrt(-5))": K5, "Q(sqrt(-15))": K15, "Z[t]": ZT, "Q[t]": QT,
+    "Z[t2,t3]": ZT23, "Z[sqrt(-5)][t]": PolynomialDomain(R5, "t"),
+    "Q(sqrt(-5))[s]": PolynomialDomain(K5, "s"),
+}
+
+
+def _round_trips(x):
+    return copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+
+
+class TestCopyAndPickle:
+    """A copy or a pickle round trip of a domain is the domain itself, so
+    polynomials and answers over it survive both and compare equal."""
+
+    @pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+    def test_a_domain_round_trips_to_itself(self, name):
+        dom = EVERY_FAMILY[name]
+        state = dict(vars(dom))
+        for back in _round_trips(dom):
+            assert back is dom
+        # and the one object keeps its own attributes, not copies of them
+        assert all(vars(dom)[k] is v for k, v in state.items())
+
+    @pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
+    def test_a_polynomial_round_trips_over_the_same_domain(self, name):
+        dom = EVERY_FAMILY[name]
+        p = Polynomial(dom, [dom.one, dom.zero, dom.one + dom.one], "x")
+        for back in _round_trips(p):
+            assert back == p
+            assert back.domain is dom
+
+    def test_answers_round_trip(self):
+        x = Polynomial.identity(K5, "x")
+        dec = decompose_over_field(
+            compose(x * x + x.scale(K5.element(0, 1)), x * x * x), 3)
+        p = Polynomial(QT, [QT.element([0, 1]), 0, 1], "x")
+        qt_dec = Decomposition(p, p)
+        # decomposable over Q(sqrt(-5)) only: field evidence and an
+        # audited candidate list
+        outcome = quartic_ring_decide(Polynomial(
+            R5, [0, w5(1, 1), 11, w5(6, -6), w5(-4, -2)], "x"))
+        assert outcome.field_evidence is not None and outcome.candidates
+        for answer in (dec, qt_dec, outcome):
+            for back in _round_trips(answer):
+                assert back == answer
+        assert pickle.loads(pickle.dumps(dec)).certificate == dec.certificate
 
 
 class TestSubringDescriptors:
