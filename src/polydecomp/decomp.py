@@ -6,8 +6,10 @@ modulo x^m, where rev reverses the coefficient list.  That fixes a
 unique monic candidate h with h(0) = 0, and the h-adic digits of f then
 decide the question, over a ring in its own coefficients.  Field
 decomposition and a unit lead reduce to the monic case by a linear
-change; quartics additionally get a closed form and, over Z and the
-imaginary-quadratic orders, an exact over-the-ring decision.
+change: the lead is divided out once per polynomial, and every inner
+degree tried runs on the same monic f/lc.  Quartics additionally get a
+closed form and, over Z and the imaginary-quadratic orders, an exact
+over-the-ring decision.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class Decomposition:
         self.g = g
         self.h = h
         self._certificate = None
+
+    def __reduce__(self) -> tuple:
+        # __slots__ alone cannot be pickled at protocols 0 and 1; the
+        # certificate is recomputed on demand
+        return Decomposition, (self.g, self.h)
 
     @property
     def certificate(self) -> Polynomial:
@@ -230,6 +237,31 @@ def _inner_root(F: list, m: int, ring: Any) -> Optional[list]:
     return [zero] + P[::-1]
 
 
+def _monic_part(f: Polynomial) -> tuple:
+    """(f/lc(f), lc(f)), or (f, None) when f is monic.
+
+    f/lc(f) depends on f alone, so a caller that tries several inner
+    degrees divides once and hands the same monic polynomial to
+    :func:`monic_decompose` for each.  A non-unit lead requires a field.
+    """
+    if f.is_monic():
+        return f, None
+    dom = f.domain
+    lc = f.leading_coefficient
+    if not dom.is_unit(lc):
+        require_tier(dom, Tier.FIELD, "non-monic decomposition")
+    return f.map_coefficients(lambda c: dom.divides_exact(lc, c)), lc
+
+
+def _with_lead(dec: Optional[Decomposition],
+               lc: Any) -> Optional[Decomposition]:
+    """(lc*g, h) for a pair (g, h) of f/lc, which composes to f; the pair
+    itself when lc is None."""
+    if dec is None or lc is None:
+        return dec
+    return Decomposition(dec.g.scale(lc), dec.h)
+
+
 def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     """Decompose f with inner degree m, allowing any leading coefficient.
 
@@ -237,22 +269,14 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     keeps f(0)/lc(f) as g(0), and returns (lc(f)*g, h), so compose(g, h)
     = f exactly.  A unit leading coefficient (1, say, -1 over Z or 2 over
     Q[t]) works over any domain, and the pair lies over it; any other
-    lead requires a field.
+    lead requires a field.  This is the entry for one inner degree; a
+    caller that tries several divides the lead out once (as
+    :func:`decompose_fully` does).
     """
-    N = f.degree
-    if N < 4:
+    if f.degree < 4:
         raise ValueError("degree must be at least 4")
-    if f.is_monic():
-        return monic_decompose(f, m)
-    dom = f.domain
-    lc = f.leading_coefficient
-    if not dom.is_unit(lc):
-        require_tier(dom, Tier.FIELD, "non-monic decomposition")
-    inner = monic_decompose(
-        f.map_coefficients(lambda c: dom.divides_exact(lc, c)), m)
-    if inner is None:
-        return None
-    return Decomposition(inner.g.scale(lc), inner.h)
+    monic, lc = _monic_part(f)
+    return _with_lead(monic_decompose(monic, m), lc)
 
 
 def quartic_field_decompose(f: Polynomial) -> Optional[Decomposition]:
@@ -353,8 +377,9 @@ def decompose_over_ring(f: Polynomial,
     """
     ring = f.domain
     if ring.is_unit(f.leading_coefficient):
+        monic, lc = _monic_part(f)
         for m in degrees:
-            dec = decompose_over_field(f, m)
+            dec = _with_lead(monic_decompose(monic, m), lc)
             if dec is not None:
                 return RingDecideOutcome(
                     RingDecideStatus.DECOMPOSABLE_OVER_RING, dec, dec, None)
@@ -426,16 +451,21 @@ def decompose_fully(f: Polynomial) -> list[Polynomial]:
     """A complete decomposition chain c1 o c2 o ... o ck = f.
 
     Tries inner degrees in increasing order and recurses on both factors,
-    so every returned factor is indecomposable.  Deterministic, but not
-    canonical: equivalent chains related by linear insertions exist.
+    so every returned factor is indecomposable.  The lead is divided out
+    once per polynomial: every degree runs :func:`monic_decompose` on the
+    same monic f/lc, and only a hit scales g back by lc.  Deterministic,
+    but not canonical: equivalent chains related by linear insertions
+    exist.
     """
     N = f.degree
     if N < 2:
         raise ValueError("degree must be at least 2")
-    if N < 4:
+    degrees = proper_inner_degrees(N)
+    if not degrees:
         return [f]
-    for m in proper_inner_degrees(N):
-        dec = decompose_over_field(f, m)
+    monic, lc = _monic_part(f)
+    for m in degrees:
+        dec = _with_lead(monic_decompose(monic, m), lc)
         if dec is not None:
             return decompose_fully(dec.g) + decompose_fully(dec.h)
     return [f]

@@ -404,6 +404,10 @@ class QuadraticElement:
         self.a = a
         self.b = b
 
+    def __reduce__(self) -> tuple:
+        # __slots__ alone cannot be pickled at protocols 0 and 1
+        return QuadraticElement, (self.dom, self.a, self.b)
+
     def _join(self, other: Any) -> tuple["QuadraticElement", Any]:
         """other as an element, and the domain the result lives in."""
         if isinstance(other, QuadraticElement):

@@ -37,6 +37,10 @@ class Polynomial:
         self.coeffs = tuple(cs)
         self.var = var
 
+    def __reduce__(self) -> tuple:
+        # __slots__ alone cannot be pickled at protocols 0 and 1
+        return Polynomial, (self.domain, self.coeffs, self.var)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

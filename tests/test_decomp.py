@@ -752,11 +752,12 @@ def parent_unit_lead_decide(f, degrees):
     return RingDecideOutcome(status, None, times_unit(field_dec), None)
 
 
-def parent_field_loop(fh, degrees):
-    """The decompose command's own loop over a field: the first pair found,
-    as the outcome the library gives for it."""
+def parent_field_loop(fh, degrees, decide=decompose_over_field):
+    """The decompose command's own loop over a field: the first pair found
+    by ``decide`` for one inner degree, as the outcome the library gives
+    for it."""
     for m in degrees:
-        dec = decompose_over_field(fh, m)
+        dec = decide(fh, m)
         if dec is not None:
             return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
                                      dec, dec, None)
@@ -1006,6 +1007,116 @@ class TestTaylorExpansion:
         h = qpoly(hc + [1])
         h0 = qpoly([c0])
         assert verify_taylor_expansion(G, h, h0, Fraction(a))
+
+
+#: Degree 24 over Q with lead 2.  f' is Eisenstein at 5: 5 divides every
+#: lower coefficient k*a_k, 25 does not divide a_1 = 5, and 5 does not
+#: divide 24*2.  So f' is irreducible and f is indecomposable.
+EISENSTEIN_24 = qpoly([1, 5] + [5 * (-1) ** k for k in range(2, 24)] + [2])
+
+
+def per_degree_over_field(f, m):
+    """decompose_over_field in the form that divided f by lc(f) anew for
+    every inner degree."""
+    if f.is_monic():
+        return monic_decompose(f, m)
+    dom = f.domain
+    lc = f.leading_coefficient
+    inner = monic_decompose(
+        f.map_coefficients(lambda c: dom.divides_exact(lc, c)), m)
+    if inner is None:
+        return None
+    return Decomposition(inner.g.scale(lc), inner.h)
+
+
+def per_degree_fully(f):
+    """decompose_fully over per_degree_over_field."""
+    for m in proper_inner_degrees(f.degree):
+        dec = per_degree_over_field(f, m)
+        if dec is not None:
+            return per_degree_fully(dec.g) + per_degree_fully(dec.h)
+    return [f]
+
+
+#: rational leads over the fields, leads +-1 over the rings
+ONE_DIVISION_DOMAINS = {name: CONSTANT_TERM_DOMAINS[name]
+                        for name in ("Q", "Q(sqrt(-5))", "Z", "Z[t]")}
+
+
+@st.composite
+def chain_input(draw, dom, element, leads):
+    """f of degree 4..24: a chain of two or three factors of degree 2..4,
+    sometimes plus c*x^k, or a random polynomial."""
+    def poly(deg):
+        return Polynomial(dom, [draw(element) for _ in range(deg)]
+                          + [draw(leads)], "x")
+
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.integers(2, 4), min_size=2,
+                                max_size=3).filter(
+            lambda ds: math.prod(ds) <= 24))
+        f = poly(degrees[-1])
+        for d in reversed(degrees[:-1]):
+            f = compose(poly(d), f)
+        if draw(st.booleans()):
+            k = draw(st.integers(1, f.degree - 1))
+            f = f + Polynomial.monomial(dom, draw(element), k, "x")
+        return f
+    return poly(draw(st.integers(4, 24)))
+
+
+class TestOneDivisionPerPolynomial:
+    """decompose_fully and decompose_over_ring divide f by its lead once,
+    and try every inner degree on the same monic f/lc."""
+
+    def test_decompose_fully_divides_each_coefficient_once(
+            self, hull_divisions):
+        # six inner degrees, 25 coefficients: the per-degree form made 150
+        assert decompose_fully(EISENSTEIN_24) == [EISENSTEIN_24]
+        assert len(hull_divisions) == 25
+
+    def test_decompose_over_ring_divides_each_coefficient_once(
+            self, hull_divisions):
+        out = decompose_over_ring(EISENSTEIN_24, proper_inner_degrees(24))
+        assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
+        assert len(hull_divisions) == 25
+
+    def test_every_degree_solves_the_same_monic_polynomial(self,
+                                                           monkeypatch):
+        seen = []
+        original = decomp.monic_decompose
+
+        def spy(f, m):
+            seen.append((f, m))
+            return original(f, m)
+
+        monkeypatch.setattr(decomp, "monic_decompose", spy)
+        degrees = proper_inner_degrees(24)
+        for decide in (decompose_fully,
+                       lambda f: decompose_over_ring(f, degrees)):
+            del seen[:]
+            decide(EISENSTEIN_24)
+            assert [m for _, m in seen] == degrees
+            monic = seen[0][0]
+            assert monic.is_monic()
+            assert monic.scale(2) == EISENSTEIN_24
+            assert all(f is monic for f, _ in seen)
+
+    @pytest.mark.parametrize("domain", sorted(ONE_DIVISION_DOMAINS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_per_degree_form(self, domain, data):
+        dom, element, leads = ONE_DIVISION_DOMAINS[domain]
+        f = data.draw(chain_input(dom, element, leads))
+        found = decompose_fully(f)
+        assert found == per_degree_fully(f)
+        acc = found[-1]
+        for c in reversed(found[:-1]):
+            acc = compose(c, acc)
+        assert acc == f
+        degrees = proper_inner_degrees(f.degree)
+        assert decompose_over_ring(f, degrees) \
+            == parent_field_loop(f, degrees, per_degree_over_field)
 
 
 class TestDecomposeFully:

@@ -758,12 +758,16 @@ EVERY_FAMILY = {
 
 
 def _round_trips(x):
-    return copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+    """Copies of x, and x through pickle at every protocol."""
+    return (copy.copy(x), copy.deepcopy(x),
+            *(pickle.loads(pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)))
 
 
 class TestCopyAndPickle:
-    """A copy or a pickle round trip of a domain is the domain itself, so
-    polynomials and answers over it survive both and compare equal."""
+    """A copy or a pickle round trip, at any protocol, of a domain is the
+    domain itself, so polynomials and answers over it survive both and
+    compare equal."""
 
     @pytest.mark.parametrize("name", sorted(EVERY_FAMILY))
     def test_a_domain_round_trips_to_itself(self, name):
@@ -797,6 +801,27 @@ class TestCopyAndPickle:
             for back in _round_trips(answer):
                 assert back == answer
         assert pickle.loads(pickle.dumps(dec)).certificate == dec.certificate
+
+
+class TestRationalCoerce:
+    """QQ.coerce gives an exact Fraction for an int or a Fraction, and
+    refuses everything else."""
+
+    def test_an_int_becomes_a_fraction(self):
+        y = QQ.coerce(3)
+        assert type(y) is Fraction and y == 3
+
+    def test_a_fraction_subclass_becomes_an_exact_fraction(self):
+        class Tagged(Fraction):
+            pass
+
+        y = QQ.coerce(Tagged(3, 7))
+        assert type(y) is Fraction and y == Fraction(3, 7)
+
+    @pytest.mark.parametrize("v", [True, False, 1.5])
+    def test_bool_and_float_are_refused(self, v):
+        with pytest.raises(TypeError):
+            QQ.coerce(v)
 
 
 class TestSubringDescriptors:

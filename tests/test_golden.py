@@ -204,6 +204,14 @@ SUBRING_ARGVS = (
     ("check-subring", "--ring", "Q[t]", "1/2*t"),
 )
 
+#: A full chain whose lead, 2/3, is not an integer, each also run with
+#: --json: the lead is divided out once and g's constant 1/5 stays g(0).
+#: They come last so that earlier entries keep their indices.
+RATIONAL_LEAD_ARGVS = (
+    ("decompose", "--full", "--ring", "Q",
+     "2/3*x^8+8*x^7+112/3*x^6+84*x^5+275/3*x^4+46*x^3+16*x^2+3*x+1/5"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
@@ -224,7 +232,7 @@ def corpus_argvs() -> list:
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
     for argv in (REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS
-                 + LARGE_LEAD_ARGVS + SUBRING_ARGVS):
+                 + LARGE_LEAD_ARGVS + SUBRING_ARGVS + RATIONAL_LEAD_ARGVS):
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 
