@@ -39,9 +39,9 @@ from .poly import compose as poly_compose
 from .domains import (QuadraticElement, QuadraticIntRing, QuadraticField,
                       Tier, QQ, QT, ZT, ZT23, ZZ, descend_poly, embed_poly,
                       hull_of, require_tier, _decimal)
-from .decomp import (decompose_fully, decompose_over_ring,
-                     proper_inner_degrees, quartic_field_decompose,
-                     quartic_ring_decide)
+from .decomp import (RingDecideOutcome, RingDecideStatus, decompose_fully,
+                     decompose_over_ring, proper_inner_degrees,
+                     quartic_field_decompose, quartic_ring_decide)
 from .witness import (FactorizationPair, builtin_examples, run_pipeline,
                       validate_inequivalent)
 
@@ -545,7 +545,8 @@ def _ring_result(command: str, ring: Any, outcome,
     a unit lead) gets the short form; a candidate search gets both
     verdicts and its table.  With ``over_field`` the outcome is a
     decision over the hull, and its verdicts name the hull instead of the
-    ring.
+    ring.  ``degrees`` is None for ``quartic``, which leaves out the
+    evidence keys that only ``decompose`` reports.
     """
     dec, fd = outcome.decomposition, outcome.field_evidence
     desc, field = ring.name, hull_of(ring).name
@@ -553,15 +554,18 @@ def _ring_result(command: str, ring: Any, outcome,
     status = outcome.status.value
     if outcome.candidates is None:
         if dec is not None:
-            evidence = {"g_text": str(g), "h_text": str(h),
-                        "inner_degree": h.degree}
+            evidence = {"g_text": str(g), "h_text": str(h)}
             lines = [f"decomposable over {field if over_field else desc}:",
                      f"  g = {g}", f"  h = {h}"]
+            if degrees is not None:
+                evidence["inner_degree"] = h.degree
+                if over_field:
+                    evidence["field"] = field
             if over_field:
-                evidence["field"] = field
                 status = "decomposable_over_field"
         else:
-            evidence = {"field": field, "inner_degrees_tried": degrees}
+            evidence = ({} if degrees is None else
+                        {"field": field, "inner_degrees_tried": degrees})
             lines = [f"indecomposable over {field}"
                      + ("" if over_field else f" (hence over {desc})")]
     else:
@@ -644,17 +648,11 @@ def _cmd_quartic(ns) -> CommandResult:
     f = parse_poly(ns.poly, ring)
     if ring.tier == Tier.FIELD:
         dec = quartic_field_decompose(f)
-        if dec is None:
-            lines = [f"indecomposable over {ring.name}"]
-            return CommandResult(
-                _payload("quartic", ring.name, "indecomposable_over_field"),
-                lines)
-        evidence = {"g_text": str(dec.g), "h_text": str(dec.h)}
-        lines = [f"decomposable over {ring.name}:",
-                 f"  g = {dec.g}", f"  h = {dec.h}"]
-        return CommandResult(
-            _payload("quartic", ring.name, "decomposable_over_field",
-                     dec.g, dec.h, evidence), lines)
+        status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if dec is None
+                  else RingDecideStatus.DECOMPOSABLE_OVER_RING)
+        return _ring_result("quartic", ring,
+                            RingDecideOutcome(status, dec, dec, None), None,
+                            over_field=True)
     return _ring_result("quartic", ring, quartic_ring_decide(f), None)
 
 

@@ -6,10 +6,16 @@ modulo x^m, where rev reverses the coefficient list.  That fixes a
 unique monic candidate h with h(0) = 0, and the h-adic digits of f then
 decide the question, over a ring in its own coefficients.  Field
 decomposition and a unit lead reduce to the monic case by a linear
-change: the lead is divided out once per polynomial, and every inner
-degree tried runs on the same monic f/lc.  Quartics additionally get a
-closed form and, over Z and the imaginary-quadratic orders, an exact
-over-the-ring decision.
+change: one loop, ``_first_split``, divides the lead out once per
+polynomial and tries every inner degree on the same monic f/lc.
+Quartics additionally get a closed form and, over Z and the
+imaginary-quadratic orders, an exact over-the-ring decision.
+
+Each pair is proved as it is built: by the full digit expansion in the
+monic case, by the section 2 identity and the three candidate tests for
+a ring quartic (docs/math_notes.md, sections 1 and 3).  No decider
+recomposes its pair; ``Decomposition.certificate`` is for consumers
+that want to audit one.
 """
 
 from __future__ import annotations
@@ -23,47 +29,26 @@ from .poly import Polynomial, _divrem_monic_in_place, compose, derivative
 from .domains import CapabilityError, Tier, embed_poly, hull_of, require_tier
 
 
+@dataclass(frozen=True)
 class Decomposition:
-    """A pair g, h with deg g, deg h >= 2.
+    """A pair g, h with deg g, deg h >= 2."""
 
-    The recomposition compose(g, h) is computed on the first read of
-    ``certificate`` and kept, so consumers can audit the claim and no
-    pair pays for a recomposition nobody reads.
-    """
+    g: Polynomial
+    h: Polynomial
 
-    __slots__ = ("g", "h", "_certificate")
-
-    def __init__(self, g: Polynomial, h: Polynomial):
-        if g.degree < 2:
+    def __post_init__(self):
+        if self.g.degree < 2:
             raise ValueError("outer factor must have degree at least 2")
-        if h.degree < 2:
+        if self.h.degree < 2:
             raise ValueError("inner factor must have degree at least 2")
-        self.g = g
-        self.h = h
-        self._certificate = None
-
-    def __reduce__(self) -> tuple:
-        # __slots__ alone cannot be pickled at protocols 0 and 1; the
-        # certificate is recomputed on demand
-        return Decomposition, (self.g, self.h)
 
     @property
     def certificate(self) -> Polynomial:
-        """compose(g, h)."""
-        if self._certificate is None:
-            self._certificate = compose(self.g, self.h)
-        return self._certificate
+        """compose(g, h), recomputed on each read."""
+        return compose(self.g, self.h)
 
     def __iter__(self):
         return iter((self.g, self.h))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return self.g == other.g and self.h == other.h
-
-    def __hash__(self) -> int:
-        return hash((self.g, self.h))
 
     def __repr__(self) -> str:
         return f"Decomposition(g={self.g!s}, h={self.h!s})"
@@ -237,29 +222,26 @@ def _inner_root(F: list, m: int, ring: Any) -> Optional[list]:
     return [zero] + P[::-1]
 
 
-def _monic_part(f: Polynomial) -> tuple:
-    """(f/lc(f), lc(f)), or (f, None) when f is monic.
+def _first_split(f: Polynomial,
+                 degrees: Iterable[int]) -> Optional[Decomposition]:
+    """The first pair (g, h) of f with deg h in ``degrees``, tried in
+    order, or None.
 
-    f/lc(f) depends on f alone, so a caller that tries several inner
-    degrees divides once and hands the same monic polynomial to
-    :func:`monic_decompose` for each.  A non-unit lead requires a field.
+    f/lc(f) depends on f alone, so the lead is divided out once and every
+    degree runs :func:`monic_decompose` on the same monic polynomial; a
+    pair (g, h) of f/lc gives (lc*g, h), which composes to f.  A unit
+    lead works over any domain, and any other lead requires a field.
     """
-    if f.is_monic():
-        return f, None
-    dom = f.domain
-    lc = f.leading_coefficient
-    if not dom.is_unit(lc):
-        require_tier(dom, Tier.FIELD, "non-monic decomposition")
-    return f.map_coefficients(lambda c: dom.divides_exact(lc, c)), lc
-
-
-def _with_lead(dec: Optional[Decomposition],
-               lc: Any) -> Optional[Decomposition]:
-    """(lc*g, h) for a pair (g, h) of f/lc, which composes to f; the pair
-    itself when lc is None."""
-    if dec is None or lc is None:
-        return dec
-    return Decomposition(dec.g.scale(lc), dec.h)
+    monic, lc, dom = f, f.leading_coefficient, f.domain
+    if not f.is_monic():
+        if not dom.is_unit(lc):
+            require_tier(dom, Tier.FIELD, "non-monic decomposition")
+        monic = f.map_coefficients(lambda c: dom.divides_exact(lc, c))
+    for m in degrees:
+        dec = monic_decompose(monic, m)
+        if dec is not None:
+            return dec if monic is f else Decomposition(dec.g.scale(lc), dec.h)
+    return None
 
 
 def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
@@ -269,14 +251,13 @@ def decompose_over_field(f: Polynomial, m: int) -> Optional[Decomposition]:
     keeps f(0)/lc(f) as g(0), and returns (lc(f)*g, h), so compose(g, h)
     = f exactly.  A unit leading coefficient (1, say, -1 over Z or 2 over
     Q[t]) works over any domain, and the pair lies over it; any other
-    lead requires a field.  This is the entry for one inner degree; a
-    caller that tries several divides the lead out once (as
-    :func:`decompose_fully` does).
+    lead requires a field.  This is the entry for one inner degree;
+    :func:`decompose_fully` and :func:`decompose_over_ring` try several
+    on one division of the lead.
     """
     if f.degree < 4:
         raise ValueError("degree must be at least 4")
-    monic, lc = _monic_part(f)
-    return _with_lead(monic_decompose(monic, m), lc)
+    return _first_split(f, [m])
 
 
 def quartic_field_decompose(f: Polynomial) -> Optional[Decomposition]:
@@ -322,6 +303,11 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     Candidates u run over divisors of D up to associates, ascending norm.
     The constant f(0) only ever shifts g's constant term, so it changes
     nothing about decomposability over R.
+
+    The pair is proved as it is built, and not recomposed: the identity
+    makes (D y^2 + E y + f(0)) o (x^2 + C x) equal f over K, and the
+    three quotients are that pair's coefficients with u moved from g to
+    h, so they compose to f as well.
     """
     ring = f.domain
     if not ring.enumerates_divisors:
@@ -352,14 +338,9 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
                 Polynomial(ring, [ring.zero, uC, u], f.var))
 
     dec = quartic_field_decompose(embed_poly(f, hull_of(ring)))
-    if found is None:
-        return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_RING,
-                                 None, dec, tuple(candidates))
-
-    if found.certificate != f:
-        raise AssertionError("ring decision produced a non-recomposing pair")
-    return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
-                             found, dec, tuple(candidates))
+    status = (RingDecideStatus.INDECOMPOSABLE_OVER_RING if found is None
+              else RingDecideStatus.DECOMPOSABLE_OVER_RING)
+    return RingDecideOutcome(status, found, dec, tuple(candidates))
 
 
 def decompose_over_ring(f: Polynomial,
@@ -367,24 +348,21 @@ def decompose_over_ring(f: Polynomial,
     """Decide f = g(h) with every coefficient in the coefficient ring of f.
 
     When the leading coefficient of f is a unit of its ring, as it is
-    when f is monic or the ring is a field, the first inner degree in
-    ``degrees`` at which :func:`decompose_over_field` finds a pair over
-    the ring decides, and that pair is the field evidence too: a pair
-    over the fraction field already lies in the ring (docs/math_notes.md,
-    sections 1 and 5).  A quartic with any other lead, over a ring with
+    when f is monic or the ring is a field, the lead is divided out once
+    and the first inner degree in ``degrees`` at which
+    :func:`monic_decompose` finds a pair decides.  That pair lies over
+    the ring and is the field evidence too: a pair over the fraction
+    field already lies in the ring (docs/math_notes.md, sections 1 and
+    5).  A quartic with any other lead, over a ring with
     divisor enumeration, goes to :func:`quartic_ring_decide`.
     Anything else raises CapabilityError naming the ring.
     """
     ring = f.domain
     if ring.is_unit(f.leading_coefficient):
-        monic, lc = _monic_part(f)
-        for m in degrees:
-            dec = _with_lead(monic_decompose(monic, m), lc)
-            if dec is not None:
-                return RingDecideOutcome(
-                    RingDecideStatus.DECOMPOSABLE_OVER_RING, dec, dec, None)
-        return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
-                                 None, None, None)
+        dec = _first_split(f, degrees)
+        status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if dec is None
+                  else RingDecideStatus.DECOMPOSABLE_OVER_RING)
+        return RingDecideOutcome(status, dec, dec, None)
 
     if f.degree == 4 and ring.enumerates_divisors:
         if any(m != 2 for m in degrees):
@@ -461,11 +439,9 @@ def decompose_fully(f: Polynomial) -> list[Polynomial]:
     if N < 2:
         raise ValueError("degree must be at least 2")
     degrees = proper_inner_degrees(N)
-    if not degrees:
+    # with no degree to try, f is not divided, so a prime-degree f with a
+    # non-unit lead over a ring comes back whole instead of raising
+    dec = _first_split(f, degrees) if degrees else None
+    if dec is None:
         return [f]
-    monic, lc = _monic_part(f)
-    for m in degrees:
-        dec = _with_lead(monic_decompose(monic, m), lc)
-        if dec is not None:
-            return decompose_fully(dec.g) + decompose_fully(dec.h)
-    return [f]
+    return decompose_fully(dec.g) + decompose_fully(dec.h)

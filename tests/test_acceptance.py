@@ -17,8 +17,8 @@ import pytest
 from polydecomp import (Decomposition, FactorizationPair, Polynomial, QQ, QT,
                         QuadraticField, QuadraticIntRing, RingDecideStatus,
                         ZT, ZT23, ZZ, compose, decompose_over_field,
-                        embed_poly, linear_relate, monic_decompose,
-                        proper_inner_degrees,
+                        embed_poly, hull_of, linear_relate,
+                        monic_decompose, proper_inner_degrees,
                         quartic_field_decompose, quartic_ring_decide,
                         run_demo_q1, run_pipeline, verify_taylor_expansion)
 from polydecomp import cli, decomp
@@ -284,7 +284,7 @@ def _oracle_quartic(f: Polynomial) -> bool:
     box of coordinates holds every candidate; the ring's own norm filters.
     """
     ring = f.domain
-    field = ring.fraction_field()
+    field = hull_of(ring)
     D, E, C, B = (field.coerce(f.coefficient(k)) for k in (4, 3, 2, 1))
     n = ring.norm(f.coefficient(4))
     r = 2 * math.isqrt(math.isqrt(n)) + 2
@@ -365,6 +365,9 @@ def test_quartic_decision_agreement(capsys):
                                + [_nonzero(lambda: relt(-3, 3))], "x")
                 cases.append((f, False))
 
+        # quartic_ring_decide does not recompose its pair, so every pair
+        # it returns is recomposed here, and over the ring
+        recomposed = 0
         for f, built_by_composition in cases:
             outcome = quartic_ring_decide(f)
             decided = (outcome.status
@@ -374,7 +377,10 @@ def test_quartic_decision_agreement(capsys):
                 assert decided
             if decided:
                 dec = outcome.decomposition
+                assert dec.g.domain is dec.h.domain is f.domain
                 assert compose(dec.g, dec.h) == f
+                recomposed += 1
+        assert recomposed >= sum(built for _, built in cases)
 
     _report(capsys, "quartic-decision-agreement", 120.0, body)
 
@@ -440,8 +446,8 @@ def test_quadratic_ring_arithmetic(capsys):
             assert R5.divides_exact(x, x * y) == y
             z = R5.element(rng.randint(-9, 9), rng.randint(-9, 9))
             got = R5.divides_exact(x, z)
-            landed = R5.descend(R5.fraction_field().coerce(z)
-                                / R5.fraction_field().coerce(x))
+            landed = R5.descend(hull_of(R5).coerce(z)
+                                / hull_of(R5).coerce(x))
             assert (got is None) == (landed is None)
             if got is not None:
                 assert got * x == z and got == landed

@@ -1,5 +1,6 @@
 """Decomposition algorithms: recursion, h-adic test, quartics, uniqueness."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -53,6 +54,12 @@ class TestDecompositionObject:
         assert d.certificate == qpoly([0, 0, 2, 0, 1])
         g, h = d
         assert g == qpoly([0, 2, 1]) and h == qpoly([0, 0, 1])
+
+    def test_is_frozen(self):
+        d = Decomposition(qpoly([0, 2, 1]), qpoly([0, 0, 1]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.g = qpoly([0, 0, 1])
+        assert d.g == qpoly([0, 2, 1])
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -1066,8 +1073,8 @@ def chain_input(draw, dom, element, leads):
 
 
 class TestOneDivisionPerPolynomial:
-    """decompose_fully and decompose_over_ring divide f by its lead once,
-    and try every inner degree on the same monic f/lc."""
+    """decompose_fully, decompose_over_ring and decompose_over_field divide
+    f by its lead once, and try every inner degree on the same monic f/lc."""
 
     def test_decompose_fully_divides_each_coefficient_once(
             self, hull_divisions):
@@ -1079,6 +1086,11 @@ class TestOneDivisionPerPolynomial:
             self, hull_divisions):
         out = decompose_over_ring(EISENSTEIN_24, proper_inner_degrees(24))
         assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
+        assert len(hull_divisions) == 25
+
+    def test_decompose_over_field_divides_each_coefficient_once(
+            self, hull_divisions):
+        assert decompose_over_field(EISENSTEIN_24, 6) is None
         assert len(hull_divisions) == 25
 
     def test_every_degree_solves_the_same_monic_polynomial(self,

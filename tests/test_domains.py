@@ -419,13 +419,13 @@ class TestFieldElements:
 
     def test_to_and_from_field(self):
         x = w5(3, -4)
-        y = R5.fraction_field().coerce(x)
+        y = hull_of(R5).coerce(x)
         assert R5.descend(y) == x
         assert R5.descend(K5.element(Fraction(1, 2))) is None
 
     def test_half_basis_descent(self):
         w = O15.element(0, 1)
-        y = O15.fraction_field().coerce(w)
+        y = hull_of(O15).coerce(w)
         assert y == K15.element(Fraction(1, 2), Fraction(1, 2))
         assert O15.descend(y) == w
         # integral but with half coordinates in the field

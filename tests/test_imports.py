@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and none reads
+a pair's ``certificate``."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,12 @@ MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
                  if path.name not in RE_EXPORTERS)
 
 
+def certificate_reads(tree: ast.Module) -> list[int]:
+    """Lines that read an attribute named ``certificate``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "certificate"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(), module)
@@ -77,3 +84,21 @@ def test_an_unused_import_is_found():
                      "def f(): pass\n")
     assert set(imported_names(tree)) - used_names(tree) == {"cached_property",
                                                            "os"}
+
+
+@pytest.mark.parametrize("module", sorted(path.name
+                                          for path in PACKAGE.glob("*.py")))
+def test_no_module_reads_a_certificate(module):
+    # every decider proves its pair as it builds it; the recomposition is
+    # for consumers, and a library read would verify an answer twice
+    tree = ast.parse((PACKAGE / module).read_text(), module)
+    assert certificate_reads(tree) == [], \
+        f"{module} recomposes a pair through .certificate"
+
+
+def test_a_certificate_read_is_found():
+    tree = ast.parse("class D:\n"
+                     "    @property\n"
+                     "    def certificate(self): pass\n"
+                     "ok = D().certificate == 1\n")
+    assert certificate_reads(tree) == [4]

@@ -22,6 +22,7 @@ from polydecomp import (CandidateCheck, Decomposition, Polynomial,
                         derive_witness_params, descend_poly, embed_poly,
                         hull_of, quartic_field_decompose, quartic_ring_decide,
                         run_pipeline, strip_common_associates)
+from polydecomp import decomp
 from polydecomp.witness import _relation_failures
 
 RINGS = {
@@ -241,6 +242,24 @@ def _fixed_quartics(ring, rng, count):
                            + [tiny() * tiny()], "x"),
     )
     return [kinds[i % len(kinds)]() for i in range(count)]
+
+
+class TestProvedOnce:
+    def test_decides_without_composing(self, monkeypatch):
+        # the field version recomposes each pair it finds; the decision
+        # itself composes nothing, and still returns the same pairs
+        rng = random.Random(3)
+        cases = [(f, field_quartic_ring_decide(f)) for ring in RINGS.values()
+                 for f in _fixed_quartics(ring, rng, 60)]
+        assert sum(want.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+                   for _, want in cases) >= len(cases) // 2
+
+        def refuse(*args):
+            raise AssertionError("quartic_ring_decide composed a pair")
+
+        monkeypatch.setattr(decomp, "compose", refuse)
+        for f, want in cases:
+            assert quartic_ring_decide(f) == want
 
 
 def rich_lead(ring):

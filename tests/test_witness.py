@@ -229,12 +229,12 @@ class TestBuildWitness:
         ell, a, p_s = w5(2), w5(1, 1), w5(1, -1)
         data = build_witness_poly(ell, a, p_s, R5)
         c = K5.element(Fraction(1, 2), Fraction(1, 2))
-        d = R5.fraction_field().coerce(p_s * p_s)
-        ellf = R5.fraction_field().coerce(ell)
+        d = hull_of(R5).coerce(p_s * p_s)
+        ellf = hull_of(R5).coerce(ell)
         g = Polynomial(K5, [K5.element(0), ellf, d], "x")
         h = Polynomial(K5, [K5.element(0), c, K5.element(1)], "x")
         lifted = compose(g, h)
-        assert ([R5.fraction_field().coerce(x) for x in data.f.coeffs]
+        assert ([hull_of(R5).coerce(x) for x in data.f.coeffs]
                 == list(lifted.coeffs))
 
     def test_guards(self):
