@@ -266,16 +266,23 @@ def quartic_field_decompose(f: Polynomial) -> Optional[Decomposition]:
     With f = a4 x^4 + a3 x^3 + a2 x^2 + a1 x + a0, set c = a3/(2 a4) and
     e = a2 - a4 c^2.  Then f decomposes (necessarily with inner degree 2)
     iff a1 = e*c, in which case f = (a4 x^2 + e x + a0) o (x^2 + c x).
+
+    The test a1 = e*c is 8 a4^2 a1 = Delta a3 with Delta = 4 a4 a2 - a3^2,
+    homogeneous of degree 3 in a1..a4, so it runs on the integral lift
+    s*a_k, s the lcm of their denominators, in the field's integral ring.
+    Only a hit builds the pair in the field, with one division for c.
     """
     if f.degree != 4:
         raise ValueError("quartic test needs degree exactly 4")
     require_tier(f.domain, Tier.FIELD, "the quartic closed form")
     dom = f.domain
-    a4 = f.coefficient(4)
-    c = dom.divides_exact(a4 * 2, f.coefficient(3))
-    e = f.coefficient(2) - a4 * c * c
-    if f.coefficient(1) != e * c:
+    a1, a2, a3, a4 = f.coeffs[1:]
+    s = math.lcm(*map(dom.denominator, (a1, a2, a3, a4)))
+    A1, A2, A3, A4 = (dom.to_integral(a, s) for a in (a1, a2, a3, a4))
+    if A4 * A4 * A1 * 8 != (A4 * A2 * 4 - A3 * A3) * A3:
         return None
+    c = dom.divides_exact(A4 * 2, A3)
+    e = a2 - a4 * c * c
     g = Polynomial(dom, [f.constant_term, e, a4], f.var)
     h = Polynomial(dom, [dom.zero, c, dom.one], f.var)
     return Decomposition(g, h)
@@ -301,6 +308,10 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     8 D^2 a1 = Delta*a3, and (ii), (iii) are the divisions Delta/(4Du),
     u*a3/(2D) in R (docs/math_notes.md, section 3).
     Candidates u run over divisors of D up to associates, ascending norm.
+    The norm N of R is multiplicative (|x| over Z), so each division has
+    an integer necessary condition: N(u)^2 | N(D), N(4D) N(u) | N(Delta)
+    and N(2D) | N(u) N(a3).  A division runs only where its norm test
+    passes; over Z the two are equivalent.
     The constant f(0) only ever shifts g's constant term, so it changes
     nothing about decomposability over R.
 
@@ -323,12 +334,20 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
         return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
                                  None, None, ())
 
+    # each division runs only where its norm test passes
+    norm = ring.norm
+    n_lead, n_delta, n_a3 = norm(lead), norm(delta), norm(a3)
+    n_4lead, n_2lead = norm(lead * 4), norm(lead * 2)
     candidates = []
     found = None
     for u in ring.divisors_up_to_associates(lead):
-        D_by_u2 = ring.divides_exact(u * u, lead)
-        E_by_u = ring.divides_exact(lead * u * 4, delta)
-        uC = ring.divides_exact(lead * 2, u * a3)
+        n_u = norm(u)
+        D_by_u2 = (ring.divides_exact(u * u, lead)
+                   if n_lead % (n_u * n_u) == 0 else None)
+        E_by_u = (ring.divides_exact(lead * u * 4, delta)
+                  if n_delta % (n_4lead * n_u) == 0 else None)
+        uC = (ring.divides_exact(lead * 2, u * a3)
+              if n_u * n_a3 % n_2lead == 0 else None)
         check = CandidateCheck(u, D_by_u2 is not None, E_by_u is not None,
                                uC is not None)
         candidates.append(check)

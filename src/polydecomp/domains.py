@@ -669,21 +669,29 @@ class QuadraticIntRing(_QuadraticDomain):
         return found
 
     def _divisor_pairs(self, x: QuadraticElement):
-        """(u, x/u) for every divisor u of x with norm(u)^2 <= norm(x),
-        by ascending norm(u), for x of norm at most _DIVISOR_BOUND.
+        """(u, x/u) for every divisor u of x with norm(u)^2 <= norm(x)
+        that is its own associate representative, by ascending norm(u),
+        for x of norm at most _DIVISOR_BOUND.
 
-        Every divisor of x is some u or some x/u: the two norms multiply
-        to norm(x), so one of them is at most its square root.
+        Every divisor of x is associate to some u or some x/u: the two
+        norms multiply to norm(x), so one of them is at most its square
+        root.  The unit multiples eps*u and x/(eps*u) of a pair fall in
+        the same two classes, so one division per class of u suffices.
         """
         n = x.norm()
         if n > _DIVISOR_BOUND:
             raise ValueError(
                 f"divisor search bound exceeded: norm {_decimal(n)} > "
                 f"{_DIVISOR_BOUND}")
+        representative = self.associate_representative
         for k in _divisors(n):
             if k * k > n:
                 return
             for u in self.elements_of_norm(k):
+                # != and not `is not`: for d = -1, -3 the representative
+                # is a new object
+                if representative(u) != u:
+                    continue
                 quotient = self.divides_exact(u, x)
                 if quotient is not None:
                     yield u, quotient
@@ -693,8 +701,9 @@ class QuadraticIntRing(_QuadraticDomain):
         sorted by norm, then coordinates.
 
         Includes the unit class and the class of x itself.  The norm
-        equation is solved only for norms up to sqrt(norm(x)); each
-        solution u that divides x brings the class of x/u as well.
+        equation is solved only for norms up to sqrt(norm(x)), and x is
+        divided once per class of solutions; each u that divides x brings
+        the class of x/u as well.
         """
         x = self.coerce(x)
         if x.norm() == 0:
@@ -749,12 +758,18 @@ class QuadraticField(_QuadraticDomain):
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> QuadraticElement:
         """y / x, never None.  An int x divides y's coordinates: the map
-        back from O_d in monic_decompose."""
+        back from O_d in monic_decompose.  Operands of O_d stay in their
+        integer coordinates: their quotient is formed once, in Fractions."""
         if y.__class__ is not QuadraticElement or y.dom.d != self.d:
             y = self.coerce(y)
         if x.__class__ is int:              # not bool, which coerce refuses
             return QuadraticElement(self, Fraction(y.a, x), Fraction(y.b, x))
-        return self.coerce(y) / x
+        if x.__class__ is not QuadraticElement:
+            x = self.coerce(x)
+        try:
+            return y / x                    # lands in this field
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"division by zero in {self.name}") from None
 
     @cached_property
     def integral_ring(self) -> QuadraticIntRing:

@@ -316,13 +316,15 @@ class TestIntegerPath:
         # x^6 + x^5 is its own integer lift, and the first root
         # coefficient over m = 3 is 1/2: one division decides
         calls = []
-        divides_exact = ZZ.divides_exact
+        divides_exact = type(ZZ).divides_exact
 
-        def counted(a, b):
+        def counted(self, a, b):
             calls.append((a, b))
-            return divides_exact(a, b)
+            return divides_exact(self, a, b)
 
-        monkeypatch.setattr(ZZ, "divides_exact", counted)
+        # on the class: undoing a patch of the instance would leave a bound
+        # method on ZZ that hides later patches of the class
+        monkeypatch.setattr(type(ZZ), "divides_exact", counted)
         assert monic_decompose(qpoly([0, 0, 0, 0, 0, 1, 1]), 3) is None
         assert calls == [(2, 1)]
 
@@ -606,6 +608,72 @@ class TestQuarticClosedForm:
         dec = quartic_field_decompose(f)
         assert dec is not None
         assert dec.g == g and dec.h == h
+
+
+def fraction_closed_form(f):
+    """The closed form computed in the field's own Fraction coordinates:
+    c = a3/(2 a4), e = a2 - a4 c^2, and f decomposes iff a1 = e*c."""
+    dom = f.domain
+    a4 = f.coefficient(4)
+    c = f.coefficient(3) / (a4 * 2)
+    e = f.coefficient(2) - a4 * c * c
+    if f.coefficient(1) != e * c:
+        return None
+    return Decomposition(Polynomial(dom, [f.constant_term, e, a4], f.var),
+                         Polynomial(dom, [dom.zero, c, dom.one], f.var))
+
+
+CLOSED_FORM_FIELDS = {"Q": QQ, **{f"Q(sqrt({d}))": QuadraticField(d)
+                                  for d in (-1, -3, -5, -15)}}
+
+
+def field_coefficients(field, nonzero=False):
+    """Field elements r + s*sqrt(d) with denominators up to 10^3."""
+    coords = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+    if field is QQ:
+        out = coords
+    else:
+        out = st.builds(field.element, coords, coords)
+    return out.filter(lambda x: x != 0) if nonzero else out
+
+
+@st.composite
+def closed_form_quartics(draw, field):
+    """Quartics over the field, half of them compositions; either one may
+    have a3 = 0 (an inner factor with no linear term, when composed) or
+    a1 = 0."""
+    coeff, unit = field_coefficients(field), field_coefficients(field, True)
+    if draw(st.booleans()):
+        g = [draw(coeff), draw(coeff), draw(unit)]
+        h = [draw(coeff), draw(coeff), draw(unit)]
+        if draw(st.booleans()):
+            h[1] = field.zero                   # a3 = a1 = 0
+        return compose(Polynomial(field, g, "x"), Polynomial(field, h, "x"))
+    coeffs = [draw(coeff) for _ in range(4)] + [draw(unit)]
+    for k in draw(st.sampled_from([(), (3,), (1,), (1, 3)])):
+        coeffs[k] = field.zero
+    return Polynomial(field, coeffs, "x")
+
+
+class TestClosedFormOnTheIntegralLift:
+    """quartic_field_decompose decides on the integral lift, and answers
+    as the closed form in the field's Fraction coordinates does."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_outcome_as_the_fraction_closed_form(self, name, data):
+        field = CLOSED_FORM_FIELDS[name]
+        f = data.draw(closed_form_quartics(field))
+        got = quartic_field_decompose(f)
+        assert got == fraction_closed_form(f)
+        if got is not None:
+            for c in got.g.coeffs + got.h.coeffs:
+                if field is QQ:
+                    assert type(c) is Fraction
+                else:
+                    assert c.dom is field
+                    assert type(c.a) is Fraction and type(c.b) is Fraction
 
 
 class TestQuarticRingDecide:

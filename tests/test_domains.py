@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (CapabilityError, Decomposition, NoLinearTermRing,
@@ -550,6 +550,29 @@ class TestOneExactDivision:
         assert ZT23.divides_exact(2, _tz(3, 0, 0, 6)) is None
         assert QT.divides_exact(24, _tz(6, 0, 20)) == \
             QT.element([Fraction(1, 4), 0, Fraction(5, 6)])
+
+    @pytest.mark.parametrize("d", [-1, -3, -5, -15])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_field_divides_two_order_elements(self, d, data):
+        field, order = QuadraticField(d), QuadraticIntRing(d)
+        coord = st.integers(-40, 40)
+        x, y = (order.element(data.draw(coord), data.draw(coord))
+                for _ in range(2))
+        assume(x != order.zero)
+        q = field.divides_exact(x, y)
+        assert q == field.coerce(y) / field.coerce(x)
+        assert q.dom is field
+        assert type(q.a) is Fraction and type(q.b) is Fraction
+
+    @pytest.mark.parametrize("d", [-1, -3, -5, -15])
+    def test_a_zero_order_divisor_names_the_field(self, d):
+        field, order = QuadraticField(d), QuadraticIntRing(d)
+        for x in (order.zero, field.zero):
+            for y in (order.element(3, 1), field.element(3, 1)):
+                with pytest.raises(ZeroDivisionError) as info:
+                    field.divides_exact(x, y)
+                assert str(info.value) == f"division by zero in Q(sqrt({d}))"
 
     @pytest.mark.parametrize("dom", [ZT, QT, ZT23], ids=repr)
     def test_polynomial_domains_refuse_a_non_constant_divisor(self, dom):

@@ -212,6 +212,20 @@ RATIONAL_LEAD_ARGVS = (
      "2/3*x^8+8*x^7+112/3*x^6+84*x^5+275/3*x^4+46*x^3+16*x^2+3*x+1/5"),
 )
 
+#: Quartics over the fields with denominators in their coefficients, each
+#: also run with --json: the closed form decides them on an integral lift
+#: by s > 1.  The first decomposes with h = x^2 + 2/5*x, the second is the
+#: same input with 1/3*x^2 and does not.  They come last so that earlier
+#: entries keep their indices.
+FIELD_QUARTIC_ARGVS = (
+    ("quartic", "--ring", "Q",
+     "1/2*x^4+2/5*x^3+(2/25+1/3)*x^2+2/15*x+1/7"),
+    ("quartic", "--ring", "Q", "1/2*x^4+2/5*x^3+1/3*x^2+2/15*x+1/7"),
+    ("quartic", "--ring", "Q(sqrt(-5))",
+     "1/3*x^4 + (2/9+2/9*w)*x^3 + (-4/27+31/54*w)*x^2 + (-5/6+1/6*w)*x"
+     " + 1/7"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
@@ -220,8 +234,8 @@ def _with_json(argv: tuple) -> tuple:
 def corpus_argvs() -> list:
     """The hand-picked vectors, the benchmark's cli-mixed ones, the
     rerouted paths, the evaluation-order vectors, the unit leads, the
-    leads past the old divisor bound, then the membership checks of the
-    t-rings."""
+    leads past the old divisor bound, the membership checks of the
+    t-rings, a rational lead, then the field quartics with denominators."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -232,7 +246,8 @@ def corpus_argvs() -> list:
     for seed in (1, 2, 3):
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
     for argv in (REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS
-                 + LARGE_LEAD_ARGVS + SUBRING_ARGVS + RATIONAL_LEAD_ARGVS):
+                 + LARGE_LEAD_ARGVS + SUBRING_ARGVS + RATIONAL_LEAD_ARGVS
+                 + FIELD_QUARTIC_ARGVS):
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 

@@ -9,6 +9,7 @@ evidence and the witness data must all be equal.
 
 import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -298,6 +299,88 @@ class TestHullDivisions:
         out = quartic_ring_decide(f)
         assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
         assert hull_divisions == []
+
+
+def norm_tests(f):
+    """Per candidate u, whether N(u)^2 | N(D), N(4D) N(u) | N(Delta) and
+    N(2D) | N(u) N(a3), with N the norm of f's ring."""
+    ring = f.domain
+    N = ring.norm
+    D, a3, a2 = f.coefficient(4), f.coefficient(3), f.coefficient(2)
+    delta = D * a2 * 4 - a3 * a3
+    return [(N(D) % N(u) ** 2 == 0, N(delta) % (N(D * 4) * N(u)) == 0,
+             N(u) * N(a3) % N(D * 2) == 0)
+            for u in ring.divisors_up_to_associates(D)]
+
+
+def rich_lead_quartics(ring):
+    """Field-decomposable quartics: with lead rich_lead(ring), composed over
+    the ring and over the field only; the ring's witness quartic; and over
+    an order, (q^3 y^2 + 2q y + 1) o (x^2 + (conj(q)/q) x) with q = 2 + w,
+    where the unit candidate passes all three norm tests and fails (iii)."""
+    lead = rich_lead(ring)
+    one, two, three = ring.one, ring.one * 2, ring.one * 3
+    out = [compose(Polynomial(ring, [0, 1, lead], "x"),
+                   Polynomial(ring, [0, 1, 1], "x")),
+           compose(Polynomial(ring, [5, three, lead], "x"),
+                   Polynomial(ring, [0, two, 1], "x")),
+           field_quartic(ring, one, lead, one, three, one),
+           field_quartic(ring, two, two, lead, one, three),
+           witness_quartic(ring, one, one, one, one, one)]
+    if ring is not ZZ:
+        q = ring.element(2, 1)
+        out.append(field_quartic(ring, one, q, q, two, q.conjugate()))
+    return out
+
+
+class TestNormsBeforeDivisions:
+    """Each candidate division runs only where its norm test passes."""
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_one_division_per_passing_norm_test(self, name, monkeypatch):
+        ring = RINGS[name]
+        calls = []
+        original = type(ring).divides_exact
+
+        def counted(self, x, y):
+            if sys._getframe(1).f_code is decomp.quartic_ring_decide.__code__:
+                calls.append((x, y))
+            return original(self, x, y)
+
+        monkeypatch.setattr(type(ring), "divides_exact", counted)
+        skipped = 0
+        for f in rich_lead_quartics(ring):
+            tests = norm_tests(f)
+            del calls[:]
+            out = quartic_ring_decide(f)
+            assert out.status is not RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
+            assert len(out.candidates) == len(tests)
+            assert len(calls) == sum(map(sum, tests))
+            skipped += 3 * len(tests) - len(calls)
+            for check, passed in zip(out.candidates, tests):
+                # a failed norm test is a failed division
+                flags = (check.square_divides_lead, check.divides_linear,
+                         check.inner_stays_in_ring)
+                assert all(p or not flag for p, flag in zip(passed, flags))
+                if ring is ZZ:      # N = |x|: the tests are the divisions
+                    assert flags == passed
+        assert skipped > 0
+
+    def test_norm_tests_are_only_necessary_over_the_orders(self):
+        # some candidate over each order passes a norm test and fails the
+        # division it guards
+        for name, ring in RINGS.items():
+            if ring is ZZ:
+                continue
+            loose = 0
+            for f in rich_lead_quartics(ring):
+                out = quartic_ring_decide(f)
+                for check, passed in zip(out.candidates, norm_tests(f)):
+                    loose += sum(p and not flag for p, flag in zip(
+                        passed, (check.square_divides_lead,
+                                 check.divides_linear,
+                                 check.inner_stays_in_ring)))
+            assert loose > 0, name
 
 
 class TestNoResidentMemory:
