@@ -14,6 +14,13 @@ divisors (Z and the orders O_d).  Each ring is one object, built once per
 constructor arguments, so domains compare by identity, and a copy or a
 pickle round trip of a domain returns that object (``__reduce__``).
 
+``coerce(v)`` returns an element of its own domain unchanged, as the same
+object, and converts anything else to the domain's element type or
+raises TypeError: over Q an int or a Fraction subclass becomes an exact
+Fraction, and bool and float are refused.  Every Polynomial coerces its
+coefficients, so this fast path is what lets arithmetic over Q keep the
+Fractions it already holds.
+
 ``divides_exact(x, y)`` is the one exact division: y/x when that lies in
 the domain, else None; ZeroDivisionError for x = 0.  A Q-algebra never
 answers None for a nonzero integer x, nor a field for any nonzero x.
@@ -220,6 +227,8 @@ class IntegerRing:
     one = 1
 
     def coerce(self, v: Any) -> int:
+        if v.__class__ is int:
+            return v
         if isinstance(v, bool):
             raise TypeError("bool is not an integer coefficient")
         if isinstance(v, int):
@@ -305,6 +314,8 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, v: Any) -> Fraction:
+        if v.__class__ is Fraction:
+            return v
         if isinstance(v, bool):
             raise TypeError("bool is not a rational coefficient")
         if isinstance(v, (int, Fraction)):
@@ -531,6 +542,8 @@ class _QuadraticDomain:
         return None
 
     def coerce(self, v: Any) -> QuadraticElement:
+        if v.__class__ is QuadraticElement and v.dom is self:
+            return v
         x = self.descend(v)
         if x is None:
             raise TypeError(f"cannot interpret {v!r} in {self.name}")
@@ -677,20 +690,26 @@ class QuadraticIntRing(_QuadraticDomain):
         norms multiply to norm(x), so one of them is at most its square
         root.  The unit multiples eps*u and x/(eps*u) of a pair fall in
         the same two classes, so one division per class of u suffices.
+        Where the units are 1 and -1, u is the representative of its
+        class when (u.a, u.b) > (0, 0), a sign test.
         """
         n = x.norm()
         if n > _DIVISOR_BOUND:
             raise ValueError(
                 f"divisor search bound exceeded: norm {_decimal(n)} > "
                 f"{_DIVISOR_BOUND}")
+        plus_minus_one = self.d != -1 and self.d != -3
         representative = self.associate_representative
         for k in _divisors(n):
             if k * k > n:
                 return
             for u in self.elements_of_norm(k):
-                # != and not `is not`: for d = -1, -3 the representative
-                # is a new object
-                if representative(u) != u:
+                if plus_minus_one:
+                    if u.a < 0 or (u.a == 0 and u.b < 0):
+                        continue
+                elif representative(u) != u:
+                    # != and not `is not`: for d = -1, -3 the
+                    # representative is a new object
                     continue
                 quotient = self.divides_exact(u, x)
                 if quotient is not None:
@@ -738,7 +757,9 @@ class QuadraticField(_QuadraticDomain):
         return f"Q(sqrt({self.d}))"
 
     def _make(self, a: Any, b: Any) -> QuadraticElement:
-        return QuadraticElement(self, Fraction(a), Fraction(b))
+        return QuadraticElement(self,
+                                a if a.__class__ is Fraction else Fraction(a),
+                                b if b.__class__ is Fraction else Fraction(b))
 
     def element(self, r: Any, s: Any = 0) -> QuadraticElement:
         """r + s*sqrt(d)."""

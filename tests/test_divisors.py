@@ -7,6 +7,7 @@ trial-division enumerators it replaced, kept here as references.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,45 @@ class TestAgainstTrialDivision:
                     _coords(reference_divisors(ring, x))
                 assert ring.is_irreducible(x) == \
                     reference_is_irreducible(ring, x)
+
+
+class TestOneDivisionPerClass:
+    """The search divides x once per associate class of the solutions of
+    each norm k | norm(x) with k^2 <= norm(x), by that class's
+    representative; u and -u would give the same divisor list."""
+
+    @pytest.mark.parametrize("d", DS)
+    def test_one_division_per_class(self, d, monkeypatch):
+        ring = QuadraticIntRing(d)
+        units = len(ring.units())
+        divisors = []
+        original = QuadraticIntRing.divides_exact
+
+        def counted(self, x, y):
+            if sys._getframe(1).f_code is \
+                    QuadraticIntRing._divisor_pairs.__code__:
+                divisors.append(x)
+            return original(self, x, y)
+
+        monkeypatch.setattr(QuadraticIntRing, "divides_exact", counted)
+
+        @settings(max_examples=60, deadline=None)
+        @given(_elements(d))
+        def check(x):
+            del divisors[:]
+            ring.divisors_up_to_associates(x)
+            n = x.norm()
+            expected = set()
+            for k in reference_int_divisors(n):
+                if k * k <= n:
+                    solutions = ring.elements_of_norm(k)
+                    assert len(solutions) % units == 0
+                    expected |= {(z.a, z.b) for z in map(
+                        ring.associate_representative, solutions)}
+            assert len(divisors) == len(expected)
+            assert set(_coords(divisors)) == expected
+
+        check()
 
 
 class TestNormAtTheSquareRoot:

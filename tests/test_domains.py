@@ -847,6 +847,137 @@ class TestRationalCoerce:
             QQ.coerce(v)
 
 
+#: One element of each domain, built by the domain itself.
+OWN_ELEMENTS = {
+    "ZZ": (ZZ, 10 ** 30 + 7),
+    "QQ": (QQ, Fraction(3, 7)),
+    "Z[sqrt(-5)]": (R5, R5.element(2, -3)),
+    "Q(sqrt(-5))": (K5, K5.element(Fraction(1, 2), 3)),
+    "Q(sqrt(-15))": (K15, K15.element(Fraction(-2, 3), Fraction(5, 4))),
+    "ZT": (ZT, ZT.element([1, -2, 3])),
+    "QT": (QT, QT.element([Fraction(1, 2), 0, 3])),
+    "ZT23": (ZT23, ZT23.element([4, 0, -1, 2])),
+}
+
+
+class TestCoerceKeepsItsOwnElements:
+    """coerce hands back an element of its own domain as the same object,
+    so a polynomial built from a domain's elements stores them as they
+    are."""
+
+    @pytest.mark.parametrize("name", sorted(OWN_ELEMENTS))
+    def test_an_own_element_is_returned_as_is(self, name):
+        dom, x = OWN_ELEMENTS[name]
+        assert dom.is_element(x)
+        assert dom.coerce(x) is x
+
+    def test_a_rational_coefficient_is_stored_as_is(self):
+        q = Fraction(-5, 12)
+        assert Polynomial(QQ, [q]).coeffs[0] is q
+        assert Polynomial(QQ, [1, q]).coeffs[1] is q
+
+    @pytest.mark.parametrize("field", [K5, K15])
+    def test_a_field_keeps_fraction_coordinates(self, field):
+        q = Fraction(7, 9)
+        x = field.coerce(q)
+        assert x.a is q and type(x.b) is Fraction and x.b == 0
+
+    def test_other_values_are_still_converted(self):
+        class Tagged(Fraction):
+            pass
+
+        for v in (3, Tagged(3, 7)):
+            x = K5.coerce(v)
+            assert (type(x.a), type(x.b)) == (Fraction, Fraction)
+            assert x == v
+        x = K5.coerce(R5.element(2, -3))
+        assert (x.dom, type(x.a), type(x.b)) == (K5, Fraction, Fraction)
+        y = R5.coerce(K5.element(2, -3))
+        assert (y.dom, type(y.a), type(y.b)) == (R5, int, int)
+        assert ZZ.coerce(Fraction(6, 2)) == 3
+        assert type(ZZ.coerce(Fraction(6, 2))) is int
+        for dom in (ZZ, R5, K5):
+            with pytest.raises(TypeError):
+                dom.coerce(True)
+
+
+#: Over Q, Q(sqrt(d)) and O_d, the one coefficient type each allows.
+EXACT_DOMAINS = {
+    "QQ": QQ,
+    "Q(sqrt(-1))": QuadraticField(-1),
+    "Q(sqrt(-5))": K5,
+    "Q(sqrt(-15))": K15,
+    "Z[sqrt(-1)]": GAUSS,
+    "Z[sqrt(-5)]": R5,
+    "O(-15)": O15,
+}
+
+
+def _is_exact(dom, c):
+    """Whether c is an element of dom with exactly its coefficient type:
+    a Fraction over Q, Fraction coordinates over Q(sqrt(d)), int
+    coordinates over O_d."""
+    if dom is QQ:
+        return type(c) is Fraction
+    coord = Fraction if dom.tier is Tier.FIELD else int
+    return (type(c) is QuadraticElement and c.dom is dom
+            and type(c.a) is coord and type(c.b) is coord)
+
+
+def _inputs(dom):
+    """Values a polynomial over dom accepts as coefficients: ints,
+    Fractions, a Fraction subclass, and for the quadratic domains
+    elements of the order and the field on the same d."""
+    class Tagged(Fraction):
+        pass
+
+    ints = st.integers(-30, 30)
+    if dom is QQ:
+        rationals = st.fractions(max_denominator=12)
+        return ints | rationals | rationals.map(Tagged)
+    ring, field = QuadraticIntRing(dom.d), QuadraticField(dom.d)
+    ring_elements = st.builds(ring.element, ints, ints)
+    if dom is ring:
+        # field elements with integer coordinates descend into the order
+        return ints | ring_elements | ring_elements.map(field.coerce)
+    rationals = st.fractions(max_denominator=6)
+    return (ints | rationals | rationals.map(Tagged) | ring_elements
+            | st.builds(field.element, rationals, rationals))
+
+
+class TestExactCoefficientTypes:
+    """Whatever a polynomial is built from, its coefficients over Q,
+    Q(sqrt(d)) and O_d have exactly the domain's type: no int among the
+    rationals, no Fraction subclass, no int coordinate in the field."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_DOMAINS))
+    def test_after_construction_and_arithmetic(self, name):
+        dom = EXACT_DOMAINS[name]
+        values = _inputs(dom)
+        coeff_lists = st.lists(values, max_size=4)
+
+        @settings(max_examples=40, deadline=None)
+        @given(coeff_lists, coeff_lists, values, values,
+               st.integers(0, 3))
+        def check(cs, ds, u, v, k):
+            p, q = Polynomial(dom, cs), Polynomial(dom, ds)
+            polys = [p, q, Polynomial.constant(dom, u),
+                     Polynomial.monomial(dom, v, k),
+                     Polynomial.identity(dom), p + q, p - q, p * q,
+                     p + u, k - p, p * v, k * p, p.scale(u), compose(p, q),
+                     p.map_coefficients(lambda c: 1 if c == 0 else c)]
+            for poly in polys:
+                assert all(_is_exact(dom, c) for c in poly.coeffs), poly
+            for x in (u, v, *p.coeffs):
+                if x == 0:
+                    continue
+                for y in (u, v, *q.coeffs):
+                    quotient = dom.divides_exact(x, y)
+                    assert quotient is None or _is_exact(dom, quotient)
+
+        check()
+
+
 class TestSubringDescriptors:
     """The subrings the --ring descriptors name inside their hulls: Z in Q,
     O_d in Q(sqrt(d)) and, above all, Z[t2,t3] in Q[t]."""
