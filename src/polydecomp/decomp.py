@@ -336,17 +336,18 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
 
     # each division runs only where its norm test passes
     norm = ring.norm
+    lead4, lead2 = lead * 4, lead * 2
     n_lead, n_delta, n_a3 = norm(lead), norm(delta), norm(a3)
-    n_4lead, n_2lead = norm(lead * 4), norm(lead * 2)
+    n_4lead, n_2lead = norm(lead4), norm(lead2)
     candidates = []
     found = None
     for u in ring.divisors_up_to_associates(lead):
         n_u = norm(u)
         D_by_u2 = (ring.divides_exact(u * u, lead)
                    if n_lead % (n_u * n_u) == 0 else None)
-        E_by_u = (ring.divides_exact(lead * u * 4, delta)
+        E_by_u = (ring.divides_exact(lead4 * u, delta)
                   if n_delta % (n_4lead * n_u) == 0 else None)
-        uC = (ring.divides_exact(lead * 2, u * a3)
+        uC = (ring.divides_exact(lead2, u * a3)
               if n_u * n_a3 % n_2lead == 0 else None)
         check = CandidateCheck(u, D_by_u2 is not None, E_by_u is not None,
                                uC is not None)

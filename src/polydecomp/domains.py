@@ -22,8 +22,9 @@ coefficients, so this fast path is what lets arithmetic over Q keep the
 Fractions it already holds.
 
 ``divides_exact(x, y)`` is the one exact division: y/x when that lies in
-the domain, else None; ZeroDivisionError for x = 0.  A Q-algebra never
-answers None for a nonzero integer x, nor a field for any nonzero x.
+the domain, else None; ZeroDivisionError naming the domain for x = 0,
+an int or the domain's zero.  A Q-algebra never answers None for a
+nonzero integer x, nor a field for any nonzero x.
 Z[t], Q[t] and Z[t^2, t^3] divide only by constants, coefficientwise.
 
 Every Q-algebra A here is R[1/n : n = 1, 2, ...] for an integrally closed
@@ -38,7 +39,10 @@ O_d and Q(sqrt(d)) share one element class, :class:`QuadraticElement`,
 on the integral basis 1, w of O_d, with int coordinates in the order and
 Fraction coordinates in the field.  Field values still take, print and
 serialise sqrt(d) coordinates: ``QuadraticField(d).element(r, s)`` is
-r + s*sqrt(d).
+r + s*sqrt(d).  Both kernels run on integers: a field product on the
+integer numerators of its operands, with one Fraction per coordinate at
+the end, and an order quotient on the integer coordinates of both
+operands, building no conjugate or product element.
 """
 
 from __future__ import annotations
@@ -336,11 +340,14 @@ class RationalField:
 
     def divides_exact(self, x: Fraction, y: Fraction) -> Fraction:
         """y / x, never None: every nonzero rational is a unit."""
-        if x.__class__ is int and y.__class__ is int:
-            return Fraction(y, x)       # y / x would be a float
-        if x.__class__ is bool or y.__class__ is bool:
-            raise TypeError("bool is not a rational coefficient")
-        return y / x
+        try:
+            if x.__class__ is int and y.__class__ is int:
+                return Fraction(y, x)   # y / x would be a float
+            if x.__class__ is bool or y.__class__ is bool:
+                raise TypeError("bool is not a rational coefficient")
+            return y / x
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"division by zero in {self.name}") from None
 
     @property
     def integral_ring(self) -> IntegerRing:
@@ -405,7 +412,9 @@ class QuadraticElement:
     order and Fractions in the field, so a field element lies in the
     order iff both of its coordinates are integers, and equal elements of
     the two domains compare and hash alike.  Mixing the two gives a field
-    element.
+    element.  A field product writes each operand as (A + B*w)/s, s the
+    lcm of its coordinate denominators, multiplies the integers and makes
+    one Fraction per coordinate.
     """
 
     __slots__ = ("dom", "a", "b")
@@ -450,11 +459,34 @@ class QuadraticElement:
     def __mul__(self, other: Any) -> "QuadraticElement":
         o, dom = self._join(other)
         a, b, c, e = self.a, self.b, o.a, o.b
+        if dom.tier is Tier.RING:
+            if dom.half_basis:
+                # w^2 = w + q with q = (d-1)/4 for w = (1+sqrt(d))/2
+                be = b * e
+                return QuadraticElement(dom, a * c + be * dom.q,
+                                        a * e + b * c + be)
+            return QuadraticElement(dom, a * c + b * e * dom.d, a * e + b * c)
+        # in the field each operand is (A + B*w)/s over the lcm s of its
+        # coordinate denominators: the product runs on the integers A, B
+        # and makes one Fraction per coordinate
+        s, sb = a.denominator, b.denominator
+        if s == sb:
+            a, b = a.numerator, b.numerator
+        else:
+            s = math.lcm(s, sb)
+            a, b = a.numerator * (s // a.denominator), b.numerator * (s // sb)
+        t, te = c.denominator, e.denominator
+        if t == te:
+            c, e = c.numerator, e.numerator
+        else:
+            t = math.lcm(t, te)
+            c, e = c.numerator * (t // c.denominator), e.numerator * (t // te)
+        be, st = b * e, s * t
         if dom.half_basis:
-            # w^2 = w + q with q = (d-1)/4 for w = (1+sqrt(d))/2
-            be = b * e
-            return QuadraticElement(dom, a * c + be * dom.q, a * e + b * c + be)
-        return QuadraticElement(dom, a * c + b * e * dom.d, a * e + b * c)
+            return QuadraticElement(dom, Fraction(a * c + be * dom.q, st),
+                                    Fraction(a * e + b * c + be, st))
+        return QuadraticElement(dom, Fraction(a * c + be * dom.d, st),
+                                Fraction(a * e + b * c, st))
 
     __rmul__ = __mul__
 
@@ -603,22 +635,38 @@ class QuadraticIntRing(_QuadraticDomain):
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> Optional[QuadraticElement]:
         """y / x when the quotient lies in the ring, else None.  An int x
-        divides y's coordinates: the inner root of monic_decompose."""
+        divides y's coordinates: the inner root of monic_decompose.  An
+        element x gives norm(x) and y*conj(x) in integer coordinates, and
+        the quotient is exact when divmod leaves no remainder."""
         if y.__class__ is not QuadraticElement or y.dom is not self:
             y = self.coerce(y)
         if x.__class__ is int:              # not bool, which coerce refuses
-            qa, ra = divmod(y.a, x)
+            try:
+                qa, ra = divmod(y.a, x)
+            except ZeroDivisionError:
+                raise ZeroDivisionError(
+                    f"division by zero in {self.name}") from None
             qb, rb = divmod(y.b, x)
             return None if ra or rb else QuadraticElement(self, qa, qb)
         if x.__class__ is not QuadraticElement or x.dom is not self:
             x = self.coerce(x)
-        n = x.norm()
+        # y/x = y*conj(x)/norm(x), in the integer coordinates of x and y
+        a, b, c, e = x.a, x.b, y.a, y.b
+        if self.half_basis:
+            # conj(a + b*w) = (a + b) - b*w, and w^2 = w + q
+            q = self.q
+            n = a * a + a * b - q * b * b
+            za = c * (a + b) - q * e * b
+        else:
+            n = a * a - self.d * b * b
+            za = c * a - self.d * e * b
         if n == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        z = y * x.conjugate()  # equals (y/x) * norm(x)
-        if z.a % n == 0 and z.b % n == 0:
-            return QuadraticElement(self, z.a // n, z.b // n)
-        return None
+        qa, ra = divmod(za, n)
+        if ra:
+            return None
+        qb, rb = divmod(e * a - c * b, n)
+        return None if rb else QuadraticElement(self, qa, qb)
 
     def units(self) -> tuple[QuadraticElement, ...]:
         if self._units is None:
@@ -682,9 +730,9 @@ class QuadraticIntRing(_QuadraticDomain):
         return found
 
     def _divisor_pairs(self, x: QuadraticElement):
-        """(u, x/u) for every divisor u of x with norm(u)^2 <= norm(x)
-        that is its own associate representative, by ascending norm(u),
-        for x of norm at most _DIVISOR_BOUND.
+        """(norm(u), u, x/u) for every divisor u of x with
+        norm(u)^2 <= norm(x) that is its own associate representative, by
+        ascending norm(u), for x of norm at most _DIVISOR_BOUND.
 
         Every divisor of x is associate to some u or some x/u: the two
         norms multiply to norm(x), so one of them is at most its square
@@ -713,7 +761,7 @@ class QuadraticIntRing(_QuadraticDomain):
                     continue
                 quotient = self.divides_exact(u, x)
                 if quotient is not None:
-                    yield u, quotient
+                    yield k, u, quotient
 
     def divisors_up_to_associates(self, x: QuadraticElement) -> list[QuadraticElement]:
         """One representative per associate class of divisors of x,
@@ -722,17 +770,21 @@ class QuadraticIntRing(_QuadraticDomain):
         Includes the unit class and the class of x itself.  The norm
         equation is solved only for norms up to sqrt(norm(x)), and x is
         divided once per class of solutions; each u that divides x brings
-        the class of x/u as well.
+        the class of x/u as well.  Each u is already its class's
+        representative, so only x/u is brought to its own; the classes
+        are keyed by (norm, a, b), with the norms k and norm(x)/k known.
         """
         x = self.coerce(x)
-        if x.norm() == 0:
+        n = x.norm()
+        if n == 0:
             raise ValueError("zero has no divisor list")
+        representative = self.associate_representative
         reps = {}
-        for pair in self._divisor_pairs(x):
-            for z in pair:
-                rep = self.associate_representative(z)
-                reps[(rep.a, rep.b)] = rep
-        return sorted(reps.values(), key=lambda z: (z.norm(), z.a, z.b))
+        for k, u, quotient in self._divisor_pairs(x):
+            reps[(k, u.a, u.b)] = u
+            rep = representative(quotient)
+            reps[(n // k, rep.a, rep.b)] = rep
+        return [reps[key] for key in sorted(reps)]
 
     def is_irreducible(self, x: QuadraticElement) -> bool:
         """True when the only divisors of x are units and associates of x,
@@ -740,7 +792,7 @@ class QuadraticIntRing(_QuadraticDomain):
         x = self.coerce(x)
         if x.norm() <= 1:
             raise ValueError("irreducibility is undefined for zero and units")
-        return all(u.norm() == 1 for u, _ in self._divisor_pairs(x))
+        return all(k == 1 for k, _, _ in self._divisor_pairs(x))
 
 
 class QuadraticField(_QuadraticDomain):
@@ -783,11 +835,12 @@ class QuadraticField(_QuadraticDomain):
         integer coordinates: their quotient is formed once, in Fractions."""
         if y.__class__ is not QuadraticElement or y.dom.d != self.d:
             y = self.coerce(y)
-        if x.__class__ is int:              # not bool, which coerce refuses
-            return QuadraticElement(self, Fraction(y.a, x), Fraction(y.b, x))
-        if x.__class__ is not QuadraticElement:
-            x = self.coerce(x)
         try:
+            if x.__class__ is int:          # not bool, which coerce refuses
+                return QuadraticElement(self, Fraction(y.a, x),
+                                        Fraction(y.b, x))
+            if x.__class__ is not QuadraticElement:
+                x = self.coerce(x)
             return y / x                    # lands in this field
         except ZeroDivisionError:
             raise ZeroDivisionError(f"division by zero in {self.name}") from None

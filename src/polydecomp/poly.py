@@ -5,6 +5,11 @@ coefficient of ``var**i``.  The coefficient domain is any object exposing
 ``zero``, ``one``, ``coerce``, ``is_element`` and ``format_element``, and
 whose elements support ``+ - *`` and ``==`` exactly (no floating point is
 involved anywhere).
+
+The public constructors coerce every coefficient into the domain.  Every
+domain is closed under its own ``+ - *``, so the results of ``+``, unary
+``-``, a product of two polynomials and ``scale`` are built from what that
+arithmetic returns without coercing it again: only trimmed.
 """
 
 from __future__ import annotations
@@ -112,12 +117,17 @@ class Polynomial:
 
     def __add__(self, other: Any) -> "Polynomial":
         if not isinstance(other, Polynomial) or self.domain.is_element(other):
-            other = Polynomial.constant(self.domain, self.domain.coerce(other), self.var)
+            # a scalar only changes the constant coefficient
+            cs = list(self.coeffs) or [self.domain.zero]
+            cs[0] = cs[0] + self.domain.coerce(other)
+            return _closed(self.domain, cs, self.var)
         self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.domain,
-                          [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-                          self.var)
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        cs = [a + b for a, b in zip(longer, shorter)]
+        cs += longer[len(shorter):]
+        return _closed(self.domain, cs, self.var)
 
     def __radd__(self, other: Any) -> "Polynomial":
         return self + other
@@ -129,11 +139,11 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.domain, [-c for c in self.coeffs], self.var)
+        return _closed(self.domain, [-c for c in self.coeffs], self.var)
 
     def __mul__(self, other: Any) -> "Polynomial":
         if not isinstance(other, Polynomial) or self.domain.is_element(other):
-            return self.scale(self.domain.coerce(other))
+            return self.scale(other)
         self._check_compatible(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.domain, self.var)
@@ -144,14 +154,14 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(self.domain, out, self.var)
+        return _closed(self.domain, out, self.var)
 
     def __rmul__(self, other: Any) -> "Polynomial":
         return self * other
 
     def scale(self, c: Any) -> "Polynomial":
         c = self.domain.coerce(c)
-        return Polynomial(self.domain, [a * c for a in self.coeffs], self.var)
+        return _closed(self.domain, [a * c for a in self.coeffs], self.var)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -213,6 +223,19 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.domain!r}, {list(self.coeffs)!r}, var={self.var!r})"
+
+
+def _closed(domain: Any, cs: list, var: str) -> Polynomial:
+    """The polynomial on ``cs``, coefficients that the domain's own
+    arithmetic returned: trimmed in place, not coerced again."""
+    zero = domain.zero
+    while cs and cs[-1] == zero:
+        cs.pop()
+    p = object.__new__(Polynomial)
+    p.domain = domain
+    p.coeffs = tuple(cs)
+    p.var = var
+    return p
 
 
 def _format_term(domain: Any, c: Any, i: int, var: str) -> str:

@@ -191,6 +191,48 @@ class TestOneDivisionPerClass:
         check()
 
 
+class TestRepresentativeOnlyForTheQuotient:
+    """Each u that _divisor_pairs yields is its class's representative
+    already, so divisors_up_to_associates takes the representative of the
+    quotient x/u only: once per yielded triple, never of u."""
+
+    @pytest.mark.parametrize("d", DS)
+    def test_one_call_per_pair(self, d, monkeypatch):
+        ring = QuadraticIntRing(d)
+        yielded, args = [], []
+        pairs = QuadraticIntRing._divisor_pairs
+        representative = QuadraticIntRing.associate_representative
+
+        def recorded_pairs(self, x):
+            for item in pairs(self, x):
+                yielded.append(item)
+                yield item
+
+        def counted(self, x):
+            if sys._getframe(1).f_code is \
+                    QuadraticIntRing.divisors_up_to_associates.__code__:
+                args.append(x)
+            return representative(self, x)
+
+        monkeypatch.setattr(QuadraticIntRing, "_divisor_pairs", recorded_pairs)
+        monkeypatch.setattr(QuadraticIntRing, "associate_representative",
+                            counted)
+
+        @settings(max_examples=60, deadline=None)
+        @given(_elements(d))
+        def check(x):
+            del yielded[:], args[:]
+            divisors = ring.divisors_up_to_associates(x)
+            assert len(args) == len(yielded) > 0
+            assert all(arg is item[-1] for arg, item in zip(args, yielded))
+            for k, u, _ in yielded:
+                assert k == u.norm()
+                assert representative(ring, u) == u
+                assert u in divisors
+
+        check()
+
+
 class TestNormAtTheSquareRoot:
     """Divisors whose norm is exactly sqrt(norm(x)) are found; a search
     that stopped below the square root would miss them."""

@@ -527,10 +527,12 @@ class TestOneExactDivision:
                 if q is not None:
                     assert dom.is_element(q), (x, y, q)
                     assert q * dom.coerce(x) == dom.coerce(y), (x, y)
+        # an int 0 and the domain's zero name the domain alike
         for y in dividends:
             for zero in (0, dom.zero):
-                with pytest.raises(ZeroDivisionError):
+                with pytest.raises(ZeroDivisionError) as info:
                     dom.divides_exact(zero, y)
+                assert str(info.value) == f"division by zero in {dom.name}"
 
     @pytest.mark.parametrize("name", sorted(DIVISION_TABLE))
     def test_the_old_division_names_are_gone(self, name):
@@ -901,7 +903,8 @@ class TestCoerceKeepsItsOwnElements:
                 dom.coerce(True)
 
 
-#: Over Q, Q(sqrt(d)) and O_d, the one coefficient type each allows.
+#: Over Q, Q(sqrt(d)), O_d and Z[t2,t3], the one coefficient type each
+#: allows.
 EXACT_DOMAINS = {
     "QQ": QQ,
     "Q(sqrt(-1))": QuadraticField(-1),
@@ -910,15 +913,19 @@ EXACT_DOMAINS = {
     "Z[sqrt(-1)]": GAUSS,
     "Z[sqrt(-5)]": R5,
     "O(-15)": O15,
+    "Z[t2,t3]": ZT23,
 }
 
 
 def _is_exact(dom, c):
     """Whether c is an element of dom with exactly its coefficient type:
     a Fraction over Q, Fraction coordinates over Q(sqrt(d)), int
-    coordinates over O_d."""
+    coordinates over O_d, int coefficients and no t^1 term over
+    Z[t2,t3]."""
     if dom is QQ:
         return type(c) is Fraction
+    if dom is ZT23:
+        return ZT23.is_element(c) and all(type(k) is int for k in c.coeffs)
     coord = Fraction if dom.tier is Tier.FIELD else int
     return (type(c) is QuadraticElement and c.dom is dom
             and type(c.a) is coord and type(c.b) is coord)
@@ -932,6 +939,12 @@ def _inputs(dom):
         pass
 
     ints = st.integers(-30, 30)
+    if dom is ZT23:
+        # integer polynomials in t with no t^1 term: a polynomial over Q
+        # is no operand of + - * here, as it is no element
+        return ints | st.lists(ints, max_size=4).map(
+            lambda cs: Polynomial(ZZ, [c if i != 1 else 0
+                                       for i, c in enumerate(cs)], "t"))
     if dom is QQ:
         rationals = st.fractions(max_denominator=12)
         return ints | rationals | rationals.map(Tagged)
@@ -969,7 +982,8 @@ class TestExactCoefficientTypes:
             for poly in polys:
                 assert all(_is_exact(dom, c) for c in poly.coeffs), poly
             for x in (u, v, *p.coeffs):
-                if x == 0:
+                # a polynomial domain divides only by constants
+                if x == 0 or getattr(x, "degree", 0) > 0:
                     continue
                 for y in (u, v, *q.coeffs):
                     quotient = dom.divides_exact(x, y)
@@ -1038,6 +1052,26 @@ class TestSubringDescriptors:
             q = Polynomial(ZZ, b, "t")
             assert ZT23.is_element(p * q)
             assert ZT23.is_element(p + q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(-5, 5), max_size=5), max_size=4),
+           st.lists(st.lists(st.integers(-5, 5), max_size=5), max_size=4),
+           st.lists(st.integers(-5, 5), max_size=5))
+    def test_polynomials_over_it_stay_in_it(self, cs, ds, scalar):
+        # their arithmetic is not re-coerced, so closure is what keeps a
+        # t^1 term out of every coefficient
+        def element(coeffs):
+            return ZT23.element([c if i != 1 else 0
+                                 for i, c in enumerate(coeffs)])
+
+        p = Polynomial(ZT23, [element(c) for c in cs])
+        q = Polynomial(ZT23, [element(c) for c in ds])
+        s = element(scalar)
+        for r in (p + q, p - q, -p, p * q, p.scale(s), p + s, p - s,
+                  p * s):
+            assert r.domain is ZT23
+            assert all(ZT23.is_element(c) for c in r.coeffs), r
+            assert not r.coeffs or r.coeffs[-1] != 0, r
 
     def test_rational_span_meets_integers_exactly_in_subring(self):
         # (Q.S) intersect Z[t] = S for S = Z[t2,t3]: p in Z[t] lies in the

@@ -9,6 +9,7 @@ same value, in the same domain, printing the same way.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from polydecomp import QuadraticElement, QuadraticField, QuadraticIntRing, ZZ
@@ -381,6 +382,38 @@ class TestAgainstTheFormerClasses:
         _, [(x, rx), (y, ry)] = case
         assert str(x) == str(rx)
         assert str(y) == str(ry)
+
+
+class TestOrderDivisionAgainstTheReference:
+    """QuadraticIntRing.divides_exact(x, y) is the reference quotient
+    y/x in the field, descended into the order, or None where it does not
+    descend; x = 0 raises ZeroDivisionError naming the order."""
+
+    @given(st.sampled_from(DS), st.data())
+    def test_divides_exact(self, d, data):
+        ring, ref_ring, ref_field = QuadraticIntRing(d), RefRing(d), RefField(d)
+        x, rx = data.draw(ring_pairs(d))
+        if data.draw(st.booleans()):
+            # an int divisor: the fast path on the coordinates
+            n = data.draw(small_ints)
+            x, rx = n, RefInt(ref_ring, n, 0)
+        if data.draw(st.booleans()):
+            # y = x*z, so that the quotient lies in the order
+            z, rz = data.draw(ring_pairs(d))
+            y, ry = ring.coerce(x) * z, rx * rz
+        else:
+            y, ry = data.draw(ring_pairs(d))
+        if rx.norm() == 0:
+            with pytest.raises(ZeroDivisionError) as info:
+                ring.divides_exact(x, y)
+            assert str(info.value) == f"division by zero in {ring.name}"
+            return
+        ref = ref_ring.descend(ref_field.coerce(ry) / ref_field.coerce(rx))
+        new = ring.divides_exact(x, y)
+        if ref is None:
+            assert new is None
+        else:
+            assert_same(new, ref)
 
 
 def test_half_basis_field_norm_is_exact():
