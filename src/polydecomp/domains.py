@@ -37,12 +37,14 @@ Monic decomposition lifts f onto R itself (docs/math_notes.md, section 1).
 
 O_d and Q(sqrt(d)) share one element class, :class:`QuadraticElement`,
 on the integral basis 1, w of O_d, with int coordinates in the order and
-Fraction coordinates in the field.  Field values still take, print and
+Fraction coordinates in the field.  Each domain names its basis by
+t = Tr(w) and q = -N(w), so that w^2 = t*w + q: (1, (d-1)/4) for
+w = (1+sqrt(d))/2, d = 1 (mod 4), else (0, d) for w = sqrt(d).  Every
+product, conjugate, norm and quotient reads t and q and runs on integers,
+with one Fraction per field coordinate at the end (docs/math_notes.md,
+"Arithmetic on the basis 1, w").  Field values still take, print and
 serialise sqrt(d) coordinates: ``QuadraticField(d).element(r, s)`` is
-r + s*sqrt(d).  Both kernels run on integers: a field product on the
-integer numerators of its operands, with one Fraction per coordinate at
-the end, and an order quotient on the integer coordinates of both
-operands, building no conjugate or product element.
+r + s*sqrt(d).
 """
 
 from __future__ import annotations
@@ -403,6 +405,24 @@ def _check_d(d: int) -> None:
         raise ValueError(f"d = {d} is not squarefree")
 
 
+def _numerators(x: "QuadraticElement") -> tuple[int, int, int]:
+    """(s, A, B) with x = (A + B*w)/s, s the lcm of the coordinate
+    denominators of x (1 for int coordinates)."""
+    a, b = x.a, x.b
+    s, sb = a.denominator, b.denominator
+    if s == sb:
+        return s, a.numerator, b.numerator
+    s = math.lcm(s, sb)
+    return s, a.numerator * (s // a.denominator), b.numerator * (s // sb)
+
+
+def _times_conjugate(dom: Any, a: int, b: int, c: int, e: int) -> tuple:
+    """(N(x), A, B) with y*conj(x) = A + B*w, for x = a + b*w and
+    y = c + e*w in integer coordinates; y/x = (A + B*w)/N(x)."""
+    at, qb = a + dom.t * b, dom.q * b       # conj(x) = at - b*w
+    return a * at - qb * b, c * at - qb * e, e * a - c * b
+
+
 class QuadraticElement:
     """An element a + b*w of an imaginary quadratic order O_d or of its
     field Q(sqrt(d)).
@@ -412,9 +432,12 @@ class QuadraticElement:
     order and Fractions in the field, so a field element lies in the
     order iff both of its coordinates are integers, and equal elements of
     the two domains compare and hash alike.  Mixing the two gives a field
-    element.  A field product writes each operand as (A + B*w)/s, s the
-    lcm of its coordinate denominators, multiplies the integers and makes
-    one Fraction per coordinate.
+    element.  One rule drives the arithmetic, w^2 = t*w + q with the
+    domain's t = Tr(w) and q = -N(w): (a + b*w)(c + e*w) is
+    (a*c + q*b*e) + (a*e + b*c + t*b*e)*w, conj(a + b*w) is
+    (a + t*b) - b*w and N(a + b*w) is a*(a + t*b) - q*b^2.  A field
+    product runs that formula on integer numerators, one Fraction per
+    coordinate, and ``x / y`` is the field's ``divides_exact(y, x)``.
     """
 
     __slots__ = ("dom", "a", "b")
@@ -458,46 +481,24 @@ class QuadraticElement:
 
     def __mul__(self, other: Any) -> "QuadraticElement":
         o, dom = self._join(other)
-        a, b, c, e = self.a, self.b, o.a, o.b
-        if dom.tier is Tier.RING:
-            if dom.half_basis:
-                # w^2 = w + q with q = (d-1)/4 for w = (1+sqrt(d))/2
-                be = b * e
-                return QuadraticElement(dom, a * c + be * dom.q,
-                                        a * e + b * c + be)
-            return QuadraticElement(dom, a * c + b * e * dom.d, a * e + b * c)
-        # in the field each operand is (A + B*w)/s over the lcm s of its
-        # coordinate denominators: the product runs on the integers A, B
-        # and makes one Fraction per coordinate
-        s, sb = a.denominator, b.denominator
-        if s == sb:
-            a, b = a.numerator, b.numerator
+        in_order = dom.tier is Tier.RING
+        if in_order:
+            a, b, c, e = self.a, self.b, o.a, o.b
         else:
-            s = math.lcm(s, sb)
-            a, b = a.numerator * (s // a.denominator), b.numerator * (s // sb)
-        t, te = c.denominator, e.denominator
-        if t == te:
-            c, e = c.numerator, e.numerator
-        else:
-            t = math.lcm(t, te)
-            c, e = c.numerator * (t // c.denominator), e.numerator * (t // te)
-        be, st = b * e, s * t
-        if dom.half_basis:
-            return QuadraticElement(dom, Fraction(a * c + be * dom.q, st),
-                                    Fraction(a * e + b * c + be, st))
-        return QuadraticElement(dom, Fraction(a * c + be * dom.d, st),
-                                Fraction(a * e + b * c, st))
+            # the same formula on integer numerators, then one Fraction each
+            s, a, b = _numerators(self)
+            u, c, e = _numerators(o)
+        be = b * e
+        x, y = a * c + dom.q * be, a * e + b * c + dom.t * be
+        if in_order:
+            return QuadraticElement(dom, x, y)
+        s *= u
+        return QuadraticElement(dom, Fraction(x, s), Fraction(y, s))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Any) -> "QuadraticElement":
-        o, dom = self._join(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError(f"division by zero in {dom.name}")
-        z = self * o.conjugate()                # equals (self/o) * n
-        return QuadraticElement(dom.q_algebra_hull(), Fraction(z.a, n),
-                                Fraction(z.b, n))
+        return self.dom.q_algebra_hull().divides_exact(other, self)
 
     def __pow__(self, n: int) -> "QuadraticElement":
         if n < 0:
@@ -519,16 +520,13 @@ class QuadraticElement:
         return hash((self.dom.d, self.a, self.b))
 
     def conjugate(self) -> "QuadraticElement":
-        if self.dom.half_basis:
-            # conj(a + b*w) = a + b - b*w  since conj(w) = 1 - w
-            return QuadraticElement(self.dom, self.a + self.b, -self.b)
-        return QuadraticElement(self.dom, self.a, -self.b)
+        # conj(w) = t - w
+        return QuadraticElement(self.dom, self.a + self.dom.t * self.b,
+                                -self.b)
 
     def norm(self) -> Any:
         a, b = self.a, self.b
-        if self.dom.half_basis:
-            return a * a + a * b - self.dom.q * b * b
-        return a * a - self.dom.d * b * b
+        return a * (a + self.dom.t * b) - self.dom.q * b * b
 
     def __str__(self) -> str:
         return self.dom.format_element(self)
@@ -557,7 +555,8 @@ class _QuadraticDomain:
             self = _QUADRATIC_DOMAINS[cls, d] = super().__new__(cls)
             self.d = d
             self.half_basis = (d % 4 == 1)
-            self.q = (d - 1) // 4         # w^2 = w + q in the half basis
+            # w^2 = t*w + q: t = Tr(w) and q = -N(w)
+            self.t, self.q = (1, (d - 1) // 4) if self.half_basis else (0, d)
             self.name = self._name()
             self.zero = self._make(0, 0)
             self.one = self._make(1, 0)
@@ -650,22 +649,13 @@ class QuadraticIntRing(_QuadraticDomain):
             return None if ra or rb else QuadraticElement(self, qa, qb)
         if x.__class__ is not QuadraticElement or x.dom is not self:
             x = self.coerce(x)
-        # y/x = y*conj(x)/norm(x), in the integer coordinates of x and y
-        a, b, c, e = x.a, x.b, y.a, y.b
-        if self.half_basis:
-            # conj(a + b*w) = (a + b) - b*w, and w^2 = w + q
-            q = self.q
-            n = a * a + a * b - q * b * b
-            za = c * (a + b) - q * e * b
-        else:
-            n = a * a - self.d * b * b
-            za = c * a - self.d * e * b
+        n, za, zb = _times_conjugate(self, x.a, x.b, y.a, y.b)
         if n == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
         qa, ra = divmod(za, n)
         if ra:
             return None
-        qb, rb = divmod(e * a - c * b, n)
+        qb, rb = divmod(zb, n)
         return None if rb else QuadraticElement(self, qa, qb)
 
     def units(self) -> tuple[QuadraticElement, ...]:
@@ -704,14 +694,14 @@ class QuadraticIntRing(_QuadraticDomain):
         """All ring elements of norm exactly k (complete since d < 0).
 
         Both bases share one norm form: 4*norm(a + b*w) is
-        (2a + q*b)^2 + D*b^2, with q = 1, D = |d| for w = (1+sqrt(d))/2
-        and q = 0, D = 4|d| for w = sqrt(d).
+        (2a + t*b)^2 + D*b^2, with D = -(t^2 + 4q) the absolute
+        discriminant: |d| for w = (1+sqrt(d))/2 and 4|d| for w = sqrt(d).
         """
         if k < 0:
             return []
         if k == 0:
             return [self.zero]
-        q, D = (1, -self.d) if self.half_basis else (0, -4 * self.d)
+        t, D = self.t, -(self.t ** 2 + 4 * self.q)
         found = []
         bmax = math.isqrt(4 * k // D)
         # b and -b leave the same rest and the same parity, so each
@@ -719,13 +709,13 @@ class QuadraticIntRing(_QuadraticDomain):
         for b in range(bmax + 1):
             rest = 4 * k - D * b * b
             e = math.isqrt(rest)
-            if e * e != rest or (e - q * b) % 2 != 0:
+            if e * e != rest or (e - t * b) % 2 != 0:
                 continue
             for s in (b, -b) if b else (0,):
-                found.append(QuadraticElement(self, (e - q * s) // 2, s))
+                found.append(QuadraticElement(self, (e - t * s) // 2, s))
                 if e != 0:
                     found.append(
-                        QuadraticElement(self, (-e - q * s) // 2, s))
+                        QuadraticElement(self, (-e - t * s) // 2, s))
         found.sort(key=lambda z: (z.a, z.b))
         return found
 
@@ -831,17 +821,23 @@ class QuadraticField(_QuadraticDomain):
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> QuadraticElement:
         """y / x, never None.  An int x divides y's coordinates: the map
-        back from O_d in monic_decompose.  Operands of O_d stay in their
-        integer coordinates: their quotient is formed once, in Fractions."""
+        back from O_d in monic_decompose.  Otherwise x = X/s_x and
+        y = Y/s_y over integer numerators, and y/x is
+        s_x*Y*conj(X) / (s_y*N(X)), one Fraction per coordinate."""
         if y.__class__ is not QuadraticElement or y.dom.d != self.d:
             y = self.coerce(y)
         try:
             if x.__class__ is int:          # not bool, which coerce refuses
                 return QuadraticElement(self, Fraction(y.a, x),
                                         Fraction(y.b, x))
-            if x.__class__ is not QuadraticElement:
+            if x.__class__ is not QuadraticElement or x.dom.d != self.d:
                 x = self.coerce(x)
-            return y / x                    # lands in this field
+            sx, a, b = _numerators(x)
+            sy, c, e = _numerators(y)
+            n, za, zb = _times_conjugate(self, a, b, c, e)
+            n *= sy
+            return QuadraticElement(self, Fraction(sx * za, n),
+                                    Fraction(sx * zb, n))
         except ZeroDivisionError:
             raise ZeroDivisionError(f"division by zero in {self.name}") from None
 
@@ -856,10 +852,8 @@ class QuadraticField(_QuadraticDomain):
 
     def to_integral(self, x: QuadraticElement, s: int) -> QuadraticElement:
         """s*x in O_d, for s a multiple of x's denominator."""
-        a, b = x.a, x.b
-        return QuadraticElement(self.integral_ring,
-                                a.numerator * (s // a.denominator),
-                                b.numerator * (s // b.denominator))
+        u, a, b = _numerators(x)
+        return QuadraticElement(self.integral_ring, a * (s // u), b * (s // u))
 
 
 def _format_two_coords(first: Any, second: Any) -> str:

@@ -10,6 +10,13 @@ The public constructors coerce every coefficient into the domain.  Every
 domain is closed under its own ``+ - *``, so the results of ``+``, unary
 ``-``, a product of two polynomials and ``scale`` are built from what that
 arithmetic returns without coercing it again: only trimmed.
+
+A polynomial that is a coefficient of another, as an element of Z[t2,t3]
+is of a polynomial over that ring, may stand on either side of ``+ - *``.
+The reflected methods take only a coefficient and return ``NotImplemented``
+for any other polynomial.  Python tries no reflected method between two
+operands of one class, so ``+`` and ``*`` call it themselves, and raise
+DomainMismatchError where it returns ``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -115,13 +122,26 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _reflect(self, other: "Polynomial", reflected: Any) -> "Polynomial":
+        """other's reflected method on self, for two polynomials that
+        differ in domain or variable; DomainMismatchError where it returns
+        NotImplemented."""
+        out = reflected(self)
+        if out is NotImplemented:
+            self._check_compatible(other)   # raises DomainMismatchError
+        return out
+
+    def _add_constant(self, c: Any) -> "Polynomial":
+        # a scalar only changes the constant coefficient
+        cs = list(self.coeffs) or [self.domain.zero]
+        cs[0] = cs[0] + self.domain.coerce(c)
+        return _closed(self.domain, cs, self.var)
+
     def __add__(self, other: Any) -> "Polynomial":
         if not isinstance(other, Polynomial) or self.domain.is_element(other):
-            # a scalar only changes the constant coefficient
-            cs = list(self.coeffs) or [self.domain.zero]
-            cs[0] = cs[0] + self.domain.coerce(other)
-            return _closed(self.domain, cs, self.var)
-        self._check_compatible(other)
+            return self._add_constant(other)
+        if self.domain is not other.domain or self.var != other.var:
+            return self._reflect(other, other.__radd__)
         longer, shorter = self.coeffs, other.coeffs
         if len(longer) < len(shorter):
             longer, shorter = shorter, longer
@@ -130,13 +150,17 @@ class Polynomial:
         return _closed(self.domain, cs, self.var)
 
     def __radd__(self, other: Any) -> "Polynomial":
-        return self + other
+        if isinstance(other, Polynomial) and not self.domain.is_element(other):
+            return NotImplemented
+        return self._add_constant(other)
 
     def __sub__(self, other: Any) -> "Polynomial":
         return self + (-other if isinstance(other, Polynomial) else -self.domain.coerce(other))
 
     def __rsub__(self, other: Any) -> "Polynomial":
-        return (-self) + other
+        if isinstance(other, Polynomial) and not self.domain.is_element(other):
+            return NotImplemented
+        return (-self)._add_constant(other)
 
     def __neg__(self) -> "Polynomial":
         return _closed(self.domain, [-c for c in self.coeffs], self.var)
@@ -144,7 +168,8 @@ class Polynomial:
     def __mul__(self, other: Any) -> "Polynomial":
         if not isinstance(other, Polynomial) or self.domain.is_element(other):
             return self.scale(other)
-        self._check_compatible(other)
+        if self.domain is not other.domain or self.var != other.var:
+            return self._reflect(other, other.__rmul__)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.domain, self.var)
         z = self.domain.zero
@@ -157,7 +182,9 @@ class Polynomial:
         return _closed(self.domain, out, self.var)
 
     def __rmul__(self, other: Any) -> "Polynomial":
-        return self * other
+        if isinstance(other, Polynomial) and not self.domain.is_element(other):
+            return NotImplemented
+        return self.scale(other)
 
     def scale(self, c: Any) -> "Polynomial":
         c = self.domain.coerce(c)

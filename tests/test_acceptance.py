@@ -24,6 +24,7 @@ from polydecomp import (Decomposition, FactorizationPair, Polynomial, QQ, QT,
 from polydecomp import cli, decomp
 from polydecomp.domains import _MR_EXACT_BELOW
 from polydecomp.poly import _divrem_monic_in_place
+from test_quadratic_reference import DS, RefInt, RefRing
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -464,6 +465,28 @@ def test_quadratic_ring_arithmetic(capsys):
         assert not R5.is_irreducible(R5.element(6))
 
     _report(capsys, "quadratic-ring-arithmetic", 10.0, body)
+
+
+@pytest.mark.parametrize("d", DS)
+def test_norm_solver_on_both_bases(capsys, d):
+    """elements_of_norm(k) for k <= 50 is every element of norm k, found
+    by a box search with the reference norm, over Z[sqrt(d)] and O(d).
+
+    The box |a|, |b| <= 15 holds them all: outside it the norm is at least
+    (a^2 + b^2)/2 >= 128, the least being a^2 + ab + b^2 for d = -3.
+    """
+
+    def body():
+        ring, ref = QuadraticIntRing(d), RefRing(d)
+        by_norm = {}
+        for a in range(-15, 16):
+            for b in range(-15, 16):
+                by_norm.setdefault(RefInt(ref, a, b).norm(), set()).add(
+                    ring.element(a, b))
+        for k in range(51):
+            assert set(ring.elements_of_norm(k)) == by_norm.get(k, set()), k
+
+    _report(capsys, f"norm-solver-box[{d}]", 5.0, body)
 
 
 def test_ring_lead_past_the_old_divisor_bound(capsys):

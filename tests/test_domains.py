@@ -569,12 +569,16 @@ class TestOneExactDivision:
 
     @pytest.mark.parametrize("d", [-1, -3, -5, -15])
     def test_a_zero_order_divisor_names_the_field(self, d):
+        # y / x is the field's divides_exact(x, y), even for two order
+        # elements
         field, order = QuadraticField(d), QuadraticIntRing(d)
-        for x in (order.zero, field.zero):
+        for x in (order.zero, field.zero, 0):
             for y in (order.element(3, 1), field.element(3, 1)):
-                with pytest.raises(ZeroDivisionError) as info:
-                    field.divides_exact(x, y)
-                assert str(info.value) == f"division by zero in Q(sqrt({d}))"
+                for divide in (field.divides_exact, lambda x, y: y / x):
+                    with pytest.raises(ZeroDivisionError) as info:
+                        divide(x, y)
+                    assert str(info.value) == \
+                        f"division by zero in Q(sqrt({d}))"
 
     @pytest.mark.parametrize("dom", [ZT, QT, ZT23], ids=repr)
     def test_polynomial_domains_refuse_a_non_constant_divisor(self, dom):

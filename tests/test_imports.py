@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and none reads
-a pair's ``certificate``."""
+"""Every module of the package uses each name it imports, none reads a
+pair's ``certificate``, and only naming and display read a quadratic
+ring's ``half_basis``."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,52 @@ def test_a_certificate_read_is_found():
                      "    def certificate(self): pass\n"
                      "ok = D().certificate == 1\n")
     assert certificate_reads(tree) == [4]
+
+
+#: The functions that may read ``half_basis``: it names and displays a
+#: quadratic ring, while the arithmetic reads the basis rule w^2 = t*w + q.
+HALF_BASIS_READERS = {"domains.py": {"_QuadraticDomain.__new__",
+                                     "QuadraticIntRing._name",
+                                     "QuadraticField.element",
+                                     "QuadraticField.display_coords"}}
+
+
+def half_basis_reads(tree: ast.Module) -> dict[str, list[int]]:
+    """{qualified name of the enclosing function: lines} for every read
+    of an attribute named ``half_basis``."""
+    reads: dict[str, list[int]] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr == "half_basis"
+                    and isinstance(child.ctx, ast.Load)):
+                reads.setdefault(".".join(scope), []).append(child.lineno)
+            visit(child, scope)
+
+    visit(tree, ())
+    return reads
+
+
+@pytest.mark.parametrize("module", sorted(path.name
+                                          for path in PACKAGE.glob("*.py")))
+def test_only_naming_and_display_read_the_basis_flag(module):
+    tree = ast.parse((PACKAGE / module).read_text(), module)
+    readers = set(half_basis_reads(tree))
+    assert readers <= HALF_BASIS_READERS.get(module, set()), \
+        f"{module} reads half_basis outside naming and display"
+
+
+def test_a_basis_flag_read_is_found():
+    tree = ast.parse("class QuadraticElement:\n"
+                     "    def norm(self):\n"
+                     "        self.half_basis = 1\n"
+                     "        return self.dom.half_basis\n"
+                     "def name(dom):\n"
+                     "    return dom.half_basis\n")
+    assert half_basis_reads(tree) == {"QuadraticElement.norm": [4],
+                                      "name": [6]}

@@ -1,5 +1,6 @@
 """Core polynomial arithmetic: exactness, algebra laws, division."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (MINUS_INFINITY, DomainMismatchError, Polynomial,
-                        QQ, QT, ZZ, QuadraticField, QuadraticIntRing, Tier,
-                        compose, derivative, divrem_monic, hadic_digits)
+                        QQ, QT, ZT23, ZZ, QuadraticField, QuadraticIntRing,
+                        Tier, compose, derivative, divrem_monic, hadic_digits)
 
 
 def zpoly(coeffs):
@@ -61,6 +62,33 @@ class TestBasics:
     def test_mixed_variable_arithmetic_is_rejected(self):
         with pytest.raises(DomainMismatchError):
             zpoly([0, 1]) + Polynomial(ZZ, [0, 1], "y")
+
+    def test_a_polynomial_coefficient_stands_on_either_side(self):
+        # s is an element of Z[t2,t3], so a coefficient of p
+        s = ZT23.element([1, 0, 1])
+        p = Polynomial(ZT23, [ZT23.element([2, 0, 0, 1]), ZT23.one, s], "x")
+        assert s + p == p + s
+        assert s - p == -(p - s)
+        assert s * p == p * s
+        assert (s + p).domain is (s * p).domain is ZT23
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul], ids=["+", "-", "*"])
+    def test_operands_neither_side_can_take_are_a_mismatch(self, op):
+        # never a RecursionError nor a bare "unsupported operand" TypeError
+        pairs = ((zpoly([1, 2]), qpoly([1, 2])),
+                 (zpoly([0, 1]), Polynomial(ZZ, [0, 1], "y")),
+                 (Polynomial(ZT23, [ZT23.one], "x"), qpoly([1])))
+        for left, right in pairs:
+            for x, y in ((left, right), (right, left)):
+                with pytest.raises(DomainMismatchError):
+                    op(x, y)
+
+    def test_reflected_methods_refuse_a_polynomial_that_is_no_coefficient(self):
+        p = zpoly([1, 2])
+        for method in (p.__radd__, p.__rsub__, p.__rmul__):
+            assert method(qpoly([1])) is NotImplemented
+        assert p.__rsub__(3) == zpoly([2, -2])
 
     def test_scalar_coercion(self):
         p = zpoly([1, 1])
