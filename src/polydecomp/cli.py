@@ -14,10 +14,13 @@ returns the domain itself, whose ``name`` is the canonical descriptor.
 The domain binds the symbols (its ``symbols``): w is the quadratic
 generator of the ambient ring (sqrt(d), or (1+sqrt(d))/2 for the O(d)
 rings); t is the polynomial indeterminate of the t-rings.  Expressions
-are evaluated exactly over the rational hull of the ring and then checked
-coefficient by coefficient for membership, so "4/2" is a fine integer,
-while "1/2+1/2*w" over O(-15) is 3/4+1/4*sqrt(-15), not a member: w
-already is the half-basis generator there.  This module only parses and
+are evaluated exactly on sparse monomials x^i t^j with scalar
+coefficients: ints and elements of the integral ring (w among them) when
+every literal is an integer, Fractions and hull elements otherwise.  The
+polynomial over the ring is built once, from the final terms, and its
+coefficients are checked for membership there, so "4/2" is a fine
+integer, while "1/2+1/2*w" over O(-15) is 3/4+1/4*sqrt(-15), not a member:
+w already is the half-basis generator there.  This module only parses and
 renders.
 """
 
@@ -64,8 +67,9 @@ class Token:
 
 
 #: A compiled expression: (op, arg, pos) instructions in postfix order.
-#: op is "num" (arg a Fraction), "sym" (arg "x", "t" or "w"), "neg", "+",
-#: "-", "*" or "^" (arg the exponent); pos is where the source wrote it.
+#: op is "num" (arg an int, or a Fraction for a literal a/b), "sym" (arg
+#: "x", "t" or "w"), "neg", "+", "-", "*" or "^" (arg the exponent); pos
+#: is where the source wrote it.
 Program = list[tuple[str, Any, int]]
 
 
@@ -187,7 +191,7 @@ class _ExprParser:
     def base(self) -> None:
         tok = self.peek()
         if tok.kind == "num":
-            value = Fraction(self.number())
+            value = self.number()
             if self.peek().kind == "/":
                 self.take()
                 dtok = self.peek()
@@ -197,7 +201,7 @@ class _ExprParser:
                 denominator = self.number()
                 if denominator == 0:
                     raise ParseError("denominator is zero", dtok.pos)
-                value /= denominator
+                value = Fraction(value, denominator)
             self.program.append(("num", value, tok.pos))
         elif tok.kind == "name":
             self.take()
@@ -218,8 +222,9 @@ class _ExprParser:
             raise ParseError("expected a number, a symbol, or '('", tok.pos)
 
 
-#: Highest degree in x or in t an expression may reach.  Lowering builds
-#: dense coefficient lists, so the bound is checked on the program first.
+#: Highest degree in x or in t an expression may reach.  Lowering packs
+#: x^i t^j into one key (_STRIDE) and builds a dense polynomial at the end,
+#: so the bound is checked on the program first.
 _MAX_DEGREE = 4096
 
 #: Most bits a constant of an expression may reach.  Squaring doubles the
@@ -320,43 +325,49 @@ def resolve_ring(descriptor: str) -> Any:
                      f"supported: {_SUPPORTED}")
 
 
-#: Sparse terms: {exponent of x: nonzero coefficient in the hull}.
+#: The key of the monomial x^i t^j is i*_STRIDE + j.  No value of a
+#: bounded program reaches t^_STRIDE, so the t exponents of a product or a
+#: power never carry into the x exponent: monomials multiply by adding
+#: keys, and x is the key _STRIDE.
+_STRIDE = _MAX_DEGREE + 1
+
+#: Sparse terms: {monomial key: nonzero scalar coefficient}.
 Terms = dict[int, Any]
 
 
-def _add(left: Terms, right: Terms, zero: Any) -> Terms:
+def _add(left: Terms, right: Terms) -> Terms:
     out = dict(left)
     for k, c in right.items():
         if k in out:
             c = out[k] + c
-            if c == zero:
+            if c == 0:
                 del out[k]
                 continue
         out[k] = c
     return out
 
 
-def _mul(left: Terms, right: Terms, zero: Any) -> Terms:
+def _mul(left: Terms, right: Terms) -> Terms:
     out = {}
     for i, a in left.items():
         for j, b in right.items():
             k = i + j
             out[k] = out[k] + a * b if k in out else a * b
-    return {k: c for k, c in out.items() if c != zero}
+    return {k: c for k, c in out.items() if c != 0}
 
 
-def _pow(base: Terms, n: int, zero: Any, one: Any) -> Terms:
+def _pow(base: Terms, n: int) -> Terms:
     if len(base) == 1:
         (k, c), = base.items()
-        return {k * n: c if c == one else c ** n}
+        return {k * n: c ** n}
     # square and multiply, never computing the last square
-    result = {0: one}
+    result = {0: 1}
     while n:
         if n & 1:
-            result = _mul(result, base, zero)
+            result = _mul(result, base)
         n >>= 1
         if n:
-            base = _mul(base, base, zero)
+            base = _mul(base, base)
     return result
 
 
@@ -365,76 +376,93 @@ def _w_bits(ring: Any) -> int:
     return ring.symbols["w"][1] if "w" in ring.symbols else 1
 
 
-def _lower(program: Program, ring: Any) -> Polynomial:
-    """Evaluate a program over the hull of the ring.
+def _lower(program: Program, ring: Any) -> Terms:
+    """Evaluate a bounded program on sparse monomials x^i t^j.
 
-    The stack holds sparse terms, so x^k is one monomial and a power of
-    one term is one power of its coefficient; the dense polynomial is
-    built once, at the end.
+    The scalars are ints, and w is the element of the ring's integral
+    ring, when every literal is an integer (4/2 is one); otherwise they
+    are Fractions and w is the hull's.  A power of one term is one power of its
+    coefficient.  No polynomial is built here (see _assemble).
     """
-    dom = hull_of(ring)
-    zero, one = dom.zero, dom.one
+    integral = all(arg.denominator == 1
+                   for op, arg, _ in program if op == "num")
+    symbols = {"x": {_STRIDE: 1}}
+    if "t" in ring.symbols:
+        symbols["t"] = {1: 1}
+    if "w" in ring.symbols:
+        w = ring.symbols["w"][0]
+        symbols["w"] = {0: hull_of(ring).integral_ring.descend(w)
+                        if integral else w}
     stack = []
     for op, arg, pos in program:
         if op == "num":
-            stack.append({0: dom.coerce(arg)} if arg else {})
+            stack.append({0: arg.numerator if integral else arg}
+                         if arg else {})
         elif op == "sym":
-            if arg == "x":
-                stack.append({1: one})
-                continue
-            if arg not in ring.symbols:
+            if arg not in symbols:
                 raise ParseError(f"symbol {arg} is not defined over "
                                  f"{ring.name}", pos)
-            stack.append({0: ring.symbols[arg][0]})
+            stack.append(symbols[arg])
         elif op == "neg":
             stack.append({k: -c for k, c in stack.pop().items()})
         elif op == "^":
-            stack.append(_pow(stack.pop(), arg, zero, one))
+            stack.append(_pow(stack.pop(), arg))
         else:
             right, left = stack.pop(), stack.pop()
             if op == "-":
                 right = {k: -c for k, c in right.items()}
-            stack.append((_mul if op == "*" else _add)(left, right, zero))
-    terms = stack.pop()
-    coeffs = [zero] * (max(terms) + 1) if terms else []
-    for k, c in terms.items():
-        coeffs[k] = c
-    return Polynomial(dom, coeffs, "x")
+            stack.append((_mul if op == "*" else _add)(left, right))
+    return stack.pop()
+
+
+def _assemble(terms: Terms, ring: Any) -> Polynomial:
+    """The polynomial over the ring with the lowered terms, built once.
+
+    Below the hull, ValueError names the first coefficient of x that is
+    not in the ring: every coefficient is tested for integrality ("does
+    not lie in") before any for membership ("is not in").
+    """
+    hull = hull_of(ring)
+    t_ring = "t" in ring.symbols
+    # the domain of a scalar: the coefficients of the t-polynomials in
+    # the t-rings, the hull itself in the others
+    scalars = hull.base if t_ring else hull
+    rows: dict[int, list] = {}      # {i: [scalar of x^i t^j for each j]}
+    for key in sorted(terms):
+        i, j = divmod(key, _STRIDE)
+        row = rows.setdefault(i, [])
+        row += [0] * (j - len(row))
+        row.append(terms[key])
+    if ring is not hull:
+        scalars = scalars.integral_ring
+        for i, row in rows.items():
+            cs = [scalars.descend(c) for c in row]
+            if any(c is None for c in cs):
+                value = hull.element(row) if t_ring else hull.coerce(row[0])
+                raise ValueError(f"coefficient {hull.format_element(value)} "
+                                 f"of x^{i} does not lie in {ring.name}")
+            rows[i] = cs
+    coeffs = [ring.zero] * (max(rows) + 1) if rows else []
+    for i, row in rows.items():
+        c = Polynomial(scalars, row, "t") if t_ring else row[0]
+        if ring is not hull and not ring.is_element(c):
+            raise ValueError(f"coefficient {ring.format_element(c)} "
+                             f"of x^{i} is not in {ring.name}")
+        coeffs[i] = c
+    return Polynomial(ring, coeffs, "x")
 
 
 def parse_poly(text: str, ring: Any) -> Polynomial:
     """Parse an expression into an exact Polynomial over the ring, a
     domain or a descriptor string.
 
-    Evaluation happens over the rational hull; afterwards every coefficient
-    must descend into the named ring, otherwise the parse is rejected.
+    Evaluation runs on integers when every literal is one; every
+    coefficient must then lie in the named ring, otherwise the parse is
+    rejected.
     """
     if isinstance(ring, str):
         ring = resolve_ring(ring)
-    return _descend(_lower(_parse(text, _w_bits(ring)), ring), ring)
-
-
-def _descend(p: Polynomial, ring: Any) -> Polynomial:
-    """p, lowered over the ring's hull, as a polynomial over the ring, or
-    ValueError naming the first coefficient that is not in it: every
-    coefficient is tested for integrality ("does not lie in") before any
-    for membership ("is not in")."""
-    hull = p.domain
-    if ring is hull:
-        return p
-    integral = hull.integral_ring
-    coeffs = []
-    for k, c in enumerate(p.coeffs):
-        cc = integral.descend(c)
-        if cc is None:
-            raise ValueError(f"coefficient {hull.format_element(c)} "
-                             f"of x^{k} does not lie in {ring.name}")
-        coeffs.append(cc)
-    for k, c in enumerate(coeffs):
-        if not ring.is_element(c):
-            raise ValueError(f"coefficient {ring.format_element(c)} "
-                             f"of x^{k} is not in {ring.name}")
-    return Polynomial(ring, coeffs, p.var)
+    return _assemble(_lower(_parse(text, _w_bits(ring)), ring), ring)
 
 
 def _parse_ring_element(text: str, ring: Any) -> Any:
@@ -518,9 +546,9 @@ def _cmd_compose(ns) -> CommandResult:
     ring = resolve_ring(ns.ring)
     w_bits = _w_bits(ring)
     outer = _parse(ns.outer, w_bits)
-    G = _descend(_lower(outer, ring), ring)
+    G = _assemble(_lower(outer, ring), ring)
     inner = _parse(ns.inner, w_bits)
-    H = _descend(_lower(inner, ring), ring)
+    H = _assemble(_lower(inner, ring), ring)
     # G(H) is the outer expression with x standing for the inner one, so
     # it gets the parser's bounds, at the outer operator that crosses them
     _degree_bound(outer, w_bits, _degree_bound(inner, w_bits))
@@ -769,7 +797,7 @@ def _witness_result(command: str, pipeline: tuple, intro: list,
 def _cmd_check_subring(ns) -> CommandResult:
     ring = resolve_ring(ns.ring)
     hull = hull_of(ring)
-    p = _lower(_parse(ns.element, _w_bits(ring)), ring)
+    p = _assemble(_lower(_parse(ns.element, _w_bits(ring)), ring), hull)
     if not p.is_constant():
         raise ValueError("check-subring expects a coefficient-ring element, "
                          "not a polynomial in x")

@@ -2,21 +2,24 @@
 
 A polynomial stores its coefficients low-to-high: ``coeffs[i]`` is the
 coefficient of ``var**i``.  The coefficient domain is any object exposing
-``zero``, ``one``, ``coerce``, ``is_element`` and ``format_element``, and
-whose elements support ``+ - *`` and ``==`` exactly (no floating point is
-involved anywhere).
+``zero``, ``one``, ``coerce``, ``is_element``, ``descend`` and
+``format_element``, and whose elements support ``+ - *`` and ``==``
+exactly (no floating point is involved anywhere).
 
 The public constructors coerce every coefficient into the domain.  Every
 domain is closed under its own ``+ - *``, so the results of ``+``, unary
 ``-``, a product of two polynomials and ``scale`` are built from what that
 arithmetic returns without coercing it again: only trimmed.
 
-A polynomial that is a coefficient of another, as an element of Z[t2,t3]
-is of a polynomial over that ring, may stand on either side of ``+ - *``.
-The reflected methods take only a coefficient and return ``NotImplemented``
-for any other polynomial.  Python tries no reflected method between two
-operands of one class, so ``+`` and ``*`` call it themselves, and raise
-DomainMismatchError where it returns ``NotImplemented``.
+A polynomial that the coefficient domain of another takes as an element
+(its ``descend``) may stand on either side of ``+ - *`` as that
+coefficient: beside a polynomial over Z[t2,t3], an element of Z[t2,t3] or
+a constant of Q[t] with integer coefficients and no t^1 term.  The
+reflected methods take only a coefficient and return ``NotImplemented``
+for any other polynomial.
+Python tries no reflected method between two operands of one class, so
+``+`` and ``*`` call the other operand's, then their own, and raise
+DomainMismatchError where both return ``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -122,14 +125,26 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _reflect(self, other: "Polynomial", reflected: Any) -> "Polynomial":
-        """other's reflected method on self, for two polynomials that
-        differ in domain or variable; DomainMismatchError where it returns
+    def _reflect(self, other: "Polynomial", name: str) -> "Polynomial":
+        """other's reflected method ``name`` on self, else self's on other,
+        for two polynomials that differ in domain or variable (+ and * are
+        commutative); DomainMismatchError where both return
         NotImplemented."""
-        out = reflected(self)
+        out = getattr(other, name)(self)
         if out is NotImplemented:
-            self._check_compatible(other)   # raises DomainMismatchError
+            out = getattr(self, name)(other)
+            if out is NotImplemented:
+                self._check_compatible(other)   # raises DomainMismatchError
         return out
+
+    def _coefficient(self, other: Any) -> Any:
+        """other as a coefficient of self: a polynomial the domain takes
+        as its element (``descend``), else NotImplemented; anything that
+        is no polynomial unchanged, for the domain to coerce."""
+        if isinstance(other, Polynomial) and not self.domain.is_element(other):
+            c = self.domain.descend(other)
+            return NotImplemented if c is None else c
+        return other
 
     def _add_constant(self, c: Any) -> "Polynomial":
         # a scalar only changes the constant coefficient
@@ -141,7 +156,7 @@ class Polynomial:
         if not isinstance(other, Polynomial) or self.domain.is_element(other):
             return self._add_constant(other)
         if self.domain is not other.domain or self.var != other.var:
-            return self._reflect(other, other.__radd__)
+            return self._reflect(other, "__radd__")
         longer, shorter = self.coeffs, other.coeffs
         if len(longer) < len(shorter):
             longer, shorter = shorter, longer
@@ -150,17 +165,15 @@ class Polynomial:
         return _closed(self.domain, cs, self.var)
 
     def __radd__(self, other: Any) -> "Polynomial":
-        if isinstance(other, Polynomial) and not self.domain.is_element(other):
-            return NotImplemented
-        return self._add_constant(other)
+        c = self._coefficient(other)
+        return c if c is NotImplemented else self._add_constant(c)
 
     def __sub__(self, other: Any) -> "Polynomial":
         return self + (-other if isinstance(other, Polynomial) else -self.domain.coerce(other))
 
     def __rsub__(self, other: Any) -> "Polynomial":
-        if isinstance(other, Polynomial) and not self.domain.is_element(other):
-            return NotImplemented
-        return (-self)._add_constant(other)
+        c = self._coefficient(other)
+        return c if c is NotImplemented else (-self)._add_constant(c)
 
     def __neg__(self) -> "Polynomial":
         return _closed(self.domain, [-c for c in self.coeffs], self.var)
@@ -169,7 +182,7 @@ class Polynomial:
         if not isinstance(other, Polynomial) or self.domain.is_element(other):
             return self.scale(other)
         if self.domain is not other.domain or self.var != other.var:
-            return self._reflect(other, other.__rmul__)
+            return self._reflect(other, "__rmul__")
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.domain, self.var)
         z = self.domain.zero
@@ -182,9 +195,8 @@ class Polynomial:
         return _closed(self.domain, out, self.var)
 
     def __rmul__(self, other: Any) -> "Polynomial":
-        if isinstance(other, Polynomial) and not self.domain.is_element(other):
-            return NotImplemented
-        return self.scale(other)
+        c = self._coefficient(other)
+        return c if c is NotImplemented else self.scale(c)
 
     def scale(self, c: Any) -> "Polynomial":
         c = self.domain.coerce(c)

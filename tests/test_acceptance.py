@@ -569,3 +569,17 @@ def test_lead_past_the_divisor_bound_exits_1(capsys, ring, lead, message):
             f"error: divisor search bound exceeded: {message}\n"
 
     _report(capsys, f"lead-past-the-bound-{ring}", 1.0, body)
+
+
+def test_t_ring_expression_parses_on_integer_monomials(capsys):
+    """(x+t)^64*(x-t^2)^64 over Z[t], 65 * 65 products of terms with int
+    coefficients, parses in < 0.5 s."""
+
+    def body():
+        f = cli.parse_poly("(x+t)^64*(x-t^2)^64", "Z[t]")
+        assert f.degree == 128 and f.leading_coefficient == ZT.one
+        # x^127: 64*t from the first factor, -64*t^2 from the second
+        assert f.coefficient(127) == ZT.element([0, 64, -64])
+        assert f.constant_term == ZT.element([0] * 192 + [1])
+
+    _report(capsys, "t-ring-expression-parse", 0.5, body)

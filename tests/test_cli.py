@@ -12,14 +12,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
                         Tier, ZT, ZT23, ZZ, hull_of, main, parse_expression,
                         parse_poly, resolve_ring)
 import polydecomp
-from polydecomp import cli
+from polydecomp import cli, poly
 from polydecomp.cli import ParseError, format_result, run, build_parser
 
 R5 = QuadraticIntRing(-5)
@@ -367,43 +367,162 @@ def _outcome(call, *args):
 _ALL_DESCRIPTORS = ("Z", "Q", "Z[sqrt(-5)]", "Q(sqrt(-5))", "O(-15)",
                     "Z[t]", "Q[t]", "Z[t2,t3]")
 
-#: Sums, differences, products, powers (0^0 among them), negations and
-#: nesting of constants and symbols, with degrees in x and t at most 12.
-_LOWERING_EXPRS = st.recursive(
-    st.sampled_from(("0", "1", "3", "1/2", "5/3", "x", "x", "t", "w")),
-    lambda inner: st.one_of(
-        st.builds(lambda a, op, b: f"({a}){op}({b})",
-                  inner, st.sampled_from("+-*"), inner),
-        st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 3)),
-        st.builds(lambda a: f"-({a})", inner),
-        st.builds(lambda a, b: f"{a}*x^{b}", inner, st.integers(0, 5))),
-    max_leaves=6).filter(
-        lambda text: max(cli._degree_bound(parse_expression(text), 4)[:2])
-        <= 12)
+def _lowering_exprs(leaves: tuple):
+    """Sums, differences, products, powers (0^0 among them), negations and
+    nesting of the leaves, with degrees in x and t at most 12."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.builds(lambda a, op, b: f"({a}){op}({b})",
+                      inner, st.sampled_from("+-*"), inner),
+            st.builds(lambda a, k: f"({a})^{k}", inner, st.integers(0, 3)),
+            st.builds(lambda a: f"-({a})", inner),
+            st.builds(lambda a, b: f"{a}*x^{b}", inner, st.integers(0, 5))),
+        max_leaves=6).filter(
+            lambda text: max(cli._degree_bound(parse_expression(text), 4)[:2])
+            <= 12)
+
+
+def _lowering_strategies(descriptor: str) -> tuple:
+    """Division-free expressions over the ring and expressions with at
+    least one literal a/b (one of them of integer value), anywhere in a
+    sum or product.  The leaves are integers, x, and powers of the
+    symbols the ring binds, and one symbol it does not bind."""
+    ring = resolve_ring(descriptor)
+    bound = [s for s in "tw" if s in ring.symbols]
+    unbound = [s for s in "tw" if s not in ring.symbols][0]
+    integral = ("0", "1", "3", "x", "x", unbound) + tuple(
+        leaf for s in bound for leaf in (s, s, f"{s}^2", f"{s}^3", f"(-{s})^3"))
+    division_free = _lowering_exprs(integral)
+    fractional = st.builds(
+        lambda a, op, f, b: f"({a}){op}{f}*({b})", division_free,
+        st.sampled_from("+-*"), st.sampled_from(("1/2", "5/3", "4/2", "7/6")),
+        _lowering_exprs(integral + ("1/2", "3/4")))
+    return division_free, fractional
+
+
+#: Every descriptor's division-free and fractional expressions.
+_LOWERING_EXPRS = {d: _lowering_strategies(d) for d in _ALL_DESCRIPTORS}
+
+
+def _same_as_the_dense_lowering(descriptor, text):
+    """The lowered terms, assembled over the hull, are the dense lowering's
+    value, and parse_poly gives the reference's value or exact error."""
+    ring = resolve_ring(descriptor)
+    program = parse_expression(text)
+
+    def sparse(program, ring):
+        return cli._assemble(cli._lower(program, ring), hull_of(ring))
+
+    assert _outcome(sparse, program, ring) == \
+        _outcome(reference_lower, program, ring)
+    assert _outcome(parse_poly, text, ring) == \
+        _outcome(reference_parse_poly, text, ring)
 
 
 class TestSparseLowering:
     """The sparse lowering against the dense one it replaced."""
 
     @pytest.mark.parametrize("descriptor", _ALL_DESCRIPTORS)
-    @given(text=_LOWERING_EXPRS)
-    @example(text="0^0")
-    @example(text="(x-x)^0*t+0^3*w-(x^2)^0")
-    @example(text="-(1/2*x-w)^3*(t-x^2)^2")
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_same_polynomial_as_the_dense_lowering(self, descriptor, text):
-        ring = resolve_ring(descriptor)
-        program = parse_expression(text)
-        assert _outcome(cli._lower, program, ring) == \
-            _outcome(reference_lower, program, ring)
-        assert _outcome(parse_poly, text, ring) == \
-            _outcome(reference_parse_poly, text, ring)
+    def test_same_polynomial_as_the_dense_lowering(self, descriptor, data):
+        # each example draws a division-free and a fractional text
+        for exprs in _LOWERING_EXPRS[descriptor]:
+            _same_as_the_dense_lowering(descriptor, data.draw(exprs))
+
+    @pytest.mark.parametrize("descriptor", _ALL_DESCRIPTORS)
+    @pytest.mark.parametrize("text", [
+        "0^0", "(x-x)^0*t+0^3*w-(x^2)^0", "t*x^2+(w-w)^2", "(t^2-w^2)^3*x",
+        "-(1/2*x-w)^3*(t-x^2)^2", "t*x+1/2*x^2", "(1/2+1/2*w)*x+1/2*t",
+        "4/2*t*x-(1/2*w)^2", "1/2*t*x^4+x^2", "1/2+1/2*w",
+        # t^4096 is the highest power of t a monomial key holds
+        "t^4096*x^4096+t^4096*x+x^4096-t^2"])
+    def test_examples(self, descriptor, text):
+        _same_as_the_dense_lowering(descriptor, text)
 
     def test_zero_to_the_zero_is_one(self):
         assert parse_poly("0^0", "Z") == Polynomial(ZZ, [1], "x")
         assert parse_poly("(x-x)^0*x^3", "Q") == Polynomial(QQ, [0, 0, 0, 1],
                                                             "x")
         assert parse_poly("0^5+x", "Z[t]") == Polynomial(ZT, [0, 1], "x")
+
+
+def _record_fractions(mp, made):
+    """Append to made every Fraction constructed while mp is active:
+    through Fraction(...) or, from Python 3.12 on, the arithmetic's
+    _from_coprime_ints."""
+    new = Fraction.__new__
+
+    def fraction_new(cls, *args, **kwargs):
+        made.append(Fraction)
+        return new(cls, *args, **kwargs)
+
+    mp.setattr(Fraction, "__new__", fraction_new)
+    coprime = Fraction.__dict__.get("_from_coprime_ints")
+    if coprime is not None:
+        def from_coprime_ints(cls, numerator, denominator):
+            made.append(Fraction)
+            return coprime.__func__(cls, numerator, denominator)
+
+        mp.setattr(Fraction, "_from_coprime_ints",
+                   classmethod(from_coprime_ints))
+
+
+def _record_polynomials(mp, made):
+    """Append to made the variable of every Polynomial constructed while
+    mp is active: through its constructor or through poly._closed."""
+    init, closed = Polynomial.__init__, poly._closed
+
+    def polynomial_init(self, domain, coeffs=(), var="x"):
+        made.append(var)
+        init(self, domain, coeffs, var)
+
+    def closed_polynomial(domain, cs, var):
+        made.append(var)
+        return closed(domain, cs, var)
+
+    mp.setattr(Polynomial, "__init__", polynomial_init)
+    mp.setattr(poly, "_closed", closed_polynomial)
+
+
+#: Division-free texts over the rings below their hulls, with powers of w
+#: and of t (and no t^1 term over Z[t2,t3]).
+_DIVISION_FREE_TEXTS = (
+    ("Z", "(x+3)^5*(2*x-1)^3-7*x+0^0"),
+    ("Z[sqrt(-5)]", "(x+w)^4*(w*x-3)^2+(1-w)^3"),
+    ("O(-15)", "(x+w)^4*(w*x-3)^2+(1-w)^3"),
+    ("Z[t]", "(x+t)^4*(x-t^2)^2+t^5*x"),
+    ("Z[t2,t3]", "(x+t^2)^4*(x-t^3)^2+t^5*x-t^2"),
+)
+
+
+class TestIntegralLowering:
+    """Text without division is evaluated on ints and ring elements."""
+
+    @pytest.mark.parametrize("descriptor, text", _DIVISION_FREE_TEXTS)
+    def test_no_fraction_and_no_t_polynomial_before_the_assembly(
+            self, descriptor, text):
+        ring = resolve_ring(descriptor)
+        # the oracle runs first, and builds the ring's cached symbols too
+        expected = reference_parse_poly(text, ring)
+        program = parse_expression(text)
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            _record_polynomials(mp, made)
+            terms = cli._lower(program, ring)
+        assert made == []
+        with pytest.MonkeyPatch.context() as mp:
+            _record_fractions(mp, made)
+            f = parse_poly(text, ring)
+        assert made == []
+        assert f == expected
+        # the assembly builds one polynomial in t per nonzero coefficient
+        with pytest.MonkeyPatch.context() as mp:
+            _record_polynomials(mp, made)
+            assert cli._assemble(terms, ring) == expected
+        nonzero = sum(c != 0 for c in expected.coeffs)
+        assert made.count("t") == (nonzero if "t" in ring.symbols else 0)
 
 
 #: Coefficients for Z and Q, for the quadratic rings, and for the t-rings,

@@ -74,6 +74,22 @@ class TestBasics:
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub,
                                     operator.mul], ids=["+", "-", "*"])
+    def test_a_constant_of_q_t_in_the_subring_is_a_coefficient(self, op):
+        # v is a polynomial over Q, but 3*t^2 + 2 lies in Z[t2,t3]
+        p = Polynomial(ZT23, [ZT23.element([1, 0, 1]), ZT23.one], "x")
+        v = QT.element([2, 0, 3])
+        s = ZT23.coerce(v)
+        assert op(p, v) == op(p, s) and op(v, p) == op(s, p)
+        assert op(p, v).domain is op(v, p).domain is ZT23
+        # a t^1 term or a non-integer coefficient is no coefficient of p
+        for bad in (QT.element([2, 1]), QT.element([Fraction(1, 2)])):
+            with pytest.raises(DomainMismatchError):
+                op(p, bad)
+            with pytest.raises(DomainMismatchError):
+                op(bad, p)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul], ids=["+", "-", "*"])
     def test_operands_neither_side_can_take_are_a_mismatch(self, op):
         # never a RecursionError nor a bare "unsupported operand" TypeError
         pairs = ((zpoly([1, 2]), qpoly([1, 2])),
