@@ -33,6 +33,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from typing import Any, Optional
@@ -59,167 +60,138 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-
-
 #: A compiled expression: (op, arg, pos) instructions in postfix order.
 #: op is "num" (arg an int, or a Fraction for a literal a/b), "sym" (arg
 #: "x", "t" or "w"), "neg", "+", "-", "*" or "^" (arg the exponent); pos
 #: is where the source wrote it.
 Program = list[tuple[str, Any, int]]
 
+#: One token each: a run of ASCII digits, a symbol not followed by a
+#: letter, digit or "_" (Unicode's, like str.isalnum), an operator, or any
+#: other character but whitespace, which no token starts with.
+_TOKEN_RE = re.compile(
+    r"(?P<num>[0-9]+)|(?P<name>[xtw])(?!\w)|([-+*/^()])|(?P<bad>\S)")
 
-_DIGITS = "0123456789"
 
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, pos) tokens of the whole text, then ("end", "",
+    len(text)); kind is "num", "name" or the operator itself.
 
-def tokenize(text: str) -> list[Token]:
+    Raises ParseError at the first character no token starts with.
+    """
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch in "xtw":
-            nxt = text[i + 1] if i + 1 < len(text) else ""
-            if nxt.isalnum() or nxt == "_":
-                raise ParseError(f"unknown symbol starting with {ch!r}", i)
-            tokens.append(Token("name", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup or m[0]
+        if kind == "bad":
+            ch = m[0]
+            raise ParseError(f"unknown symbol starting with {ch!r}"
+                             if ch in "xtw" else
+                             f"unexpected character {ch!r}", m.start())
+        tokens.append((kind, m[0], m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-#: Deepest parenthesis nesting the parser accepts.  Only the parser
-#: recurses, once per level, so a bound keeps it inside Python's stack.
+#: Deepest parenthesis nesting the parser accepts.  The productions
+#: recurse once per level, so a bound keeps them inside Python's stack.
 _MAX_NESTING = 100
 
 
-class _ExprParser:
-    """Recursive descent that compiles tokens to a postfix Program."""
+def _compile(tokens: list[tuple[str, str, int]]) -> Program:
+    """Compile tokens to a postfix Program by recursive descent.
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-        self.program: Program = []
+    The productions share one index into tokens and pass the parenthesis
+    depth down.
+    """
+    program: Program = []
+    i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def number(self) -> int:
-        """Take a "num" token and return its value.
-
-        int() refuses digit strings past the interpreter's conversion limit
-        (4300 digits by default), which is a syntax error here.
-        """
-        tok = self.take()
+    def number(error: str) -> int:
+        """Take the "num" token at i and return its value; raise error
+        at any other token."""
+        nonlocal i
+        kind, digits, pos = tokens[i]
+        if kind != "num":
+            raise ParseError(error, pos)
+        i += 1
         try:
-            return int(tok.text)
+            # int() refuses digit strings past the interpreter's conversion
+            # limit (4300 digits by default), which is a syntax error here
+            return int(digits)
         except ValueError:
-            raise ParseError(f"number literal of {len(tok.text)} digits is "
-                             f"too long", tok.pos) from None
+            raise ParseError(f"number literal of {len(digits)} digits is "
+                             f"too long", pos) from None
 
-    def parse(self) -> Program:
-        self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.pos)
-        return self.program
-
-    def expr(self) -> None:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.take()
-            self.term()
-            self.program.append(("neg", None, tok.pos))
+    def expr(depth: int) -> None:
+        nonlocal i
+        kind, _, pos = tokens[i]
+        if kind == "-":
+            i += 1
+            term(depth)
+            program.append(("neg", None, pos))
         else:
-            self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            self.term()
-            self.program.append((op.kind, None, op.pos))
+            term(depth)
+        while tokens[i][0] in ("+", "-"):
+            kind, _, pos = tokens[i]
+            i += 1
+            term(depth)
+            program.append((kind, None, pos))
 
-    def term(self) -> None:
-        self.factor()
+    def term(depth: int) -> None:
+        nonlocal i
+        factor(depth)
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.take()
-                self.factor()
-                self.program.append(("*", None, tok.pos))
-            elif tok.kind in ("num", "name", "("):
+            kind, _, pos = tokens[i]
+            if kind == "*":
+                i += 1
+                factor(depth)
+                program.append(("*", None, pos))
+            elif kind in ("num", "name", "("):
                 raise ParseError(
-                    "implicit multiplication is not allowed; insert '*'",
-                    tok.pos)
+                    "implicit multiplication is not allowed; insert '*'", pos)
             else:
                 return
 
-    def factor(self) -> None:
-        self.base()
-        tok = self.peek()
-        if tok.kind == "^":
-            self.take()
-            etok = self.peek()
-            if etok.kind != "num":
-                raise ParseError(
-                    "exponent must be a nonnegative integer literal", etok.pos)
-            self.program.append(("^", self.number(), tok.pos))
+    def factor(depth: int) -> None:
+        nonlocal i
+        base(depth)
+        kind, _, pos = tokens[i]
+        if kind == "^":
+            i += 1
+            program.append(("^", number(
+                "exponent must be a nonnegative integer literal"), pos))
 
-    def base(self) -> None:
-        tok = self.peek()
-        if tok.kind == "num":
-            value = self.number()
-            if self.peek().kind == "/":
-                self.take()
-                dtok = self.peek()
-                if dtok.kind != "num":
-                    raise ParseError(
-                        "denominator must be an unsigned integer", dtok.pos)
-                denominator = self.number()
-                if denominator == 0:
-                    raise ParseError("denominator is zero", dtok.pos)
-                value = Fraction(value, denominator)
-            self.program.append(("num", value, tok.pos))
-        elif tok.kind == "name":
-            self.take()
-            self.program.append(("sym", tok.text, tok.pos))
-        elif tok.kind == "(":
-            self.take()
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
+    def base(depth: int) -> None:
+        nonlocal i
+        kind, text, pos = tokens[i]
+        if kind == "name":
+            i += 1
+            program.append(("sym", text, pos))
+        elif kind == "(":
+            if depth == _MAX_NESTING:
                 raise ParseError(
-                    f"parentheses nested deeper than {_MAX_NESTING}", tok.pos)
-            self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", closing.pos)
-            self.take()
-            self.depth -= 1
+                    f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            i += 1
+            expr(depth + 1)
+            kind, _, pos = tokens[i]
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
         else:
-            raise ParseError("expected a number, a symbol, or '('", tok.pos)
+            value = number("expected a number, a symbol, or '('")
+            if tokens[i][0] == "/":
+                i += 1
+                denominator = number("denominator must be an unsigned integer")
+                if denominator == 0:
+                    raise ParseError("denominator is zero", tokens[i - 1][2])
+                value = Fraction(value, denominator)
+            program.append(("num", value, pos))
+
+    expr(0)
+    kind, _, pos = tokens[i]
+    if kind != "end":
+        raise ParseError("unexpected trailing input", pos)
+    return program
 
 
 #: Highest degree in x or in t an expression may reach.  Lowering packs
@@ -277,7 +249,7 @@ def _capped(dx: int, dt: int, b: int, pos: int) -> tuple[int, int, int]:
 
 
 def _parse(text: str, w_bits: int) -> Program:
-    program = _ExprParser(tokenize(text)).parse()
+    program = _compile(_scan(text))
     _degree_bound(program, w_bits)
     return program
 
@@ -296,9 +268,11 @@ def parse_expression(text: str) -> Program:
 # ring descriptors
 # ---------------------------------------------------------------------------
 
-_SQRT_RING_RE = re.compile(r"^Z\[sqrt\((-?\d+)\)\]$")
-_SQRT_FIELD_RE = re.compile(r"^Q\(sqrt\((-?\d+)\)\)$")
-_ORDER_RE = re.compile(r"^O\((-?\d+)\)$")
+#: The quadratic descriptors, d in ASCII digits as numbers in expressions
+#: are; the name of the group that matched is the form's first letter.
+_QUADRATIC_RE = re.compile(r"Z\[sqrt\((?P<Z>-?[0-9]+)\)\]"
+                           r"|Q\(sqrt\((?P<Q>-?[0-9]+)\)\)"
+                           r"|O\((?P<O>-?[0-9]+)\)")
 
 _SUPPORTED = ('"Z", "Q", "Z[sqrt(d)]", "Q(sqrt(d))", "O(d)", '
               '"Z[t]", "Q[t]", "Z[t2,t3]"')
@@ -310,19 +284,19 @@ def resolve_ring(descriptor: str) -> Any:
     named = {"Z": ZZ, "Q": QQ, "Z[t]": ZT, "Q[t]": QT, "Z[t2,t3]": ZT23}
     if text in named:
         return named[text]
-    m = _SQRT_RING_RE.match(text) or _ORDER_RE.match(text)
-    if m:
-        d = int(m.group(1))
-        if text.startswith("Z") and d % 4 == 1:
-            raise ValueError(
-                f"Z[sqrt({d})] is not supported for d = 1 (mod 4); "
-                f"use O({d}), whose integral basis includes (1+sqrt({d}))/2")
-        return QuadraticIntRing(d)
-    m = _SQRT_FIELD_RE.match(text)
-    if m:
-        return QuadraticField(int(m.group(1)))
-    raise ValueError(f"unknown ring descriptor {descriptor!r}; "
-                     f"supported: {_SUPPORTED}")
+    m = _QUADRATIC_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"unknown ring descriptor {descriptor!r}; "
+                         f"supported: {_SUPPORTED}")
+    # Decimal reads d at any length, where int() stops at 4300 digits
+    form = m.lastgroup
+    d = int(Decimal(m[form]))
+    if form == "Z" and d % 4 == 1:
+        raise ValueError(
+            "Z[sqrt({0})] is not supported for d = 1 (mod 4); use O({0}), "
+            "whose integral basis includes (1+sqrt({0}))/2"
+            .format(_decimal(d)))
+    return (QuadraticField if form == "Q" else QuadraticIntRing)(d)
 
 
 #: The key of the monomial x^i t^j is i*_STRIDE + j.  No value of a

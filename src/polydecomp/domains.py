@@ -395,12 +395,12 @@ def _check_d(d: int) -> None:
     """
     if d >= 0:
         raise ValueError(
-            f"d = {d}: only imaginary quadratic rings are supported "
+            f"d = {_decimal(d)}: only imaginary quadratic rings are supported "
             "(the norm must be positive definite for divisor searches)")
     if -d >= _MR_EXACT_BELOW:
-        raise ValueError(f"d = {d}: |d| >= {_MR_EXACT_BELOW} is not supported "
-                         "(squarefreeness is decided by factoring, exact "
-                         "only below it)")
+        raise ValueError(f"d = {_decimal(d)}: |d| >= {_MR_EXACT_BELOW} is not "
+                         "supported (squarefreeness is decided by "
+                         "factoring, exact only below it)")
     if any(e > 1 for e in _factor(-d).values()):
         raise ValueError(f"d = {d} is not squarefree")
 

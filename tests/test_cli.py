@@ -9,10 +9,11 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polydecomp import (Polynomial, QuadraticField, QuadraticIntRing, QQ, QT,
@@ -161,6 +162,24 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_expression("x ^ 2 ^ 3")
 
+    @pytest.mark.parametrize("text, pos, message", [
+        # a grammar error wins over a degree or size bound
+        ("x^5000+", 7, "expected a number, a symbol, or '('"),
+        ("2^1048577 x", 10,
+         "implicit multiplication is not allowed; insert '*'"),
+        # a bad character anywhere wins over both
+        ("(x+$", 3, "unexpected character '$'"),
+        ("x^5000*$", 7, "unexpected character '$'"),
+        ("x x $", 4, "unexpected character '$'"),
+        # and over the nesting limit
+        ("(" * 101 + "xx", 101, "unknown symbol starting with 'x'"),
+    ])
+    def test_error_precedence(self, text, pos, message):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert (str(info.value), info.value.pos) == \
+            (f"syntax error at position {pos}: {message}", pos)
+
 
 class TestRingDescriptors:
     def test_known_descriptors(self):
@@ -198,6 +217,46 @@ class TestRingDescriptors:
             resolve_ring("Z[sqrt(5)]")   # positive d unsupported
         with pytest.raises(ValueError):
             resolve_ring("GF(7)")
+
+    @pytest.mark.parametrize("descriptor", [
+        "Z[sqrt(-\u0665)]", "O(-\uff1015)", "Q(sqrt(-\u0665))",
+        "Z[sqrt(-5\u00b2)]", "O(\u0662)"])
+    def test_only_ascii_digits_are_digits(self, descriptor, capsys):
+        code, out, err = run_cli(["decompose", "--ring", descriptor,
+                                  "x^4+x^2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(
+            f"error: unknown ring descriptor {descriptor!r}; supported: ")
+
+    @pytest.mark.parametrize("descriptor, message", [
+        ("Z[sqrt(-{})]", "d = -{}: |d| >= 3317044064679887385961981 is not "
+         "supported (squarefreeness is decided by factoring, exact only "
+         "below it)"),
+        ("O(-{})", "d = -{}: |d| >= 3317044064679887385961981 is not "
+         "supported (squarefreeness is decided by factoring, exact only "
+         "below it)"),
+        ("Q(sqrt({}))", "d = {}: only imaginary quadratic rings are "
+         "supported (the norm must be positive definite for divisor "
+         "searches)"),
+        # 77...7 = 1 (mod 4)
+        ("Z[sqrt({})]", "Z[sqrt({0})] is not supported for d = 1 (mod 4); "
+         "use O({0}), whose integral basis includes (1+sqrt({0}))/2"),
+    ])
+    def test_d_past_the_digit_limit_is_read_whole(self, descriptor, message,
+                                                  capsys):
+        # int() converts at most 4300 digits by default
+        digits = "7" * 5000
+        code, out, err = run_cli(["decompose", "--ring",
+                                  descriptor.format(digits), "x^4+x^2"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message.format(digits)}\n"
+
+    def test_leading_zeros_past_the_digit_limit(self):
+        zeros = "0" * 5000
+        assert resolve_ring(f"Z[sqrt(-{zeros}5)]") is R5
+        assert resolve_ring(f"Q(sqrt(-{zeros}5))") is K5
+        assert resolve_ring(f" O( -{zeros}15 )") is QuadraticIntRing(-15)
 
     @pytest.mark.parametrize("ring, message", [
         # the first d = 1 (mod 4) at or above the Miller-Rabin bound
@@ -302,6 +361,161 @@ class TestTextFormatRoundTrip:
         p = Polynomial(ZT23, [Polynomial(ZZ, c[:1] + [0] + c[2:], "t")
                               for c in coeffs], "x")
         assert parse_poly(str(p), "Z[t2,t3]") == p
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    pos: int
+
+
+_DIGITS = "0123456789"
+
+
+def reference_tokenize(text: str) -> list:
+    """The per-character tokenizer the regex scan replaced."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(Token("num", text[i:j], i))
+            i = j
+            continue
+        if ch in "xtw":
+            nxt = text[i + 1] if i + 1 < len(text) else ""
+            if nxt.isalnum() or nxt == "_":
+                raise ParseError(f"unknown symbol starting with {ch!r}", i)
+            tokens.append(Token("name", ch, i))
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append(Token(ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(Token("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """The parser object _compile replaced: recursive descent over Tokens
+    with peek and take."""
+
+    def __init__(self, tokens: list):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+        self.program = []
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def number(self) -> int:
+        tok = self.take()
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"number literal of {len(tok.text)} digits is "
+                             f"too long", tok.pos) from None
+
+    def parse(self) -> list:
+        self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError("unexpected trailing input", tok.pos)
+        return self.program
+
+    def expr(self) -> None:
+        tok = self.peek()
+        if tok.kind == "-":
+            self.take()
+            self.term()
+            self.program.append(("neg", None, tok.pos))
+        else:
+            self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            self.term()
+            self.program.append((op.kind, None, op.pos))
+
+    def term(self) -> None:
+        self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "*":
+                self.take()
+                self.factor()
+                self.program.append(("*", None, tok.pos))
+            elif tok.kind in ("num", "name", "("):
+                raise ParseError(
+                    "implicit multiplication is not allowed; insert '*'",
+                    tok.pos)
+            else:
+                return
+
+    def factor(self) -> None:
+        self.base()
+        tok = self.peek()
+        if tok.kind == "^":
+            self.take()
+            etok = self.peek()
+            if etok.kind != "num":
+                raise ParseError(
+                    "exponent must be a nonnegative integer literal", etok.pos)
+            self.program.append(("^", self.number(), tok.pos))
+
+    def base(self) -> None:
+        tok = self.peek()
+        if tok.kind == "num":
+            value = self.number()
+            if self.peek().kind == "/":
+                self.take()
+                dtok = self.peek()
+                if dtok.kind != "num":
+                    raise ParseError(
+                        "denominator must be an unsigned integer", dtok.pos)
+                denominator = self.number()
+                if denominator == 0:
+                    raise ParseError("denominator is zero", dtok.pos)
+                value = Fraction(value, denominator)
+            self.program.append(("num", value, tok.pos))
+        elif tok.kind == "name":
+            self.take()
+            self.program.append(("sym", tok.text, tok.pos))
+        elif tok.kind == "(":
+            self.take()
+            self.depth += 1
+            if self.depth > cli._MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {cli._MAX_NESTING}",
+                    tok.pos)
+            self.expr()
+            closing = self.peek()
+            if closing.kind != ")":
+                raise ParseError("expected ')'", closing.pos)
+            self.take()
+            self.depth -= 1
+        else:
+            raise ParseError("expected a number, a symbol, or '('", tok.pos)
+
+
+def reference_compile(text: str) -> list:
+    """The Program the per-character tokenizer and the parser object
+    compiled text to, before any degree or size bound."""
+    return _ReferenceParser(reference_tokenize(text)).parse()
 
 
 _DENSE_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -446,6 +660,70 @@ class TestSparseLowering:
         assert parse_poly("(x-x)^0*x^3", "Q") == Polynomial(QQ, [0, 0, 0, 1],
                                                             "x")
         assert parse_poly("0^5+x", "Z[t]") == Polynomial(ZT, [0, 1], "x")
+
+
+def _compiled(compile, text):
+    """compile(text) with every argument's type, or the message and
+    position of the ParseError it raised."""
+    try:
+        return [(op, type(arg), arg, pos) for op, arg, pos in compile(text)]
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+def _bounded_reference(text):
+    """parse_expression on the reference compiler."""
+    program = reference_compile(text)
+    cli._degree_bound(program, 1)
+    return program
+
+
+#: Characters the scan must refuse or skip as str methods do: Unicode
+#: digits that are not ASCII (superscript two, Arabic-Indic four,
+#: fullwidth three), whitespace (file separator, ideographic space), a
+#: letter and the underscore that str.isalnum() and "_" count.
+_FOREIGN = ("\u00b2", "\u0664", "\uff13", "\x1c", "\u3000", "\u00e9", "_")
+
+#: Grammar-shaped text: literals, symbols, fractions and powers joined by
+#: operators, juxtaposition or spaces, in parentheses or negated.
+_GRAMMAR_TEXTS = st.recursive(
+    st.sampled_from(("0", "1", "12", "x", "t", "w", "3/4", "5/0", "2^3",
+                     "x^4097", "2^1048577")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(("+", "-", "*", "/", "^", " ", "")),
+                  inner).map("".join),
+        inner.map(lambda a: f"({a})"), inner.map(lambda a: f"-{a}")),
+    max_leaves=10)
+
+_PIECES = ("0", "1", "12", "x", "t", "w", "+", "-", "*", "/", "^", "(", ")",
+           " ") + _FOREIGN
+
+_EXPRESSION_TEXTS = st.one_of(
+    _GRAMMAR_TEXTS,
+    st.builds(lambda text, at, ch: text[:at] + ch + text[at:],
+              _GRAMMAR_TEXTS, st.integers(0, 40), st.sampled_from(_FOREIGN)),
+    st.lists(st.sampled_from(_PIECES), max_size=20).map("".join))
+
+
+class TestScanAndCompile:
+    """The regex scan and _compile against the tokenizer and parser
+    object they replaced."""
+
+    @given(text=_EXPRESSION_TEXTS)
+    @example(text="(" * 100 + "x+1" + ")" * 100)
+    @example(text="(" * 101 + "x" + ")" * 101)
+    @example(text="(" * 3000 + "x" + ")" * 3000)
+    @example(text="(" * 101 + "$")
+    @example(text="1" * 4300 + "*x^4096+1/" + "9" * 4300)
+    @example(text="1" * 4301)
+    @example(text="x^" + "1" * 4301)
+    @example(text="1/" + "1" * 4301)
+    @example(text="1" * 4301 + "+$")
+    @example(text="x x+" + "1" * 4301)
+    @settings(max_examples=400, deadline=None)
+    def test_same_program_or_error(self, text):
+        assert _compiled(parse_expression, text) == \
+            _compiled(_bounded_reference, text)
 
 
 def _record_fractions(mp, made):
