@@ -42,10 +42,10 @@ from .poly import Polynomial
 from .poly import compose as poly_compose
 from .domains import (QuadraticElement, QuadraticIntRing, QuadraticField,
                       Tier, QQ, QT, ZT, ZT23, ZZ, descend_poly, embed_poly,
-                      hull_of, require_tier, _decimal)
-from .decomp import (RingDecideOutcome, RingDecideStatus, decompose_fully,
-                     decompose_over_ring, proper_inner_degrees,
-                     quartic_field_decompose, quartic_ring_decide)
+                      hull_of, _decimal)
+from .decomp import (_first_split, decompose_fully, decompose_over_ring,
+                     proper_inner_degrees, quartic_field_decompose,
+                     quartic_ring_decide)
 from .witness import (FactorizationPair, builtin_examples, run_pipeline,
                       validate_inequivalent)
 
@@ -492,22 +492,23 @@ def _payload(command: str, ring: str, status: str,
     }
 
 
+#: A candidate's three tests, as CandidateCheck names them: the keys of
+#: its JSON row and the columns of the text table, in order.
+_CANDIDATE_TESTS = ("square_divides_lead", "divides_linear",
+                    "inner_stays_in_ring")
+
+
 def _candidates_json(ring: Any, candidates) -> list:
-    return [{
-        "u": ring.format_element(c.u),
-        "square_divides_lead": c.square_divides_lead,
-        "divides_linear": c.divides_linear,
-        "inner_stays_in_ring": c.inner_stays_in_ring,
-        "passed": c.passed,
-    } for c in candidates]
+    return [{"u": ring.format_element(c.u),
+             **{name: getattr(c, name) for name in _CANDIDATE_TESTS},
+             "passed": c.passed} for c in candidates]
 
 
 def _candidate_lines(ring: Any, candidates) -> list[str]:
     lines = ["candidates u (u^2 | lead, u | linear, u*c in ring):"]
     for c in candidates:
-        marks = ", ".join("yes" if b else "no" for b in
-                          (c.square_divides_lead, c.divides_linear,
-                           c.inner_stays_in_ring))
+        marks = ", ".join("yes" if getattr(c, name) else "no"
+                          for name in _CANDIDATE_TESTS)
         lines.append(f"  u = {ring.format_element(c.u)}: {marks}")
     return lines
 
@@ -538,38 +539,51 @@ def _cmd_compose(ns) -> CommandResult:
     return CommandResult(payload, [f_text])
 
 
+def _field_result(command: str, ring: Any, dec,
+                  degrees: Optional[list]) -> CommandResult:
+    """Render an answer over the hull of ``ring``, the question that
+    ``decompose --over field`` and ``quartic`` over a field ask; its
+    verdicts name the hull.  ``degrees`` is None for ``quartic``, which
+    leaves out the evidence keys that only ``decompose`` reports.
+    """
+    field = hull_of(ring).name
+    if dec is None:
+        evidence = ({} if degrees is None else
+                    {"field": field, "inner_degrees_tried": degrees})
+        return CommandResult(
+            _payload(command, ring.name, "indecomposable_over_field",
+                     evidence=evidence), [f"indecomposable over {field}"])
+    evidence = {"g_text": str(dec.g), "h_text": str(dec.h)}
+    if degrees is not None:
+        evidence.update(inner_degree=dec.h.degree, field=field)
+    return CommandResult(
+        _payload(command, ring.name, "decomposable_over_field", dec.g, dec.h,
+                 evidence),
+        [f"decomposable over {field}:", f"  g = {dec.g}", f"  h = {dec.h}"])
+
+
 def _ring_result(command: str, ring: Any, outcome,
-                 degrees: Optional[list],
-                 over_field: bool = False) -> CommandResult:
+                 degrees: Optional[list]) -> CommandResult:
     """Render an over-ring outcome.
 
-    An outcome without a candidate search (monic, over a field, or with
-    a unit lead) gets the short form; a candidate search gets both
-    verdicts and its table.  With ``over_field`` the outcome is a
-    decision over the hull, and its verdicts name the hull instead of the
-    ring.  ``degrees`` is None for ``quartic``, which leaves out the
-    evidence keys that only ``decompose`` reports.
+    A candidate search gets both verdicts and its table.  A unit lead,
+    decided without one (only ``decompose`` asks, with the inner
+    ``degrees`` it tries), gets the short form: a pair over the ring, or
+    indecomposable over the hull and hence over the ring, a clause left
+    out for a ring that is its own hull.
     """
     dec, fd = outcome.decomposition, outcome.field_evidence
     desc, field = ring.name, hull_of(ring).name
     g, h = (dec.g, dec.h) if dec is not None else (None, None)
-    status = outcome.status.value
     if outcome.candidates is None:
         if dec is not None:
-            evidence = {"g_text": str(g), "h_text": str(h)}
-            lines = [f"decomposable over {field if over_field else desc}:",
-                     f"  g = {g}", f"  h = {h}"]
-            if degrees is not None:
-                evidence["inner_degree"] = h.degree
-                if over_field:
-                    evidence["field"] = field
-            if over_field:
-                status = "decomposable_over_field"
+            evidence = {"g_text": str(g), "h_text": str(h),
+                        "inner_degree": h.degree}
+            lines = [f"decomposable over {desc}:", f"  g = {g}", f"  h = {h}"]
         else:
-            evidence = ({} if degrees is None else
-                        {"field": field, "inner_degrees_tried": degrees})
+            evidence = {"field": field, "inner_degrees_tried": degrees}
             lines = [f"indecomposable over {field}"
-                     + ("" if over_field else f" (hence over {desc})")]
+                     + ("" if field == desc else f" (hence over {desc})")]
     else:
         evidence = {"candidates": _candidates_json(ring, outcome.candidates)}
         if fd is not None:
@@ -586,7 +600,7 @@ def _ring_result(command: str, ring: Any, outcome,
             lines.append(f"over {desc}: indecomposable")
         if outcome.candidates:
             lines.extend(_candidate_lines(ring, outcome.candidates))
-    payload = _payload(command, desc, status, g, h, evidence)
+    payload = _payload(command, desc, outcome.status.value, g, h, evidence)
     return CommandResult(payload, lines)
 
 
@@ -633,13 +647,9 @@ def _cmd_decompose(ns) -> CommandResult:
             return CommandResult(
                 _payload("decompose", ring.name, status, evidence=evidence),
                 lines)
-        # decompose_over_ring would blame the missing over-ring procedure
-        # for a non-unit lead over Q[t]; over the hull, the missing field
-        # division is the reason
-        if not fh.domain.is_unit(fh.leading_coefficient):
-            require_tier(fh.domain, Tier.FIELD, "non-monic decomposition")
-        return _ring_result("decompose", ring, decompose_over_ring(fh, degrees),
-                            degrees, over_field=True)
+        # not decompose_over_ring: a Q[t] lead needs a field, not a ring
+        return _field_result("decompose", ring, _first_split(fh, degrees),
+                             degrees)
 
     outcome = decompose_over_ring(f, degrees)
     return _ring_result("decompose", ring, outcome, degrees)
@@ -649,12 +659,7 @@ def _cmd_quartic(ns) -> CommandResult:
     ring = resolve_ring(ns.ring)
     f = parse_poly(ns.poly, ring)
     if ring.tier == Tier.FIELD:
-        dec = quartic_field_decompose(f)
-        status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if dec is None
-                  else RingDecideStatus.DECOMPOSABLE_OVER_RING)
-        return _ring_result("quartic", ring,
-                            RingDecideOutcome(status, dec, dec, None), None,
-                            over_field=True)
+        return _field_result("quartic", ring, quartic_field_decompose(f), None)
     return _ring_result("quartic", ring, quartic_ring_decide(f), None)
 
 
@@ -678,9 +683,6 @@ def _cmd_witness(ns) -> CommandResult:
         if len(ns.factorization) != 2:
             raise ValueError("exactly two --factorization lists are required")
         ring = resolve_ring(ns.ring)
-        if not ring.enumerates_divisors:
-            raise ValueError(f"{ring.name} does not support factorization "
-                             f"witnesses; use Z or an imaginary-quadratic ring")
         element = _parse_ring_element(ns.element, ring)
         first = tuple(_parse_ring_element(s, ring)
                       for s in ns.factorization[0].split(","))

@@ -627,28 +627,17 @@ class QuadraticIntRing(_QuadraticDomain):
         return x.a, x.b
 
     def norm(self, x: QuadraticElement) -> int:
-        if x.__class__ is not QuadraticElement or x.dom is not self:
-            x = self.coerce(x)
+        x = self.coerce(x)
         return x.norm()
 
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> Optional[QuadraticElement]:
-        """y / x when the quotient lies in the ring, else None.  An int x
-        divides y's coordinates: the inner root of monic_decompose.  An
-        element x gives norm(x) and y*conj(x) in integer coordinates, and
-        the quotient is exact when divmod leaves no remainder."""
-        if y.__class__ is not QuadraticElement or y.dom is not self:
-            y = self.coerce(y)
-        if x.__class__ is int:              # not bool, which coerce refuses
-            try:
-                qa, ra = divmod(y.a, x)
-            except ZeroDivisionError:
-                raise ZeroDivisionError(
-                    f"division by zero in {self.name}") from None
-            qb, rb = divmod(y.b, x)
-            return None if ra or rb else QuadraticElement(self, qa, qb)
-        if x.__class__ is not QuadraticElement or x.dom is not self:
-            x = self.coerce(x)
+        """y / x when the quotient lies in the ring, else None.  Both are
+        coerced, an int x to x + 0*w; norm(x) and y*conj(x) in integer
+        coordinates give the quotient, exact when divmod leaves no
+        remainder."""
+        y = self.coerce(y)
+        x = self.coerce(x)
         n, za, zb = _times_conjugate(self, x.a, x.b, y.a, y.b)
         if n == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
@@ -664,15 +653,12 @@ class QuadraticIntRing(_QuadraticDomain):
         return self._units
 
     def is_unit(self, x: QuadraticElement) -> bool:
-        if x.__class__ is not QuadraticElement or x.dom is not self:
-            x = self.coerce(x)
+        x = self.coerce(x)
         return x.norm() == 1
 
     def are_associates(self, x: QuadraticElement, y: QuadraticElement) -> bool:
-        if x.__class__ is not QuadraticElement or x.dom is not self:
-            x = self.coerce(x)
-        if y.__class__ is not QuadraticElement or y.dom is not self:
-            y = self.coerce(y)
+        x = self.coerce(x)
+        y = self.coerce(y)
         if x.norm() != y.norm():
             return False
         return any(x * u == y for u in self.units())
@@ -684,8 +670,7 @@ class QuadraticIntRing(_QuadraticDomain):
         (a, b) is largest; this is deterministic and picks the positive
         element for rational integers.
         """
-        if x.__class__ is not QuadraticElement or x.dom is not self:
-            x = self.coerce(x)
+        x = self.coerce(x)
         if self.d != -1 and self.d != -3:       # the units are 1 and -1
             return x if x.a > 0 or (x.a == 0 and x.b >= 0) else -x
         return max((x * u for u in self.units()), key=lambda z: (z.a, z.b))
@@ -820,18 +805,15 @@ class QuadraticField(_QuadraticDomain):
 
     def divides_exact(self, x: QuadraticElement,
                       y: QuadraticElement) -> QuadraticElement:
-        """y / x, never None.  An int x divides y's coordinates: the map
-        back from O_d in monic_decompose.  Otherwise x = X/s_x and
-        y = Y/s_y over integer numerators, and y/x is
-        s_x*Y*conj(X) / (s_y*N(X)), one Fraction per coordinate."""
+        """y / x, never None.  With x = X/s_x and y = Y/s_y over integer
+        numerators, y/x is s_x*Y*conj(X) / (s_y*N(X)), one Fraction per
+        coordinate.  An int x is coerced to x + 0*w, and elements of O_d
+        are read as they are."""
         if y.__class__ is not QuadraticElement or y.dom.d != self.d:
             y = self.coerce(y)
+        if x.__class__ is not QuadraticElement or x.dom.d != self.d:
+            x = self.coerce(x)
         try:
-            if x.__class__ is int:          # not bool, which coerce refuses
-                return QuadraticElement(self, Fraction(y.a, x),
-                                        Fraction(y.b, x))
-            if x.__class__ is not QuadraticElement or x.dom.d != self.d:
-                x = self.coerce(x)
             sx, a, b = _numerators(x)
             sy, c, e = _numerators(y)
             n, za, zb = _times_conjugate(self, a, b, c, e)

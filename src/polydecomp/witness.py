@@ -20,7 +20,7 @@ from functools import cache
 from typing import Any, Optional
 
 from .poly import Polynomial, compose
-from .domains import QuadraticIntRing, embed_poly, hull_of
+from .domains import CapabilityError, QuadraticIntRing, embed_poly, hull_of
 from .decomp import (Decomposition, RingDecideOutcome, RingDecideStatus,
                      quartic_field_decompose, quartic_ring_decide)
 
@@ -57,9 +57,17 @@ def _product(ring: Any, factors: tuple) -> Any:
     return out
 
 
+def _require_divisors(ring: Any) -> None:
+    """Raise CapabilityError unless ring lists divisors, as witnesses need."""
+    if not ring.enumerates_divisors:
+        raise CapabilityError(f"{ring.name} does not support factorization "
+                              f"witnesses; use Z or an imaginary-quadratic ring")
+
+
 def _check_pair(pair: FactorizationPair) -> None:
     """Raise unless both lists are irreducible factorizations of element."""
     ring = pair.ring
+    _require_divisors(ring)
     if not pair.first or not pair.second:
         raise ValueError("both factor lists must be nonempty")
     for side, factors in (("first", pair.first), ("second", pair.second)):
@@ -186,8 +194,10 @@ def build_witness_poly(ell: Any, a: Any, p_s: Any, ring: Any) -> WitnessData:
     Checks ell | a*p_s, ell ∤ a, ell ∤ p_s, then forms c = a/ell and
     d = p_s^2.  With t = a*p_s/ell in the ring, the expansion of
     (d x^2 + ell x) o (x^2 + c x) is d x^4 + 2 p_s t x^3 + (t^2 + ell) x^2
-    + a x, built in the ring (docs/math_notes.md, section 4).
+    + a x, built in the ring (docs/math_notes.md, section 4).  A ring
+    without divisor enumeration raises CapabilityError.
     """
+    _require_divisors(ring)
     ell = ring.coerce(ell)
     a = ring.coerce(a)
     p_s = ring.coerce(p_s)
@@ -231,8 +241,9 @@ def verify_witness(w: WitnessData) -> WitnessReport:
     form's when that decision raised.
     Clause 2: the over-ring decision returns indecomposable-over-ring.
     Clause 3: the stored ingredients satisfy their divisibility relations
-    and f really is the expansion of (d x^2 + ell x) o (x^2 + c x), in R.
-    Failures are reported, never raised.
+    and f really is the expansion of (d x^2 + ell x) o (x^2 + c x), in R;
+    a ring without divisor enumeration fails it with CapabilityError's
+    text.  Failures are reported, never raised.
     """
     ring = w.ring
     try:
@@ -253,7 +264,7 @@ def verify_witness(w: WitnessData) -> WitnessReport:
     else:
         try:
             dec = quartic_field_decompose(embed_poly(w.f, hull_of(ring)))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             dec, field_clause = None, Clause("field_decomposition", False,
                                              str(exc))
     if dec is not None:
@@ -263,18 +274,25 @@ def verify_witness(w: WitnessData) -> WitnessReport:
             f"inner factor {dec.h} {'matches' if inner_ok else 'differs from'}"
             f" x^2 + c*x")
 
-    details = _relation_failures(ring, w.ell, w.a, w.p_s)
     try:
-        if not (ring.is_irreducible(w.ell) and ring.is_irreducible(w.p_s)):
-            details.append("ell or p_s is reducible")
-        elif ring.are_associates(w.ell, w.p_s):
-            details.append("ell and p_s are associates")
-    except ValueError as exc:
-        details.append(str(exc))
-    if w.d != w.p_s * w.p_s:
-        details.append("d is not p_s^2")
-    if not _is_expansion(ring, w):
-        details.append("f is not the expansion of (d x^2 + ell x) o (x^2 + c x)")
+        _require_divisors(ring)
+    except CapabilityError as exc:
+        details = [str(exc)]
+    else:
+        details = _relation_failures(ring, w.ell, w.a, w.p_s)
+        try:
+            if not (ring.is_irreducible(w.ell)
+                    and ring.is_irreducible(w.p_s)):
+                details.append("ell or p_s is reducible")
+            elif ring.are_associates(w.ell, w.p_s):
+                details.append("ell and p_s are associates")
+        except ValueError as exc:
+            details.append(str(exc))
+        if w.d != w.p_s * w.p_s:
+            details.append("d is not p_s^2")
+        if not _is_expansion(ring, w):
+            details.append("f is not the expansion of "
+                           "(d x^2 + ell x) o (x^2 + c x)")
     relations_clause = Clause(
         "ingredient_relations", not details,
         "; ".join(details) if details else "all relations hold")

@@ -1290,6 +1290,20 @@ class TestErrorHandling:
         code, _, err = run_cli(["witness", "--ring", "Z[sqrt(-5)]"], capsys)
         assert code == 1
 
+    def test_witness_parses_the_element_before_the_ring_refuses(self,
+                                                                capsys):
+        # the capability check lives in FactorizationPair, which runs
+        # after --element and --factorization are parsed
+        argv = ["witness", "--ring", "Q", "--factorization", "2,3",
+                "--factorization", "3,2", "--element"]
+        code, out, err = run_cli(argv + ["6+"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: syntax error at position 2")
+        code, out, err = run_cli(argv + ["6"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: Q does not support factorization witnesses; "
+                       "use Z or an imaginary-quadratic ring\n")
+
     def test_internal_capability_error_exits_1(self, capsys):
         code, _, err = run_cli(
             ["quartic", "--ring", "Z[t]", "t*x^4+x^2"], capsys)

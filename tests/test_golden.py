@@ -227,6 +227,27 @@ FIELD_QUARTIC_ARGVS = (
 )
 
 
+#: The field answers of ``quartic`` and ``decompose --over field``, each
+#: also run with --json: the degree error of the quartic closed form, a
+#: field quartic on the half basis of Q(sqrt(-15)), an indecomposable
+#: over Q with no over-ring clause, and the FIELD tier error that the
+#: hull of Z[t] raises.  They come last so that earlier entries keep
+#: their indices.
+FIELD_ANSWER_ARGVS = (
+    ("quartic", "--ring", "Q", "x^6+x"),
+    ("quartic", "--ring", "Q(sqrt(-15))", "x^4+x+1"),
+    ("decompose", "--ring", "Z", "--over", "field", "x^4+x+1"),
+    ("decompose", "--ring", "Z[t]", "--over", "field", "t*x^4+x^2"),
+)
+
+#: An indecomposable over Q[t], which is its own hull: the verdict names
+#: it once, with no "(hence over Q[t])".  Also run with --json, and last
+#: so that earlier entries keep their indices.
+OWN_HULL_ARGVS = (
+    ("decompose", "--ring", "Q[t]", "x^4+x+1"),
+)
+
+
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
 
@@ -235,7 +256,8 @@ def corpus_argvs() -> list:
     """The hand-picked vectors, the benchmark's cli-mixed ones, the
     rerouted paths, the evaluation-order vectors, the unit leads, the
     leads past the old divisor bound, the membership checks of the
-    t-rings, a rational lead, then the field quartics with denominators."""
+    t-rings, a rational lead, the field quartics with denominators, the
+    field answers, then a ring that is its own hull."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -247,7 +269,8 @@ def corpus_argvs() -> list:
         out += [tuple(case.data) for case in workloads.cli_cases(seed)]
     for argv in (REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS
                  + LARGE_LEAD_ARGVS + SUBRING_ARGVS + RATIONAL_LEAD_ARGVS
-                 + FIELD_QUARTIC_ARGVS):
+                 + FIELD_QUARTIC_ARGVS + FIELD_ANSWER_ARGVS
+                 + OWN_HULL_ARGVS):
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 

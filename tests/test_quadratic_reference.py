@@ -394,7 +394,7 @@ class TestOrderDivisionAgainstTheReference:
         ring, ref_ring, ref_field = QuadraticIntRing(d), RefRing(d), RefField(d)
         x, rx = data.draw(ring_pairs(d))
         if data.draw(st.booleans()):
-            # an int divisor: the fast path on the coordinates
+            # an int divisor, coerced like any element
             n = data.draw(small_ints)
             x, rx = n, RefInt(ref_ring, n, 0)
         if data.draw(st.booleans()):
@@ -414,6 +414,46 @@ class TestOrderDivisionAgainstTheReference:
             assert new is None
         else:
             assert_same(new, ref)
+
+
+DOMAINS = [(kind, d) for d in DS for kind in ("ring", "field")]
+
+
+def _domain(kind, d):
+    return (QuadraticIntRing if kind == "ring" else QuadraticField)(d)
+
+
+class TestIntDivisors:
+    """An int divisor n takes the path of the element n + 0*w: the same
+    quotient, the same None and the same ZeroDivisionError."""
+
+    @pytest.mark.parametrize("kind, d", DOMAINS)
+    @given(n=st.integers(-40, 40).filter(bool), data=st.data())
+    def test_int_divides_as_its_element(self, kind, d, n, data):
+        dom = _domain(kind, d)
+        y, _ = data.draw((ring_pairs if kind == "ring" else field_pairs)(d))
+        if data.draw(st.booleans()):
+            y = y * n           # a multiple of n, so the quotient exists
+        new = dom.divides_exact(n, y)
+        assert new == dom.divides_exact(dom.coerce(n), y)
+        # the quotient divides each coordinate on the common basis
+        if kind == "field":
+            assert (new.a, new.b) == (y.a / n, y.b / n)
+            assert type(new.a) is Fraction and type(new.b) is Fraction
+        elif y.a % n or y.b % n:
+            assert new is None
+        else:
+            assert (new.a, new.b) == (y.a // n, y.b // n)
+            assert type(new.a) is int and type(new.b) is int
+            assert new.dom is dom
+
+    @pytest.mark.parametrize("kind, d", DOMAINS)
+    def test_zero_raises_naming_the_domain(self, kind, d):
+        dom = _domain(kind, d)
+        for zero in (0, dom.coerce(0)):
+            with pytest.raises(ZeroDivisionError) as info:
+                dom.divides_exact(zero, dom.one)
+            assert str(info.value) == f"division by zero in {dom.name}"
 
 
 def test_half_basis_field_norm_is_exact():

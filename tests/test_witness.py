@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydecomp import (FactorizationPair, Polynomial, QQ, QuadraticField,
-                        QuadraticIntRing, RingDecideStatus, WitnessData, ZZ,
+from polydecomp import (CapabilityError, FactorizationPair, Polynomial, QQ,
+                        QuadraticField, QuadraticIntRing, RingDecideStatus,
+                        WitnessData, ZT, ZT23, ZZ,
                         build_witness_poly, builtin_examples, compose,
                         derive_witness_params, embed_poly, hull_of,
                         quartic_field_decompose, quartic_ring_decide,
@@ -55,6 +56,49 @@ class TestFactorizationPair:
     def test_product_up_to_unit_is_accepted(self):
         p = FactorizationPair(ZZ, 6, (-2, 3), (2, 3))
         assert p.element == 6
+
+
+#: Rings without divisor enumeration, where no witness can be built.
+NO_DIVISORS = {"Q": QQ, "Q(sqrt(-5))": K5, "Z[t]": ZT, "Z[t2,t3]": ZT23}
+
+
+def _no_witness_over(ring):
+    return (f"{ring.name} does not support factorization witnesses; use Z "
+            f"or an imaginary-quadratic ring")
+
+
+class TestRingsWithoutDivisorEnumeration:
+    """Every witness construction refuses such a ring with the package's
+    CapabilityError, and verify_witness reports it instead of raising."""
+
+    @pytest.mark.parametrize("name", sorted(NO_DIVISORS))
+    def test_factorization_pair_refuses(self, name):
+        ring = NO_DIVISORS[name]
+        with pytest.raises(CapabilityError) as info:
+            FactorizationPair(ring, 6, (2, 3), (3, 2))
+        assert str(info.value) == _no_witness_over(ring)
+
+    @pytest.mark.parametrize("name", sorted(NO_DIVISORS))
+    def test_build_refuses(self, name):
+        ring = NO_DIVISORS[name]
+        with pytest.raises(CapabilityError) as info:
+            build_witness_poly(2, 1, 3, ring)
+        assert str(info.value) == _no_witness_over(ring)
+
+    @pytest.mark.parametrize("name", sorted(NO_DIVISORS))
+    def test_verify_reports_in_the_relations_clause(self, name):
+        # the expansion of (9 x^2 + 2 x) o (x^2 + 2 x), with every
+        # ingredient in the ring
+        ring = NO_DIVISORS[name]
+        data = WitnessData(ring=ring, ell=ring.coerce(2), a=ring.coerce(4),
+                           p_s=ring.coerce(3), c=hull_of(ring).coerce(2),
+                           d=ring.coerce(9),
+                           f=Polynomial(ring, [0, 4, 38, 36, 9], "x"))
+        report = verify_witness(data)
+        assert not report.passed
+        relations = report.clauses[2]
+        assert relations == Clause("ingredient_relations", False,
+                                   _no_witness_over(ring))
 
 
 class TestInequivalence:
