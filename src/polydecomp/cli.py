@@ -22,6 +22,11 @@ coefficients are checked for membership there, so "4/2" is a fine
 integer, while "1/2+1/2*w" over O(-15) is 3/4+1/4*sqrt(-15), not a member:
 w already is the half-basis generator there.  This module only parses and
 renders.
+
+A handler returns a CommandResult that records its decision: status, exit
+code and the objects it decided on.  The --json object and the text lines
+are rendered from that record when format_result reads them, so a run
+renders only the output it prints.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
-from typing import Any, Optional
+from functools import cache, cached_property
+from typing import Any, Callable, Optional
 
 from .poly import Polynomial
 from .poly import compose as poly_compose
@@ -221,7 +225,9 @@ def _degree_bound(program: Program, w_bits: int,
     stack = []
     for op, arg, pos in program:
         if op == "num":
-            stack.append((0, 0, _bits(arg.numerator) + _bits(arg.denominator)))
+            # the parser stores an integer literal as an int, a/b as a Fraction
+            stack.append((0, 0, _bits(arg) if type(arg) is int else
+                          _bits(arg.numerator) + _bits(arg.denominator)))
         elif op == "sym":
             stack.append(x if arg == "x" else
                          (0, int(arg == "t"), w_bits if arg == "w" else 0))
@@ -465,31 +471,44 @@ def poly_pairs(p: Optional[Polynomial]) -> Optional[list]:
     return [coeff_pair(c) for c in p.coeffs]
 
 
-@dataclass
 class CommandResult:
-    payload: dict
-    lines: list
-    exit_code: int = 0
+    """A subcommand's answer: what the handler decided, rendered on demand.
+
+    The handler records the command, the ring's name, the status, the
+    exit code and the pair (g, h) when it found one.  ``evidence`` and
+    ``text`` are functions of no arguments that render the rest of the
+    answer: the JSON evidence object and the text lines.  ``payload`` and
+    ``lines`` call them the first time they are read and keep the result,
+    so a run builds only the output it prints, and each at most once.
+    """
+
+    def __init__(self, command: str, ring: str, status: str,
+                 evidence: Callable[[], dict], text: Callable[[], list],
+                 g: Optional[Polynomial] = None,
+                 h: Optional[Polynomial] = None, exit_code: int = 0):
+        self.command, self.ring, self.status = command, ring, status
+        self.g, self.h, self.exit_code = g, h, exit_code
+        self._evidence, self._text = evidence, text
+
+    @cached_property
+    def payload(self) -> dict:
+        """The --json object: the same six keys for every command."""
+        return {"command": self.command, "ring": self.ring,
+                "status": self.status, "g": poly_pairs(self.g),
+                "h": poly_pairs(self.h), "evidence": self._evidence()}
+
+    @cached_property
+    def lines(self) -> list:
+        """The text form, one string per line."""
+        return self._text()
 
 
 def format_result(outcome: CommandResult, as_json: bool) -> str:
-    """Deterministic rendering of a command's outcome."""
+    """Deterministic rendering of a command's outcome: its JSON object or
+    its text lines, whichever ``as_json`` asks for, built on this read."""
     if as_json:
         return json.dumps(outcome.payload, sort_keys=True)
     return "\n".join(outcome.lines)
-
-
-def _payload(command: str, ring: str, status: str,
-             g: Optional[Polynomial] = None, h: Optional[Polynomial] = None,
-             evidence: Optional[dict] = None) -> dict:
-    return {
-        "command": command,
-        "ring": ring,
-        "status": status,
-        "g": poly_pairs(g),
-        "h": poly_pairs(h),
-        "evidence": evidence or {},
-    }
 
 
 #: A candidate's three tests, as CandidateCheck names them: the keys of
@@ -528,15 +547,11 @@ def _cmd_compose(ns) -> CommandResult:
     # it gets the parser's bounds, at the outer operator that crosses them
     _degree_bound(outer, w_bits, _degree_bound(inner, w_bits))
     f = poly_compose(G, H)
-    f_text = str(f)
-    evidence = {
-        "g_text": str(G),
-        "h_text": str(H),
-        "composition": poly_pairs(f),
-        "composition_text": f_text,
-    }
-    payload = _payload("compose", ring.name, "ok", G, H, evidence)
-    return CommandResult(payload, [f_text])
+    return CommandResult(
+        "compose", ring.name, "ok",
+        lambda: {"g_text": str(G), "h_text": str(H),
+                 "composition": poly_pairs(f), "composition_text": str(f)},
+        lambda: [str(f)], G, H)
 
 
 def _field_result(command: str, ring: Any, dec,
@@ -548,18 +563,22 @@ def _field_result(command: str, ring: Any, dec,
     """
     field = hull_of(ring).name
     if dec is None:
-        evidence = ({} if degrees is None else
-                    {"field": field, "inner_degrees_tried": degrees})
         return CommandResult(
-            _payload(command, ring.name, "indecomposable_over_field",
-                     evidence=evidence), [f"indecomposable over {field}"])
-    evidence = {"g_text": str(dec.g), "h_text": str(dec.h)}
-    if degrees is not None:
-        evidence.update(inner_degree=dec.h.degree, field=field)
+            command, ring.name, "indecomposable_over_field",
+            lambda: ({} if degrees is None else
+                     {"field": field, "inner_degrees_tried": degrees}),
+            lambda: [f"indecomposable over {field}"])
+
+    def evidence() -> dict:
+        out = {"g_text": str(dec.g), "h_text": str(dec.h)}
+        if degrees is not None:
+            out.update(inner_degree=dec.h.degree, field=field)
+        return out
+
     return CommandResult(
-        _payload(command, ring.name, "decomposable_over_field", dec.g, dec.h,
-                 evidence),
-        [f"decomposable over {field}:", f"  g = {dec.g}", f"  h = {dec.h}"])
+        command, ring.name, "decomposable_over_field", evidence,
+        lambda: [f"decomposable over {field}:", f"  g = {dec.g}",
+                 f"  h = {dec.h}"], dec.g, dec.h)
 
 
 def _ring_result(command: str, ring: Any, outcome,
@@ -573,35 +592,41 @@ def _ring_result(command: str, ring: Any, outcome,
     out for a ring that is its own hull.
     """
     dec, fd = outcome.decomposition, outcome.field_evidence
+    candidates = outcome.candidates
     desc, field = ring.name, hull_of(ring).name
     g, h = (dec.g, dec.h) if dec is not None else (None, None)
-    if outcome.candidates is None:
-        if dec is not None:
-            evidence = {"g_text": str(g), "h_text": str(h),
-                        "inner_degree": h.degree}
-            lines = [f"decomposable over {desc}:", f"  g = {g}", f"  h = {h}"]
-        else:
-            evidence = {"field": field, "inner_degrees_tried": degrees}
-            lines = [f"indecomposable over {field}"
-                     + ("" if field == desc else f" (hence over {desc})")]
-    else:
-        evidence = {"candidates": _candidates_json(ring, outcome.candidates)}
+
+    def evidence() -> dict:
+        if candidates is None:
+            return ({"g_text": str(g), "h_text": str(h),
+                     "inner_degree": h.degree} if dec is not None else
+                    {"field": field, "inner_degrees_tried": degrees})
+        out = {"candidates": _candidates_json(ring, candidates)}
         if fd is not None:
-            evidence.update(
+            out.update(
                 field_g=poly_pairs(fd.g), field_h=poly_pairs(fd.h),
                 field_g_text=str(fd.g), field_h_text=str(fd.h), field=field)
-            lines = [f"over {field}: decomposable, g = {fd.g}, h = {fd.h}"]
-        else:
-            lines = [f"over {field}: indecomposable"]
         if dec is not None:
-            evidence.update(g_text=str(g), h_text=str(h))
-            lines.append(f"over {desc}: decomposable, g = {g}, h = {h}")
-        else:
-            lines.append(f"over {desc}: indecomposable")
-        if outcome.candidates:
-            lines.extend(_candidate_lines(ring, outcome.candidates))
-    payload = _payload(command, desc, outcome.status.value, g, h, evidence)
-    return CommandResult(payload, lines)
+            out.update(g_text=str(g), h_text=str(h))
+        return out
+
+    def text() -> list:
+        if candidates is None:
+            if dec is not None:
+                return [f"decomposable over {desc}:", f"  g = {g}",
+                        f"  h = {h}"]
+            return [f"indecomposable over {field}"
+                    + ("" if field == desc else f" (hence over {desc})")]
+        lines = [f"over {field}: decomposable, g = {fd.g}, h = {fd.h}"
+                 if fd is not None else f"over {field}: indecomposable",
+                 f"over {desc}: decomposable, g = {g}, h = {h}"
+                 if dec is not None else f"over {desc}: indecomposable"]
+        if candidates:
+            lines += _candidate_lines(ring, candidates)
+        return lines
+
+    return CommandResult(command, desc, outcome.status.value, evidence, text,
+                         g, h)
 
 
 def _cmd_decompose(ns) -> CommandResult:
@@ -632,21 +657,17 @@ def _cmd_decompose(ns) -> CommandResult:
         fh = embed_poly(f, hull)
         if ns.full:
             chain = decompose_fully(fh)
-            if len(chain) > 1:
-                status = "decomposable_over_field"
-                lines = [f"f = {' o '.join(str(c) for c in chain)}"
-                         f"  over {hull.name}"]
-            else:
-                status = "indecomposable_over_field"
-                lines = [f"indecomposable over {hull.name}"]
-            evidence = {
-                "chain": [poly_pairs(c) for c in chain],
-                "chain_text": [str(c) for c in chain],
-                "field": hull.name,
-            }
+            split = len(chain) > 1
             return CommandResult(
-                _payload("decompose", ring.name, status, evidence=evidence),
-                lines)
+                "decompose", ring.name,
+                "decomposable_over_field" if split
+                else "indecomposable_over_field",
+                lambda: {"chain": [poly_pairs(c) for c in chain],
+                         "chain_text": [str(c) for c in chain],
+                         "field": hull.name},
+                lambda: [f"f = {' o '.join(str(c) for c in chain)}"
+                         f"  over {hull.name}" if split else
+                         f"indecomposable over {hull.name}"])
         # not decompose_over_ring: a Q[t] lead needs a field, not a ring
         return _field_result("decompose", ring, _first_split(fh, degrees),
                              degrees)
@@ -691,83 +712,91 @@ def _cmd_witness(ns) -> CommandResult:
         pair = FactorizationPair(ring, element, first, second)
 
     if not validate_inequivalent(pair):
-        lines = ["the two factorizations are equivalent; no witness arises"]
         return CommandResult(
-            _payload("witness", pair.ring.name, "equivalent_factorizations",
-                     evidence={"element": pair.ring.format_element(
-                         pair.element)}), lines)
+            "witness", pair.ring.name, "equivalent_factorizations",
+            lambda: {"element": pair.ring.format_element(pair.element)},
+            lambda: ["the two factorizations are equivalent; "
+                     "no witness arises"])
 
-    stripped, data, report = run_pipeline(pair)
+    stripped, data, _ = pipeline = run_pipeline(pair)
     ring = stripped.ring
-    intro = [
-        f"ring: {ring.name},  "
-        f"element: {ring.format_element(stripped.element)}",
-        f"factorizations: ({_factors(ring, stripped.first)})"
-        f" = ({_factors(ring, stripped.second)})",
-    ]
-    about_c = [f"c = a/ell = {hull_of(ring).format_element(data.c)}  "
-               f"(outside the ring),  "
-               f"d = p_s^2 = {ring.format_element(data.d)}"]
-    return _witness_result("witness", (stripped, data, report), intro,
-                           about_c, {"field": hull_of(ring).name})
+
+    def frame() -> tuple:
+        intro = [f"ring: {ring.name},  "
+                 f"element: {ring.format_element(stripped.element)}",
+                 f"factorizations: ({_factors(ring, stripped.first)})"
+                 f" = ({_factors(ring, stripped.second)})"]
+        about_c = [f"c = a/ell = {hull_of(ring).format_element(data.c)}  "
+                   f"(outside the ring),  "
+                   f"d = p_s^2 = {ring.format_element(data.d)}"]
+        return intro, about_c, []
+
+    return _witness_result("witness", pipeline, frame,
+                           {"field": hull_of(ring).name})
 
 
 def _factors(ring: Any, factors: tuple) -> str:
     return ") * (".join(ring.format_element(x) for x in factors)
 
 
-def _witness_result(command: str, pipeline: tuple, intro: list,
-                    about_c: list, extra: dict) -> CommandResult:
+def _witness_result(command: str, pipeline: tuple, frame: Callable,
+                    extra: dict) -> CommandResult:
     """Render a run_pipeline result: ingredients, the quartic, its field
     decomposition, the candidate table and one PASS/FAIL line per clause.
 
-    ``intro`` and ``about_c`` are the command's own lines before and after
-    the derived triple; ``extra`` adds command-specific evidence.
+    ``frame`` returns the command's own text lines: those before the
+    derived triple, those after it and those after the clauses.
+    ``extra`` adds command-specific evidence.
     """
     stripped, data, report = pipeline
     ring = stripped.ring
     show = ring.format_element
     dec = report.field_decomposition
     outcome = report.ring_outcome
-    evidence: dict[str, Any] = {
-        "element": show(stripped.element),
-        "first": [show(x) for x in stripped.first],
-        "second": [show(x) for x in stripped.second],
-        "ell": show(data.ell),
-        "a": show(data.a),
-        "p_s": show(data.p_s),
-        "c": hull_of(ring).format_element(data.c),
-        "d": show(data.d),
-        "f": poly_pairs(data.f),
-        "f_text": str(data.f),
-        "clauses": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in report.clauses],
-        **extra,
-    }
-    if outcome is not None:
-        evidence["candidates"] = _candidates_json(ring, outcome.candidates)
 
-    lines = [
-        *intro,
-        f"derived: ell = {show(data.ell)},  a = {show(data.a)},  "
-        f"p_s = {show(data.p_s)}",
-        *about_c,
-        f"f = {data.f}",
-    ]
-    if dec is not None:
-        lines.append(f"over {hull_of(ring).name}: f = g o h with "
-                     f"g = {dec.g}, h = {dec.h}")
-    if outcome is not None and outcome.candidates:
-        lines.extend(_candidate_lines(ring, outcome.candidates))
-    for c in report.clauses:
-        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+    def evidence() -> dict:
+        out = {
+            "element": show(stripped.element),
+            "first": [show(x) for x in stripped.first],
+            "second": [show(x) for x in stripped.second],
+            "ell": show(data.ell),
+            "a": show(data.a),
+            "p_s": show(data.p_s),
+            "c": hull_of(ring).format_element(data.c),
+            "d": show(data.d),
+            "f": poly_pairs(data.f),
+            "f_text": str(data.f),
+            "clauses": [{"name": c.name, "passed": c.passed,
+                         "detail": c.detail} for c in report.clauses],
+            **extra,
+        }
+        if outcome is not None:
+            out["candidates"] = _candidates_json(ring, outcome.candidates)
+        return out
 
-    status = "witness_verified" if report.passed else "witness_failed"
-    g = dec.g if dec is not None else None
-    h = dec.h if dec is not None else None
-    code = 0 if report.passed else 1
-    return CommandResult(_payload(command, ring.name, status, g, h,
-                                  evidence), lines, code)
+    def text() -> list:
+        intro, about_c, outro = frame()
+        lines = [
+            *intro,
+            f"derived: ell = {show(data.ell)},  a = {show(data.a)},  "
+            f"p_s = {show(data.p_s)}",
+            *about_c,
+            f"f = {data.f}",
+        ]
+        if dec is not None:
+            lines.append(f"over {hull_of(ring).name}: f = g o h with "
+                         f"g = {dec.g}, h = {dec.h}")
+        if outcome is not None and outcome.candidates:
+            lines += _candidate_lines(ring, outcome.candidates)
+        lines += [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}"
+                  for c in report.clauses]
+        return lines + outro
+
+    g, h = (dec.g, dec.h) if dec is not None else (None, None)
+    return CommandResult(
+        command, ring.name,
+        "witness_verified" if report.passed else "witness_failed",
+        evidence, text, g, h, 0 if report.passed else 1)
 
 
 def _cmd_check_subring(ns) -> CommandResult:
@@ -790,19 +819,21 @@ def _cmd_check_subring(ns) -> CommandResult:
     else:
         member = False
         detail = ring.non_member_reason
-    status = "member" if member else "not_member"
     shown = ns.element.strip()
-    evidence = {"element": shown,
-                "value": hull.format_element(value),
-                "ambient": hull.name}
-    if detail:
-        evidence["detail"] = detail
-    line = (f"{shown} is a member of {ring.name}" if member else
-            f"{shown} is not a member of {ring.name}"
-            + (f" ({detail})" if detail else ""))
+
+    def evidence() -> dict:
+        out = {"element": shown, "value": hull.format_element(value),
+               "ambient": hull.name}
+        if detail:
+            out["detail"] = detail
+        return out
+
     return CommandResult(
-        _payload("check-subring", ring.name, status, evidence=evidence),
-        [line])
+        "check-subring", ring.name, "member" if member else "not_member",
+        evidence,
+        lambda: [f"{shown} is a member of {ring.name}" if member else
+                 f"{shown} is not a member of {ring.name}"
+                 + (f" ({detail})" if detail else "")])
 
 
 # ---------------------------------------------------------------------------
@@ -867,19 +898,14 @@ def _cmd_demo_q1(ns) -> CommandResult:
         raise ValueError(f"--trials must be at least 1, not {ns.trials}")
     summary = run_demo_q1(ns.trials, ns.seed)
     ok = summary["failures"] == 0
-    status = "ok" if ok else "failed"
-    lines = [
-        f"monic pairs over Z[t2,t3][x], recovered over Q[t]: "
-        f"{summary['trials']} trials, {summary['failures']} failures "
-        f"(seed {summary['seed']})",
-    ]
-    if ok:
-        lines.append("every recovered decomposition stayed inside Z[t2,t3]")
-    else:
-        lines.append(f"counterexample: {summary['detail']}")
     return CommandResult(
-        _payload("demo-q1", "Z[t2,t3]", status, evidence=summary),
-        lines, 0 if ok else 1)
+        "demo-q1", "Z[t2,t3]", "ok" if ok else "failed", lambda: summary,
+        lambda: [f"monic pairs over Z[t2,t3][x], recovered over Q[t]: "
+                 f"{summary['trials']} trials, {summary['failures']} "
+                 f"failures (seed {summary['seed']})",
+                 "every recovered decomposition stayed inside Z[t2,t3]"
+                 if ok else f"counterexample: {summary['detail']}"],
+        exit_code=0 if ok else 1)
 
 
 def run_demo_q2() -> tuple:
@@ -893,23 +919,22 @@ _DEMO_Q2_FINAL = ("indecomposable over Z[sqrt(-5)], "
 
 
 def _cmd_demo_q2(ns) -> CommandResult:
-    pipeline = run_demo_q2()
-    stripped, data, _ = pipeline
+    stripped, data, report = pipeline = run_demo_q2()
     ring = stripped.ring
-    intro = [
-        f"two factorizations in {ring.name}: "
-        f"{ring.format_element(stripped.element)} = "
-        f"({_factors(ring, stripped.first)}) = "
-        f"({_factors(ring, stripped.second)})",
-    ]
-    about_c = [f"c = a/ell = {hull_of(ring).format_element(data.c)}  "
-               f"lies outside {ring.name}",
-               f"d = p_s^2 = {ring.format_element(data.d)}"]
-    result = _witness_result("demo-q2", pipeline, intro, about_c,
-                             {"final": _DEMO_Q2_FINAL})
-    result.lines.append(_DEMO_Q2_FINAL if result.exit_code == 0
-                        else "verification failed; see above")
-    return result
+
+    def frame() -> tuple:
+        intro = [f"two factorizations in {ring.name}: "
+                 f"{ring.format_element(stripped.element)} = "
+                 f"({_factors(ring, stripped.first)}) = "
+                 f"({_factors(ring, stripped.second)})"]
+        about_c = [f"c = a/ell = {hull_of(ring).format_element(data.c)}  "
+                   f"lies outside {ring.name}",
+                   f"d = p_s^2 = {ring.format_element(data.d)}"]
+        return intro, about_c, [_DEMO_Q2_FINAL if report.passed
+                                else "verification failed; see above"]
+
+    return _witness_result("demo-q2", pipeline, frame,
+                           {"final": _DEMO_Q2_FINAL})
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1043,7 @@ def run(ns) -> CommandResult:
     With --fail-on-indecomposable, an indecomposable_* status exits 2."""
     result = _HANDLERS[ns.command](ns)
     if (getattr(ns, "fail_on_indecomposable", False)
-            and result.payload["status"].startswith("indecomposable")):
+            and result.status.startswith("indecomposable")):
         result.exit_code = 2
     return result
 

@@ -164,7 +164,12 @@ class WitnessData:
 
 
 def _relation_failures(ring: Any, ell: Any, a: Any, p_s: Any) -> list:
-    """Which of ell | a*p_s, ell ∤ a, ell ∤ p_s fail, as readable lines."""
+    """Which of ell | a*p_s, ell ∤ a, ell ∤ p_s fail, as readable lines.
+
+    A zero ell divides nothing, so it is reported alone.
+    """
+    if ell == ring.zero:
+        return ["ell is zero"]
     failures = []
     if ring.divides_exact(ell, a * p_s) is None:
         failures.append("ell does not divide a*p_s")
@@ -179,8 +184,11 @@ def _is_expansion(ring: Any, w: WitnessData) -> bool:
     """Whether f == (d x^2 + ell x) o (x^2 + c x), decided in the ring:
     with H = ell x^2 + (ell c) x, it holds iff ell*c is in the ring and
     ell^2 f == (d y^2 + ell^2 y) o H (docs/math_notes.md, section 4).
-    ell != 0 here, as _relation_failures, which runs first, divides by it.
+    A zero ell is no expansion: c = a/ell is undefined, and the identity
+    would hold for every f.
     """
+    if w.ell == ring.zero:
+        return False
     ell_c = ring.descend(w.ell * w.c)
     ell2 = w.ell * w.ell
     return ell_c is not None and w.f.scale(ell2) == compose(

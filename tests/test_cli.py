@@ -1143,8 +1143,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("as_json", [False, True])
     def test_compose_renders_the_composition_once(self, as_json, capsys,
                                                   monkeypatch):
-        # the constant 2^100000 is rendered for g's pairs, g's text, f's
-        # pairs and f's text, and f's text serves both output modes
+        # the constant 2^100000 is rendered for f's text alone in text
+        # mode, and for g's pairs, g's text, f's pairs and f's text with
+        # --json
         from polydecomp import domains
         big = 2 ** 100000
         calls = []
@@ -1161,7 +1162,7 @@ class TestErrorHandling:
         code, out, err = run_cli(argv + ["--json"] if as_json else argv,
                                  capsys)
         assert code == 0 and err == ""
-        assert len(calls) == 4
+        assert len(calls) == (4 if as_json else 1)
 
     def test_witness_over_z_with_a_19_digit_factor_decides(self, capsys):
         # 1000000000000000027 = 7^2 * 20347 * 1000003 * 1003003; deciding
@@ -1310,6 +1311,43 @@ class TestErrorHandling:
         assert code == 1
 
 
+#: One argv or more per subcommand, reaching every renderer: unit-lead and
+#: candidate-table ring answers, field answers, full chains, equivalent
+#: factorizations, witnesses, members and non-members, and both demos.
+_RENDERED_ARGVS = (
+    ["compose", "x^2", "x^3"],
+    ["compose", "--ring", "Z[sqrt(-5)]", "x^2+w*x", "(1+w)*x^2"],
+    ["decompose", "--ring", "Z", "x^4+2*x^2"],
+    ["decompose", "--ring", "Z", "x^4+x+1"],
+    ["decompose", "--ring", "Z[t]", "--", "-x^4-2*t*x^2"],
+    ["decompose", "x^4+x^2"],
+    ["decompose", "--fail-on-indecomposable", "x^4+x+1"],
+    ["decompose", "--full", "x^8+x^2"],
+    ["decompose", "--full", "x^3+x+1"],
+    ["quartic", "--ring", "Z", "x^4+x^2"],
+    ["quartic", "--ring", "O(-15)", "(-12-w)*x^4 + (-56+2*w)*x^3 "
+     "+ (-58+11*w)*x^2 + (11+3*w)*x + 5"],
+    ["quartic", "--ring", "Z[sqrt(-5)]", "(-4-2*w)*x^4 + (6-6*w)*x^3 "
+     "+ 11*x^2 + (1+w)*x"],
+    ["quartic", "--ring", "Q", "x^4+x+1"],
+    ["witness", "--builtin"],
+    ["witness", "--builtin=O(-15)"],
+    ["witness", "--ring", "Z", "--element", "6", "--factorization", "2,3",
+     "--factorization", "3,2"],
+    ["check-subring", "--ring", "Z", "5"],
+    ["check-subring", "--ring", "O(-15)", "1/2+1/2*w"],
+    ["check-subring", "--ring", "Z[t2,t3]", "t"],
+    ["check-subring", "--ring", "Q", "1/2"],
+    ["demo-q1", "--trials", "2"],
+    ["demo-q2"],
+)
+
+
+def _with_json(argv: list) -> list:
+    """argv with --json right after the subcommand, ahead of any "--"."""
+    return argv[:1] + ["--json"] + argv[1:]
+
+
 class TestFormatResult:
     def test_parser_is_built_once(self):
         parser = build_parser()
@@ -1326,14 +1364,46 @@ class TestFormatResult:
         assert parsed["ring"] == "Q"
 
     def test_payload_keys_are_uniform(self):
-        for argv in (["compose", "x^2", "x^3"],
-                     ["decompose", "--ring", "Z", "x^4+2*x^2"],
-                     ["quartic", "--ring", "Z", "x^4+x^2"],
-                     ["witness", "--builtin"],
-                     ["check-subring", "--ring", "Z", "5"],
-                     ["demo-q1", "--trials", "2"],
-                     ["demo-q2"]):
+        for argv in _RENDERED_ARGVS:
             ns = build_parser().parse_args(argv)
             payload = run(ns).payload
             assert set(payload) == {"command", "ring", "status", "g", "h",
                                     "evidence"}
+
+    @pytest.mark.parametrize("json_first", [False, True])
+    @pytest.mark.parametrize("argv", _RENDERED_ARGVS)
+    def test_one_result_renders_both_modes_like_main(self, argv, json_first,
+                                                     capsys):
+        # each mode is built on its first read, from the same record, and
+        # reading one first leaves the other as main prints it
+        printed = {}
+        for as_json in (False, True):
+            _, out, err = run_cli(_with_json(argv) if as_json else argv,
+                                  capsys)
+            assert err == ""
+            printed[as_json] = out
+        result = run(build_parser().parse_args(argv))
+        for as_json in ((True, False) if json_first else (False, True)):
+            assert format_result(result, as_json) + "\n" == printed[as_json]
+
+    @pytest.mark.parametrize("argv", _RENDERED_ARGVS)
+    def test_only_the_printed_mode_is_rendered(self, argv, capsys,
+                                               monkeypatch):
+        reached = []
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def spied(*args):
+                reached.append(name)
+                return original(*args)
+            monkeypatch.setattr(cli, name, spied)
+
+        for name in ("poly_pairs", "_candidates_json", "_candidate_lines"):
+            spy(name)
+        run_cli(argv, capsys)
+        assert "poly_pairs" not in reached
+        assert "_candidates_json" not in reached
+        reached.clear()
+        run_cli(_with_json(argv), capsys)
+        assert "_candidate_lines" not in reached

@@ -368,6 +368,22 @@ class TestVerifyWitness:
         failed = {c.name for c in report.clauses if not c.passed}
         assert "ring_indecomposability" in failed
 
+    @pytest.mark.parametrize("ring", [ZZ, QuadraticIntRing(-5)])
+    def test_zero_ell_fails_clause_3_instead_of_raising(self, ring):
+        # every relation divides by ell, and with ell = 0 the expansion
+        # identity ell^2 f == (d y^2 + ell^2 y) o H holds for any f
+        fake = WitnessData(ring=ring, ell=ring.coerce(0), a=ring.coerce(1),
+                           p_s=ring.coerce(3), c=Fraction(0),
+                           d=ring.coerce(9),
+                           f=Polynomial(ring, [0, 1, 2, 3, 9], "x"))
+        relations = verify_witness(fake).clauses[2]
+        assert relations.name == "ingredient_relations"
+        assert not relations.passed
+        details = relations.detail.split("; ")
+        assert details[0] == "ell is zero"
+        assert ("f is not the expansion of (d x^2 + ell x) o (x^2 + c x)"
+                in details)
+
     def test_report_mentions_all_three_clauses_even_on_failure(self):
         g = Polynomial(ZZ, [0, 1, 2], "x")
         h = Polynomial(ZZ, [0, 3, 1], "x")
