@@ -247,6 +247,15 @@ OWN_HULL_ARGVS = (
     ("decompose", "--ring", "Q[t]", "x^4+x+1"),
 )
 
+#: Non-monic quartics over the orders with units other than +-1, O(-3)
+#: (six units) and Z[sqrt(-1)] (four): the candidate scan runs over
+#: divisor classes picked by the associate representative.  Each is also
+#: run with --json, last so that earlier entries keep their indices.
+UNIT_GROUP_ARGVS = (
+    ("quartic", "--ring", "O(-3)", "3*x^4+x^2"),
+    ("quartic", "--ring", "Z[sqrt(-1)]", "2*x^4+4*x^3+3*x^2+x"),
+)
+
 
 def _with_json(argv: tuple) -> tuple:
     return argv[:1] + ("--json",) + argv[1:]
@@ -257,7 +266,8 @@ def corpus_argvs() -> list:
     rerouted paths, the evaluation-order vectors, the unit leads, the
     leads past the old divisor bound, the membership checks of the
     t-rings, a rational lead, the field quartics with denominators, the
-    field answers, then a ring that is its own hull."""
+    field answers, a ring that is its own hull, then quartics over the
+    orders with more than two units."""
     root = pathlib.Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -270,7 +280,7 @@ def corpus_argvs() -> list:
     for argv in (REROUTED_ARGVS + ORDER_ARGVS + UNIT_LEAD_ARGVS
                  + LARGE_LEAD_ARGVS + SUBRING_ARGVS + RATIONAL_LEAD_ARGVS
                  + FIELD_QUARTIC_ARGVS + FIELD_ANSWER_ARGVS
-                 + OWN_HULL_ARGVS):
+                 + OWN_HULL_ARGVS + UNIT_GROUP_ARGVS):
         out += [argv, _with_json(argv)]
     return list(dict.fromkeys(out))
 
