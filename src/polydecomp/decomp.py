@@ -21,7 +21,7 @@ that want to audit one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Any, Iterable, Optional
 
@@ -75,7 +75,6 @@ class CandidateCheck:
                 and self.inner_stays_in_ring)
 
 
-@dataclass(frozen=True)
 class RingDecideOutcome:
     """Result of an over-the-ring decision.
 
@@ -86,12 +85,72 @@ class RingDecideOutcome:
     ``candidates`` records every leading coefficient tried, for audit; it
     is None for a unit lead, where no search runs and ``field_evidence``
     is ``decomposition`` (docs/math_notes.md, sections 1 and 5).
+
+    A candidate search decides without the field, so its outcome builds
+    ``field_evidence`` on first read, by the closed form over the hull,
+    and keeps it.  An outcome takes no assignment, as a frozen dataclass
+    does, and ``==``, ``hash``, ``repr``, copies and pickles read all
+    four fields: an outcome whose evidence was never read equals, prints
+    and pickles as one built with it.
     """
 
-    status: RingDecideStatus
-    decomposition: Optional[Decomposition]
-    field_evidence: Optional[Decomposition]
-    candidates: Optional[tuple]
+    __slots__ = ("status", "decomposition", "_evidence", "candidates",
+                 "_quartic")
+
+    def __init__(self, status: RingDecideStatus,
+                 decomposition: Optional[Decomposition],
+                 field_evidence: Optional[Decomposition],
+                 candidates: Optional[tuple]):
+        init = object.__setattr__
+        init(self, "status", status)
+        init(self, "decomposition", decomposition)
+        init(self, "_evidence", field_evidence)
+        init(self, "candidates", candidates)
+        init(self, "_quartic", None)
+
+    @classmethod
+    def _searched(cls, status: RingDecideStatus,
+                  decomposition: Optional[Decomposition], candidates: tuple,
+                  f: Polynomial) -> "RingDecideOutcome":
+        """The outcome of a candidate search on the field-decomposable
+        quartic f, whose evidence waits for its first read."""
+        out = cls(status, decomposition, None, candidates)
+        object.__setattr__(out, "_quartic", f)
+        return out
+
+    @property
+    def field_evidence(self) -> Optional[Decomposition]:
+        f = self._quartic
+        if f is not None:
+            object.__setattr__(self, "_evidence", quartic_field_decompose(
+                embed_poly(f, hull_of(f.domain))))
+            object.__setattr__(self, "_quartic", None)
+        return self._evidence
+
+    def _fields(self) -> tuple:
+        return (self.status, self.decomposition, self.field_evidence,
+                self.candidates)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return RingDecideOutcome, self._fields()
+
+    def __repr__(self) -> str:
+        return ("RingDecideOutcome(status={!r}, decomposition={!r}, "
+                "field_evidence={!r}, candidates={!r})".format(*self._fields()))
 
 
 def proper_inner_degrees(n: int) -> list[int]:
@@ -318,7 +377,8 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     The pair is proved as it is built, and not recomposed: the identity
     makes (D y^2 + E y + f(0)) o (x^2 + C x) equal f over K, and the
     three quotients are that pair's coefficients with u moved from g to
-    h, so they compose to f as well.
+    h, so they compose to f as well.  Nothing here computes in K: the
+    K-pair, the outcome's ``field_evidence``, is built on its first read.
     """
     ring = f.domain
     if not ring.enumerates_divisors:
@@ -357,10 +417,9 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
                 Polynomial(ring, [f.constant_term, E_by_u, D_by_u2], f.var),
                 Polynomial(ring, [ring.zero, uC, u], f.var))
 
-    dec = quartic_field_decompose(embed_poly(f, hull_of(ring)))
     status = (RingDecideStatus.INDECOMPOSABLE_OVER_RING if found is None
               else RingDecideStatus.DECOMPOSABLE_OVER_RING)
-    return RingDecideOutcome(status, found, dec, tuple(candidates))
+    return RingDecideOutcome._searched(status, found, tuple(candidates), f)
 
 
 def decompose_over_ring(f: Polynomial,

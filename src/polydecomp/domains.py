@@ -438,6 +438,9 @@ class QuadraticElement:
     (a + t*b) - b*w and N(a + b*w) is a*(a + t*b) - q*b^2.  A field
     product runs that formula on integer numerators, one Fraction per
     coordinate, and ``x / y`` is the field's ``divides_exact(y, x)``.
+    Two elements of one domain combine as they are; any other operand
+    (an int, a Fraction, the other domain over the same d) goes through
+    ``_join`` first.
     """
 
     __slots__ = ("dom", "a", "b")
@@ -452,10 +455,10 @@ class QuadraticElement:
         return QuadraticElement, (self.dom, self.a, self.b)
 
     def _join(self, other: Any) -> tuple["QuadraticElement", Any]:
-        """other as an element, and the domain the result lives in."""
+        """other as an element, and the domain the result lives in, for
+        any other than an element of self's own domain: an int, a
+        Fraction, or the other domain over the same d."""
         if isinstance(other, QuadraticElement):
-            if other.dom is self.dom:
-                return other, self.dom
             if other.dom.d != self.dom.d:
                 raise TypeError("mixing elements over different d")
             return other, self.dom.q_algebra_hull()
@@ -464,14 +467,18 @@ class QuadraticElement:
         return self.dom.coerce(other), self.dom
 
     def __add__(self, other: Any) -> "QuadraticElement":
-        o, dom = self._join(other)
-        return QuadraticElement(dom, self.a + o.a, self.b + o.b)
+        dom = self.dom
+        if other.__class__ is not QuadraticElement or other.dom is not dom:
+            other, dom = self._join(other)
+        return QuadraticElement(dom, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: Any) -> "QuadraticElement":
-        o, dom = self._join(other)
-        return QuadraticElement(dom, self.a - o.a, self.b - o.b)
+        dom = self.dom
+        if other.__class__ is not QuadraticElement or other.dom is not dom:
+            other, dom = self._join(other)
+        return QuadraticElement(dom, self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other: Any) -> "QuadraticElement":
         return -self + other
@@ -480,14 +487,16 @@ class QuadraticElement:
         return QuadraticElement(self.dom, -self.a, -self.b)
 
     def __mul__(self, other: Any) -> "QuadraticElement":
-        o, dom = self._join(other)
-        in_order = dom.tier is Tier.RING
+        dom = self.dom
+        if other.__class__ is not QuadraticElement or other.dom is not dom:
+            other, dom = self._join(other)
+        in_order = dom.in_order
         if in_order:
-            a, b, c, e = self.a, self.b, o.a, o.b
+            a, b, c, e = self.a, self.b, other.a, other.b
         else:
             # the same formula on integer numerators, then one Fraction each
             s, a, b = _numerators(self)
-            u, c, e = _numerators(o)
+            u, c, e = _numerators(other)
         be = b * e
         x, y = a * c + dom.q * be, a * e + b * c + dom.t * be
         if in_order:
@@ -557,6 +566,8 @@ class _QuadraticDomain:
             self.half_basis = (d % 4 == 1)
             # w^2 = t*w + q: t = Tr(w) and q = -N(w)
             self.t, self.q = (1, (d - 1) // 4) if self.half_basis else (0, d)
+            # int coordinates: products skip the Fraction numerators
+            self.in_order = cls.tier is Tier.RING
             self.name = self._name()
             self.zero = self._make(0, 0)
             self.one = self._make(1, 0)
@@ -627,7 +638,8 @@ class QuadraticIntRing(_QuadraticDomain):
         return x.a, x.b
 
     def norm(self, x: QuadraticElement) -> int:
-        x = self.coerce(x)
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
         return x.norm()
 
     def divides_exact(self, x: QuadraticElement,
@@ -636,8 +648,10 @@ class QuadraticIntRing(_QuadraticDomain):
         coerced, an int x to x + 0*w; norm(x) and y*conj(x) in integer
         coordinates give the quotient, exact when divmod leaves no
         remainder."""
-        y = self.coerce(y)
-        x = self.coerce(x)
+        if y.__class__ is not QuadraticElement or y.dom is not self:
+            y = self.coerce(y)
+        if x.__class__ is not QuadraticElement or x.dom is not self:
+            x = self.coerce(x)
         n, za, zb = _times_conjugate(self, x.a, x.b, y.a, y.b)
         if n == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")

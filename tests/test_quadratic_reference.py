@@ -5,14 +5,21 @@ The order O_d used to have its own element class on the integral basis
 (``QuadraticRat``).  Both are kept below, as they were, as the reference:
 wherever the reference returns a value, the one class must return the
 same value, in the same domain, printing the same way.
+
+The arithmetic of two elements of one domain skips ``_join``.  The
+``_join``-based methods it had before are kept below too, as a second
+reference, which every operand pairing must match in value, domain and
+error text.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polydecomp import QuadraticElement, QuadraticField, QuadraticIntRing, ZZ
+from polydecomp import (QuadraticElement, QuadraticField, QuadraticIntRing,
+                        Tier, ZZ)
 from polydecomp.domains import _decimal
 from polydecomp.poly import power
 
@@ -462,3 +469,175 @@ def test_half_basis_field_norm_is_exact():
     w = field.coerce(QuadraticIntRing(-3).element(0, 1))
     assert w.norm() == 1
     assert (w / 3).norm() == Fraction(1, 9)
+
+
+# ---------------------------------------------------------------------------
+# the second reference: every operation through _join, and coerced operands
+# ---------------------------------------------------------------------------
+
+def join_join(x, other):
+    """other as an element and the result's domain, for any other."""
+    if isinstance(other, QuadraticElement):
+        if other.dom is x.dom:
+            return other, x.dom
+        if other.dom.d != x.dom.d:
+            raise TypeError("mixing elements over different d")
+        return other, x.dom.q_algebra_hull()
+    if other.__class__ is int:
+        return x.dom._make(other, 0), x.dom
+    return x.dom.coerce(other), x.dom
+
+
+def join_numerators(x):
+    a, b = Fraction(x.a), Fraction(x.b)
+    s = math.lcm(a.denominator, b.denominator)
+    return s, a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+
+
+def join_add(x, other):
+    o, dom = join_join(x, other)
+    return QuadraticElement(dom, x.a + o.a, x.b + o.b)
+
+
+def join_sub(x, other):
+    o, dom = join_join(x, other)
+    return QuadraticElement(dom, x.a - o.a, x.b - o.b)
+
+
+def join_mul(x, other):
+    o, dom = join_join(x, other)
+    in_order = dom.tier is Tier.RING
+    if in_order:
+        a, b, c, e = x.a, x.b, o.a, o.b
+    else:
+        s, a, b = join_numerators(x)
+        u, c, e = join_numerators(o)
+    be = b * e
+    p, q = a * c + dom.q * be, a * e + b * c + dom.t * be
+    if in_order:
+        return QuadraticElement(dom, p, q)
+    s *= u
+    return QuadraticElement(dom, Fraction(p, s), Fraction(q, s))
+
+
+def join_eq(x, other):
+    if isinstance(other, QuadraticElement):
+        return x.dom.d == other.dom.d and x.a == other.a and x.b == other.b
+    if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        return x.b == 0 and x.a == other
+    return x is other       # neither side compares: Python's fallback
+
+
+def join_divides_exact(ring, x, y):
+    y = ring.coerce(y)
+    x = ring.coerce(x)
+    at, qb = x.a + ring.t * x.b, ring.q * x.b
+    n, za, zb = x.a * at - qb * x.b, y.a * at - qb * y.b, y.b * x.a - y.a * x.b
+    if n == 0:
+        raise ZeroDivisionError(f"division by zero in {ring.name}")
+    qa, ra = divmod(za, n)
+    if ra:
+        return None
+    qb, rb = divmod(zb, n)
+    return None if rb else QuadraticElement(ring, qa, qb)
+
+
+def join_norm(ring, x):
+    return ring.coerce(x).norm()
+
+
+def dispatch(method, reflected, x, y):
+    """x op y by Python's rules, where only an element implements op, and
+    method(element, other) is the element's op; reflected(element, other)
+    is its reflected op, other op element."""
+    if isinstance(x, QuadraticElement):
+        return method(x, y)
+    return reflected(y, x)
+
+
+JOIN_OPS = {
+    "+": (lambda x, y: x + y, lambda x, y: dispatch(join_add, join_add, x, y)),
+    "-": (lambda x, y: x - y,
+          lambda x, y: dispatch(join_sub, lambda e, o: join_add(-e, o), x, y)),
+    "*": (lambda x, y: x * y, lambda x, y: dispatch(join_mul, join_mul, x, y)),
+    "==": (lambda x, y: x == y,
+           lambda x, y: dispatch(join_eq, join_eq, x, y)),
+}
+
+
+def result(op):
+    """("value", value, its domain, its coordinate types) or ("error",
+    class, text)."""
+    try:
+        v = op()
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return "error", type(exc), str(exc)
+    if isinstance(v, QuadraticElement):
+        return "value", v, v.dom, type(v.a), type(v.b)
+    return "value", v, type(v)
+
+
+#: How an operand of each kind is built from one drawn pair of small
+#: Fractions (r, s), for the order and field over d, and another d.
+KINDS = {
+    "order": lambda d, r, s: QuadraticIntRing(d).element(r.numerator,
+                                                         s.numerator),
+    "field": lambda d, r, s: QuadraticField(d).element(r, s),
+    "int": lambda d, r, s: r.numerator,
+    "fraction": lambda d, r, s: r,
+    "bool": lambda d, r, s: r.numerator > 0,
+    "order, other d": lambda d, r, s: QuadraticIntRing(
+        -5 if d != -5 else -6).element(r.numerator, s.numerator),
+    "field, other d": lambda d, r, s: QuadraticField(
+        -5 if d != -5 else -6).element(r, s),
+}
+
+PAIRINGS = [("order", "order"), ("field", "field"), ("order", "field"),
+            ("field", "order")]
+PAIRINGS += [(elem, other) for elem in ("order", "field")
+             for other in ("int", "fraction", "bool", "order, other d",
+                           "field, other d")]
+PAIRINGS += [(other, elem) for elem in ("order", "field")
+             for other in ("int", "fraction")]
+
+#: (r, s) per operand: small Fractions, integers one time in six
+coordinates = st.tuples(small_fracs, small_fracs)
+
+
+class TestAgainstTheJoinPath:
+    """Every pairing of + - * and == gives the value, the domain and the
+    error text of the methods that joined every operand first, for every
+    d in DS; so do the order's divides_exact and norm."""
+
+    @pytest.mark.parametrize("left, right", PAIRINGS)
+    @given(coordinates, coordinates)
+    def test_arithmetic_and_equality(self, left, right, xs, ys):
+        for d in DS:
+            x, y = KINDS[left](d, *xs), KINDS[right](d, *ys)
+            for new_op, join_op in JOIN_OPS.values():
+                assert result(lambda: new_op(x, y)) \
+                    == result(lambda: join_op(x, y))
+
+    @pytest.mark.parametrize("kinds", [
+        ("order", "order"), ("int", "order"), ("order", "int"),
+        ("int", "int"), ("field", "order"), ("order", "field"),
+        ("fraction", "order"), ("order", "order, other d")])
+    @given(coordinates, coordinates, st.booleans())
+    def test_order_divides_exact(self, kinds, xs, ys, multiple):
+        for d in DS:
+            ring = QuadraticIntRing(d)
+            x, y = KINDS[kinds[0]](d, *xs), KINDS[kinds[1]](d, *ys)
+            if multiple and kinds == ("order", "order"):
+                y = x * y           # a quotient that exists
+            assert result(lambda: ring.divides_exact(x, y)) \
+                == result(lambda: join_divides_exact(ring, x, y))
+
+    @pytest.mark.parametrize("kind", ["order", "int", "field", "fraction",
+                                      "bool", "order, other d"])
+    @given(coordinates)
+    def test_order_norm(self, kind, xs):
+        for d in DS:
+            ring = QuadraticIntRing(d)
+            x = KINDS[kind](d, *xs)
+            assert result(lambda: ring.norm(x)) \
+                == result(lambda: join_norm(ring, x))

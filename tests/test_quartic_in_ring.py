@@ -7,7 +7,10 @@ descended.  The decision, its candidate table, its pair, its field
 evidence and the witness data must all be equal.
 """
 
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import sys
 import tracemalloc
@@ -20,7 +23,7 @@ from polydecomp import (CandidateCheck, Decomposition, Polynomial,
                         QuadraticIntRing, RingDecideOutcome,
                         RingDecideStatus, WitnessData, ZZ,
                         build_witness_poly, builtin_examples, compose,
-                        derive_witness_params, descend_poly, embed_poly,
+                        decompose_over_ring, derive_witness_params, descend_poly, embed_poly,
                         hull_of, quartic_field_decompose, quartic_ring_decide,
                         run_pipeline, strip_common_associates)
 from polydecomp import decomp
@@ -269,8 +272,18 @@ def rich_lead(ring):
 
 
 class TestHullDivisions:
-    """The field is consulted once per decomposable decision, for its
-    evidence, and never per candidate."""
+    """The decision divides nothing in the field.  Its evidence, the one
+    hull division of the closed form, is made on the first read of
+    ``field_evidence`` and kept, never per candidate."""
+
+    @staticmethod
+    def assert_divides_on_first_read_only(out, hull_divisions):
+        assert hull_divisions == []
+        evidence = out.field_evidence
+        assert evidence is not None
+        assert len(hull_divisions) == 1
+        assert out.field_evidence is evidence
+        assert len(hull_divisions) == 1
 
     @pytest.mark.parametrize("name", sorted(RINGS))
     def test_once_per_field_decomposable_decision(self, name,
@@ -281,7 +294,7 @@ class TestHullDivisions:
         out = quartic_ring_decide(f)
         assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
         assert len(out.candidates) >= 8
-        assert len(hull_divisions) == 1
+        self.assert_divides_on_first_read_only(out, hull_divisions)
 
     def test_once_per_witness_decision(self, hull_divisions):
         for pair in builtin_examples():
@@ -289,7 +302,7 @@ class TestHullDivisions:
             del hull_divisions[:]
             out = quartic_ring_decide(data.f)
             assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_RING
-            assert len(hull_divisions) == 1
+            self.assert_divides_on_first_read_only(out, hull_divisions)
 
     @pytest.mark.parametrize("name", sorted(RINGS))
     def test_never_for_a_field_indecomposable_quartic(self, name,
@@ -298,6 +311,87 @@ class TestHullDivisions:
         f = Polynomial(ring, [0, 1, 0, 0, rich_lead(ring)], "x")
         out = quartic_ring_decide(f)
         assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_FIELD
+        assert out.field_evidence is None
+        assert hull_divisions == []
+
+
+def eager_outcome(f):
+    """quartic_ring_decide(f) with its field evidence built at once, by the
+    closed form over the hull."""
+    out = quartic_ring_decide(f)
+    evidence = None
+    if out.status is not RingDecideStatus.INDECOMPOSABLE_OVER_FIELD:
+        evidence = quartic_field_decompose(embed_poly(f, hull_of(f.domain)))
+    return RingDecideOutcome(out.status, out.decomposition, evidence,
+                             out.candidates)
+
+
+class TestEvidenceOnFirstRead:
+    """An outcome whose evidence waits for its first read is, to every
+    reader, the outcome built with its evidence."""
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_equal_pickled_copied_and_printed_like_an_eager_one(
+            self, name, read_first):
+        ring = RINGS[name]
+        fs = _fixed_quartics(ring, random.Random(5), 16) \
+            + rich_lead_quartics(ring)
+        statuses = set()
+        for f in fs:
+            want = eager_outcome(f)
+            statuses.add(want.status)
+
+            def fresh():
+                out = quartic_ring_decide(f)
+                if read_first:
+                    out.field_evidence
+                return out
+
+            assert fresh() == want and want == fresh()
+            assert hash(fresh()) == hash(want)
+            assert repr(fresh()) == repr(want)
+            assert copy.copy(fresh()) == want
+            assert copy.deepcopy(fresh()) == want
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(fresh(), protocol))
+                assert back == want and repr(back) == repr(want)
+        assert RingDecideStatus.INDECOMPOSABLE_OVER_FIELD in statuses
+        assert RingDecideStatus.DECOMPOSABLE_OVER_RING in statuses
+
+    def test_equal_to_the_eager_witness_outcome(self):
+        for pair in builtin_examples():
+            _, data, report = run_pipeline(pair)
+            assert report.ring_outcome == eager_outcome(data.f)
+
+    def test_differs_where_the_evidence_differs(self):
+        f = compose(Polynomial(ZZ, [0, 1, 6], "x"),
+                    Polynomial(ZZ, [0, 1, 1], "x"))
+        out = quartic_ring_decide(f)
+        assert out != RingDecideOutcome(out.status, out.decomposition,
+                                        None, out.candidates)
+
+    def test_takes_no_assignment(self):
+        out = quartic_ring_decide(Polynomial(ZZ, [0, 1, 0, 0, 2], "x"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.field_evidence = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.status = RingDecideStatus.DECOMPOSABLE_OVER_RING
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del out.candidates
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_unit_lead_evidence_is_the_decomposition(self, name,
+                                                     hull_divisions):
+        ring = RINGS[name]
+        f = compose(Polynomial(ring, [3, 1, -1], "x"),
+                    Polynomial(ring, [0, 2, 1], "x"))
+        out = decompose_over_ring(f, [2])
+        assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert out.candidates is None
+        assert out.field_evidence is out.decomposition
+        assert out == RingDecideOutcome(out.status, out.decomposition,
+                                        out.decomposition, None)
         assert hull_divisions == []
 
 
