@@ -150,7 +150,8 @@ class RingDecideOutcome:
 
     def __repr__(self) -> str:
         return ("RingDecideOutcome(status={!r}, decomposition={!r}, "
-                "field_evidence={!r}, candidates={!r})".format(*self._fields()))
+                "field_evidence={!r}, candidates={!r})"
+                .format(*self._fields()))
 
 
 def proper_inner_degrees(n: int) -> list[int]:

@@ -491,7 +491,8 @@ def join_join(x, other):
 def join_numerators(x):
     a, b = Fraction(x.a), Fraction(x.b)
     s = math.lcm(a.denominator, b.denominator)
-    return s, a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+    return (s, a.numerator * (s // a.denominator),
+            b.numerator * (s // b.denominator))
 
 
 def join_add(x, other):

@@ -23,8 +23,9 @@ from polydecomp import (CandidateCheck, Decomposition, Polynomial,
                         QuadraticIntRing, RingDecideOutcome,
                         RingDecideStatus, WitnessData, ZZ,
                         build_witness_poly, builtin_examples, compose,
-                        decompose_over_ring, derive_witness_params, descend_poly, embed_poly,
-                        hull_of, quartic_field_decompose, quartic_ring_decide,
+                        decompose_over_ring, derive_witness_params,
+                        descend_poly, embed_poly, hull_of,
+                        quartic_field_decompose, quartic_ring_decide,
                         run_pipeline, strip_common_associates)
 from polydecomp import decomp
 from polydecomp.witness import _relation_failures
