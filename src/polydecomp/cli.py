@@ -23,6 +23,13 @@ integer, while "1/2+1/2*w" over O(-15) is 3/4+1/4*sqrt(-15), not a member:
 w already is the half-basis generator there.  This module only parses and
 renders.
 
+``main`` parses argv in one argparse pass: when argv[0] names a
+subcommand, argv[1:] goes straight to that subcommand's parser, which sets
+``command`` itself; any other argv (help, no command, an unknown command)
+goes to the top-level parser, which hands a subcommand's arguments to the
+same subparser.  Both paths give the same namespace, help text and usage
+errors.
+
 A handler returns a CommandResult that records its decision: status, exit
 code and the objects it decided on.  The --json object and the text lines
 are rendered from that record when format_result reads them, so a run
@@ -223,35 +230,47 @@ def _degree_bound(program: Program, w_bits: int,
     degree exceeds _MAX_DEGREE or the size exceeds _MAX_BITS.
     """
     stack = []
+    push, pop = stack.append, stack.pop
+    t, w = (0, 1, 0), (0, 0, w_bits)
     for op, arg, pos in program:
         if op == "num":
             # the parser stores an integer literal as an int, a/b as a Fraction
-            stack.append((0, 0, _bits(arg) if type(arg) is int else
-                          _bits(arg.numerator) + _bits(arg.denominator)))
-        elif op == "sym":
-            stack.append(x if arg == "x" else
-                         (0, int(arg == "t"), w_bits if arg == "w" else 0))
-        elif op == "^":
-            dx, dt, b = stack.pop()
-            stack.append(_capped(dx * arg, dt * arg, b * arg, pos))
-        elif op != "neg":
-            (rx, rt, rb), (dx, dt, b) = stack.pop(), stack.pop()
+            push((0, 0, _bits(arg) if arg.__class__ is int else
+                  _bits(arg.numerator) + _bits(arg.denominator)))
+            continue
+        if op == "sym":
+            push(x if arg == "x" else t if arg == "t" else w)
+            continue
+        if op == "neg":
+            continue
+        if op == "^":
+            dx, dt, b = pop()
+            dx *= arg
+            dt *= arg
+            b *= arg
+        else:
+            (rx, rt, rb), (dx, dt, b) = pop(), pop()
             if op == "*":
-                stack.append(_capped(dx + rx, dt + rt, b + rb, pos))
+                dx += rx
+                dt += rt
+                b += rb
             else:
-                stack.append(_capped(max(dx, rx), max(dt, rt),
-                                     max(b, rb) + 1, pos))
-    return stack.pop()
+                dx = dx if dx > rx else rx
+                dt = dt if dt > rt else rt
+                b = (b if b > rb else rb) + 1
+        if dx > _MAX_DEGREE or dt > _MAX_DEGREE or b > _MAX_BITS:
+            _cap_error(dx, dt, pos)
+        push((dx, dt, b))
+    return pop()
 
 
-def _capped(dx: int, dt: int, b: int, pos: int) -> tuple[int, int, int]:
-    for var, d in (("x", dx), ("t", dt)):
-        if d > _MAX_DEGREE:
-            raise ParseError(
-                f"degree in {var} may exceed {_MAX_DEGREE}", pos)
-    if b > _MAX_BITS:
-        raise ParseError(f"a constant may exceed {_MAX_BITS} bits", pos)
-    return dx, dt, b
+def _cap_error(dx: int, dt: int, pos: int) -> None:
+    """Raise the ParseError for bounds of which one crosses its cap."""
+    if dx > _MAX_DEGREE:
+        raise ParseError(f"degree in x may exceed {_MAX_DEGREE}", pos)
+    if dt > _MAX_DEGREE:
+        raise ParseError(f"degree in t may exceed {_MAX_DEGREE}", pos)
+    raise ParseError(f"a constant may exceed {_MAX_BITS} bits", pos)
 
 
 def _parse(text: str, w_bits: int) -> Program:
@@ -284,12 +303,15 @@ _SUPPORTED = ('"Z", "Q", "Z[sqrt(d)]", "Q(sqrt(d))", "O(d)", '
               '"Z[t]", "Q[t]", "Z[t2,t3]"')
 
 
+#: The descriptors of the rings that take no parameter.
+_NAMED_RINGS = {"Z": ZZ, "Q": QQ, "Z[t]": ZT, "Q[t]": QT, "Z[t2,t3]": ZT23}
+
+
 def resolve_ring(descriptor: str) -> Any:
     """The domain a descriptor string names."""
     text = "".join(descriptor.split())
-    named = {"Z": ZZ, "Q": QQ, "Z[t]": ZT, "Q[t]": QT, "Z[t2,t3]": ZT23}
-    if text in named:
-        return named[text]
+    if text in _NAMED_RINGS:
+        return _NAMED_RINGS[text]
     m = _QUADRATIC_RE.fullmatch(text)
     if not m:
         raise ValueError(f"unknown ring descriptor {descriptor!r}; "
@@ -311,23 +333,37 @@ def resolve_ring(descriptor: str) -> Any:
 #: keys, and x is the key _STRIDE.
 _STRIDE = _MAX_DEGREE + 1
 
-#: Sparse terms: {monomial key: nonzero scalar coefficient}.
+#: Sparse terms: {monomial key: nonzero scalar coefficient}.  Every
+#: Terms on the lowering stack is its own dict, so _add and _neg may
+#: change their operand in place.
 Terms = dict[int, Any]
 
 
 def _add(left: Terms, right: Terms) -> Terms:
-    out = dict(left)
+    """left + right, merged into left."""
     for k, c in right.items():
-        if k in out:
-            c = out[k] + c
+        if k in left:
+            c = left[k] + c
             if c == 0:
-                del out[k]
+                del left[k]
                 continue
-        out[k] = c
-    return out
+        left[k] = c
+    return left
+
+
+def _neg(terms: Terms) -> Terms:
+    """-terms, negated in place."""
+    for k, c in terms.items():
+        terms[k] = -c
+    return terms
 
 
 def _mul(left: Terms, right: Terms) -> Terms:
+    if len(left) == 1 and len(right) == 1:
+        # the scalars lie in an integral domain: the product is no zero
+        (i, a), = left.items()
+        (j, b), = right.items()
+        return {i + j: a * b}
     out = {}
     for i, a in left.items():
         for j, b in right.items():
@@ -382,16 +418,17 @@ def _lower(program: Program, ring: Any) -> Terms:
             if arg not in symbols:
                 raise ParseError(f"symbol {arg} is not defined over "
                                  f"{ring.name}", pos)
-            stack.append(symbols[arg])
+            stack.append(dict(symbols[arg]))
         elif op == "neg":
-            stack.append({k: -c for k, c in stack.pop().items()})
+            _neg(stack[-1])
         elif op == "^":
             stack.append(_pow(stack.pop(), arg))
         else:
-            right, left = stack.pop(), stack.pop()
-            if op == "-":
-                right = {k: -c for k, c in right.items()}
-            stack.append((_mul if op == "*" else _add)(left, right))
+            right = stack.pop()
+            if op == "*":
+                stack.append(_mul(stack.pop(), right))
+            else:
+                _add(stack[-1], _neg(right) if op == "-" else right)
     return stack.pop()
 
 
@@ -458,9 +495,11 @@ def _parse_ring_element(text: str, ring: Any) -> Any:
 
 def coeff_pair(c: Any) -> list[str]:
     """Serialize one coefficient as an exact [main, w-part] string pair."""
-    if isinstance(c, QuadraticElement):
-        return [_decimal(v) for v in c.dom.display_coords(c)]
-    if isinstance(c, Polynomial):
+    cls = c.__class__
+    if cls is QuadraticElement:
+        first, second = c.dom.display_coords(c)
+        return [_decimal(first), _decimal(second)]
+    if cls is Polynomial:
         return [str(c), "0"]
     return [_decimal(c), "0"]
 
@@ -1024,6 +1063,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "field, not over the ring")
     common(sp)
 
+    # main hands argv[1:] to parser.commands[argv[0]] when there is one
+    for name, sp in sub.choices.items():
+        sp.set_defaults(command=name)
+    parser.commands = sub.choices
     return parser
 
 
@@ -1050,8 +1093,11 @@ def run(ns) -> CommandResult:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        ns = parser.parse_args(argv)
+        ns = (parser.parse_args(argv) if sub is None
+              else sub.parse_args(argv[1:]))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,6 +92,8 @@ def _decimal(x: Any) -> str:
     Long integers are split in two by a power of ten about half their
     length, and each half is converted on its own.
     """
+    if x.__class__ is int and x.bit_length() <= 4096:
+        return str(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return _decimal(x.numerator)
@@ -811,7 +813,9 @@ class QuadraticField(_QuadraticDomain):
     def display_coords(self, x: QuadraticElement) -> tuple[Fraction, Fraction]:
         """(r, s) with x = r + s*sqrt(d)."""
         if self.half_basis:
-            return x.a + x.b / 2, x.b / 2
+            # x = (A + B*w)/u = (2A + B)/(2u) + B/(2u)*sqrt(d)
+            u, a, b = _numerators(x)
+            return Fraction(2 * a + b, 2 * u), Fraction(b, 2 * u)
         return x.a, x.b
 
     def is_unit(self, x: QuadraticElement) -> bool:
@@ -856,10 +860,15 @@ def _format_two_coords(first: Any, second: Any) -> str:
     """Render first + second*w compatibly with the expression grammar."""
     if second == 0:
         return _decimal(first)
-    wpart = {1: "w", -1: "-w"}.get(second) or f"{_decimal(second)}*w"
+    if second == 1:
+        wpart = "w"
+    elif second == -1:
+        wpart = "-w"
+    else:
+        wpart = f"{_decimal(second)}*w"
     if first == 0:
         return wpart
-    return _decimal(first) + ("" if wpart.startswith("-") else "+") + wpart
+    return _decimal(first) + ("" if wpart[0] == "-" else "+") + wpart
 
 
 # ---------------------------------------------------------------------------

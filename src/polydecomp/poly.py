@@ -244,14 +244,17 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
+        domain, var = self.domain, self.var
+        zero = domain.zero
         pieces = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == self.domain.zero:
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
+            if c == zero:
                 continue
-            pieces.append(_format_term(self.domain, c, i, self.var))
+            pieces.append(_format_term(domain, c, i, var))
         out = pieces[0]
         for piece in pieces[1:]:
             if piece.startswith("-") and "(" not in piece.split("*")[0]:
@@ -280,7 +283,8 @@ def _closed(domain: Any, cs: list, var: str) -> Polynomial:
 def _format_term(domain: Any, c: Any, i: int, var: str) -> str:
     cstr = domain.format_element(c)
     # parenthesize coefficients with interior + or - so the output reparses
-    needs_parens = any(s in cstr[1:] for s in "+-")
+    rest = cstr[1:]
+    needs_parens = "+" in rest or "-" in rest
     if i == 0:
         return f"({cstr})" if needs_parens else cstr
     xpow = var if i == 1 else f"{var}^{i}"

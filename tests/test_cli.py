@@ -1,10 +1,12 @@
 """Command-line behavior: grammar, ring descriptors, JSON, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import operator
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -653,6 +655,18 @@ class TestSparseLowering:
         # t^4096 is the highest power of t a monomial key holds
         "t^4096*x^4096+t^4096*x+x^4096-t^2"])
     def test_examples(self, descriptor, text):
+        _same_as_the_dense_lowering(descriptor, text)
+
+    @pytest.mark.parametrize("descriptor, text", [
+        ("Q", "x + 1 + x"), ("Z", "x + 1 + x"), ("Q", "x*x + x"),
+        ("Z", "(x+1)^2 + (x+1)"), ("Q", "-x + x"), ("Z", "x - x + x"),
+        ("Q", "x*x*x + x*x - x"), ("Z", "-(x+1) + (x+1)*x + x + 1"),
+        ("O(-15)", "w + 1 + w"), ("O(-15)", "w*x + x + w - w*w"),
+        ("Q(sqrt(-5))", "1/2*w + w + 1/2"), ("Z[t]", "t + 1 + t"),
+        ("Z[t]", "t*x + t + t*x"), ("Q[t]", "-t + t + 1/2*t")])
+    def test_operands_are_never_shared(self, descriptor, text):
+        # _add and _neg change their operand in place, so a symbol pushed
+        # twice must be two dicts; a shared one would change the second
         _same_as_the_dense_lowering(descriptor, text)
 
     def test_zero_to_the_zero_is_one(self):
@@ -1407,3 +1421,111 @@ class TestFormatResult:
         reached.clear()
         run_cli(_with_json(argv), capsys)
         assert "_candidate_lines" not in reached
+
+
+# -- argv to a subparser in one argparse pass -------------------------------
+
+#: Every argv of the golden corpus: the hand-picked ones, and every
+#: cli-mixed shape for three seeds, in text and --json.
+_GOLDEN_ARGVS = [e["argv"] for e in json.loads(
+    pathlib.Path(__file__).with_name("golden_cli.json").read_text())]
+
+_EDGE_ARGVS = [
+    # a leading minus after --, which both parsers keep for the subparser
+    ["decompose", "--ring", "Z[t]", "--", "-x^4-2*t*x^2"],
+    ["decompose", "--", "-x^2"],
+    ["--", "decompose", "x^4"],
+    [], ["transmogrify", "x"], ["decompose", "--bogus", "x"],
+    ["decompose"], ["compose", "x"], ["decompose", "--over", "sky", "x^4"],
+    ["decompose", "--inner-degree", "two", "x^4"], ["--json", "decompose",
+                                                    "x^4"],
+    ["demo-q1", "--trials", "3", "--seed", "0", "extra"],
+    ["witness", "--builtin", "--factorization=2,3", "--factorization=3,2"],
+    ["quartic", "--ring=Z", "--json", "x^4+x^2"],
+    ["check-subring", "t^2"], ["demo-q2", "--json"], ["DECOMPOSE", "x"]]
+
+
+class _Parsed(Exception):
+    """Raised in place of running the command main parsed."""
+
+
+def _parsed_by_main(argv, monkeypatch):
+    """("ns", namespace) for the namespace main hands to run, or
+    ("usage", stderr, exit code) when main refuses argv."""
+    def stop(ns):
+        raise _Parsed(ns)
+
+    monkeypatch.setattr(cli, "run", stop)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(None if argv is None else list(argv))
+    except _Parsed as parsed:
+        return ("ns", parsed.args[0])
+    return ("usage", err.getvalue(), code)
+
+
+def _parsed_by_the_top_level_parser(argv):
+    """The same, through the top-level parser's two passes."""
+    try:
+        return ("ns", build_parser().parse_args(list(argv)))
+    except cli.UsageError as exc:
+        return ("usage", f"error: {exc}\n", 1)
+
+
+class TestOneArgparsePass:
+    """main gives a subcommand's arguments straight to its subparser; the
+    namespace, usage errors and help are the top-level parser's."""
+
+    @pytest.mark.parametrize("argv", _GOLDEN_ARGVS + _EDGE_ARGVS,
+                             ids=lambda argv: " ".join(argv)[:60])
+    def test_same_namespace_or_usage_error(self, argv, monkeypatch):
+        got = _parsed_by_main(argv, monkeypatch)
+        assert got == _parsed_by_the_top_level_parser(argv)
+        if got[0] == "ns":
+            assert got[1].command == argv[0]
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch):
+        for argv in (["decompose", "--bogus", "x"], ["quartic", "x^4"],
+                     ["transmogrify", "x"]):
+            monkeypatch.setattr(sys, "argv", ["polydecomp"] + argv)
+            assert _parsed_by_main(None, monkeypatch) == \
+                _parsed_by_the_top_level_parser(argv)
+
+    def test_usage_errors_through_each_parser(self, monkeypatch):
+        assert _parsed_by_main(["decompose", "--bogus", "x"], monkeypatch) \
+            == ("usage", "error: unrecognized arguments: --bogus\n", 1)
+        assert _parsed_by_main([], monkeypatch) == (
+            "usage", "error: the following arguments are required: "
+                     "command\n", 1)
+        kind, err, code = _parsed_by_main(["transmogrify", "x"], monkeypatch)
+        assert (kind, code) == ("usage", 1)
+        assert err.startswith("error: argument command: invalid choice: ")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [
+        [name, flag] for name in ("compose", "decompose", "quartic",
+                                  "witness", "check-subring", "demo-q1",
+                                  "demo-q2")
+        for flag in ("-h", "--help")] + [["decompose", "--json", "-h",
+                                          "x^4"]])
+    def test_help_is_the_same(self, argv):
+        printed = []
+        for parse in (main, build_parser().parse_args):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    pytest.raises(SystemExit) as info:
+                parse(list(argv))
+            assert info.value.code == 0
+            printed.append(out.getvalue())
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("usage: polydecomp")
+
+    def test_the_subparsers_hang_off_the_cached_parser(self):
+        parser = build_parser()
+        assert sorted(parser.commands) == sorted(cli._HANDLERS)
+        # the positionals and required options of each subcommand
+        required = {"compose": ["x", "x"], "decompose": ["x"],
+                    "quartic": ["x"], "check-subring": ["--ring", "Z", "1"]}
+        for name, sub in parser.commands.items():
+            assert isinstance(sub, argparse.ArgumentParser)
+            assert sub.parse_args(required.get(name, [])).command == name

@@ -18,7 +18,8 @@ from polydecomp import (CapabilityError, Decomposition, NoLinearTermRing,
                         decompose_over_field, descend_element,
                         descend_poly, embed_element, embed_poly, hull_of,
                         quartic_ring_decide, require_tier)
-from polydecomp.domains import _MR_EXACT_BELOW, _check_d
+from polydecomp.domains import (_MR_EXACT_BELOW, _check_d, _decimal,
+                                _format_two_coords)
 
 R5 = QuadraticIntRing(-5)
 K5 = QuadraticField(-5)
@@ -1121,3 +1122,87 @@ class TestCapLimits:
             R5.divisors_up_to_associates(w5(0))
         with pytest.raises(ValueError):
             ZZ.divisors_up_to_associates(0)
+
+
+# -- the rendering helpers against their earlier forms ----------------------
+
+def _old_decimal(x):
+    """_decimal before its int fast path."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return _old_decimal(x.numerator)
+        return f"{_old_decimal(x.numerator)}/{_old_decimal(x.denominator)}"
+    if x < 0:
+        return "-" + _old_decimal(-x)
+    if x.bit_length() <= 4096:
+        return str(x)
+    k = x.bit_length() * 3 // 20
+    high, low = divmod(x, 10 ** k)
+    return _old_decimal(high) + _old_decimal(low).zfill(k)
+
+
+def _old_format_two_coords(first, second):
+    """_format_two_coords as it was, on _old_decimal."""
+    if second == 0:
+        return _old_decimal(first)
+    wpart = {1: "w", -1: "-w"}.get(second) or f"{_old_decimal(second)}*w"
+    if first == 0:
+        return wpart
+    return (_old_decimal(first) + ("" if wpart.startswith("-") else "+")
+            + wpart)
+
+
+#: The ints at and around the split at 4096 bits.
+_SPLIT_INTS = (2 ** 4096 - 1, 2 ** 4096, 2 ** 4095, 2 ** 5000, 10 ** 1300,
+               10 ** 1233, 10 ** 1234 - 1)
+
+#: Ints of every size up to 5000 bits, below and above the split.
+_ANY_SIZE_INTS = st.one_of(
+    st.integers(-10, 10), st.sampled_from(_SPLIT_INTS + tuple(
+        -n for n in _SPLIT_INTS)),
+    st.integers(0, 5000).flatmap(
+        lambda k: st.integers(-(2 ** k), 2 ** k)))
+
+_ANY_SIZE_FRACTIONS = st.builds(
+    Fraction, _ANY_SIZE_INTS,
+    _ANY_SIZE_INTS.map(abs).filter(bool))
+
+_SMALL_COORDS = st.one_of(
+    st.sampled_from((0, 1, -1, 2, Fraction(1), Fraction(-1), Fraction(1, 2),
+                     Fraction(-1, 2))),
+    st.integers(-50, 50), st.fractions(max_denominator=12))
+
+
+class TestRenderingAgainstOldForms:
+    """The rendering fast paths give what the helpers they replaced gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(_ANY_SIZE_INTS, _ANY_SIZE_FRACTIONS))
+    def test_decimal(self, x):
+        assert _decimal(x) == _old_decimal(x)
+
+    @pytest.mark.parametrize("x", [
+        2 ** 5000, -2 ** 5000, 10 ** 1300, -10 ** 1300, 2 ** 4096,
+        2 ** 4096 - 1, Fraction(10 ** 1300, 3), Fraction(-1, 2 ** 5000),
+        Fraction(2 ** 5000), 0, -1, True, False])
+    def test_decimal_at_the_split(self, x):
+        assert _decimal(x) == _old_decimal(x)
+
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -15])
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.one_of(st.fractions(), _ANY_SIZE_FRACTIONS),
+           b=st.one_of(st.fractions(), _ANY_SIZE_FRACTIONS))
+    def test_display_coords(self, d, a, b):
+        K = QuadraticField(d)
+        x = QuadraticElement(K, a, b)
+        expected = (x.a + x.b / 2, x.b / 2) if K.half_basis else (x.a, x.b)
+        got = K.display_coords(x)
+        assert got == expected
+        assert [type(c) for c in got] == [Fraction, Fraction]
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.one_of(_SMALL_COORDS, _ANY_SIZE_INTS),
+           second=st.one_of(_SMALL_COORDS, _ANY_SIZE_FRACTIONS))
+    def test_format_two_coords(self, first, second):
+        assert _format_two_coords(first, second) == \
+            _old_format_two_coords(first, second)
