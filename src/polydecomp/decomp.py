@@ -21,8 +21,9 @@ that want to audit one.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 from .poly import Polynomial, _divrem_monic_in_place, compose, derivative
@@ -75,6 +76,7 @@ class CandidateCheck:
                 and self.inner_stays_in_ring)
 
 
+@dataclass(frozen=True)
 class RingDecideOutcome:
     """Result of an over-the-ring decision.
 
@@ -86,72 +88,26 @@ class RingDecideOutcome:
     is None for a unit lead, where no search runs and ``field_evidence``
     is ``decomposition`` (docs/math_notes.md, sections 1 and 5).
 
-    A candidate search decides without the field, so its outcome builds
-    ``field_evidence`` on first read, by the closed form over the hull,
-    and keeps it.  An outcome takes no assignment, as a frozen dataclass
-    does, and ``==``, ``hash``, ``repr``, copies and pickles read all
-    four fields: an outcome whose evidence was never read equals, prints
-    and pickles as one built with it.
+    ``f`` is the field-decomposable quartic a candidate search decided,
+    and None for every other outcome.  The search decides without the
+    field, so ``field_evidence`` is derived from ``f`` on first read, by
+    the closed form over the hull, and kept; it is never passed in, so it
+    cannot contradict the decision.  ``==``, ``hash``, ``repr``, copies
+    and pickles read the four fields, ``f`` among them, so reading the
+    evidence changes none of them.
     """
 
-    __slots__ = ("status", "decomposition", "_evidence", "candidates",
-                 "_quartic")
+    status: RingDecideStatus
+    decomposition: Optional[Decomposition]
+    candidates: Optional[tuple]
+    f: Optional[Polynomial] = None
 
-    def __init__(self, status: RingDecideStatus,
-                 decomposition: Optional[Decomposition],
-                 field_evidence: Optional[Decomposition],
-                 candidates: Optional[tuple]):
-        init = object.__setattr__
-        init(self, "status", status)
-        init(self, "decomposition", decomposition)
-        init(self, "_evidence", field_evidence)
-        init(self, "candidates", candidates)
-        init(self, "_quartic", None)
-
-    @classmethod
-    def _searched(cls, status: RingDecideStatus,
-                  decomposition: Optional[Decomposition], candidates: tuple,
-                  f: Polynomial) -> "RingDecideOutcome":
-        """The outcome of a candidate search on the field-decomposable
-        quartic f, whose evidence waits for its first read."""
-        out = cls(status, decomposition, None, candidates)
-        object.__setattr__(out, "_quartic", f)
-        return out
-
-    @property
+    @cached_property
     def field_evidence(self) -> Optional[Decomposition]:
-        f = self._quartic
-        if f is not None:
-            object.__setattr__(self, "_evidence", quartic_field_decompose(
-                embed_poly(f, hull_of(f.domain))))
-            object.__setattr__(self, "_quartic", None)
-        return self._evidence
-
-    def _fields(self) -> tuple:
-        return (self.status, self.decomposition, self.field_evidence,
-                self.candidates)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self) -> tuple:
-        return RingDecideOutcome, self._fields()
-
-    def __repr__(self) -> str:
-        return ("RingDecideOutcome(status={!r}, decomposition={!r}, "
-                "field_evidence={!r}, candidates={!r})"
-                .format(*self._fields()))
+        f = self.f
+        if f is None:
+            return self.decomposition
+        return quartic_field_decompose(embed_poly(f, hull_of(f.domain)))
 
 
 def proper_inner_degrees(n: int) -> list[int]:
@@ -393,7 +349,7 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
     delta = lead * a2 * 4 - a3 * a3
     if lead * lead * a1 * 8 != delta * a3:
         return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
-                                 None, None, ())
+                                 None, ())
 
     # each division runs only where its norm test passes
     norm = ring.norm
@@ -420,7 +376,7 @@ def quartic_ring_decide(f: Polynomial) -> RingDecideOutcome:
 
     status = (RingDecideStatus.INDECOMPOSABLE_OVER_RING if found is None
               else RingDecideStatus.DECOMPOSABLE_OVER_RING)
-    return RingDecideOutcome._searched(status, found, tuple(candidates), f)
+    return RingDecideOutcome(status, found, tuple(candidates), f)
 
 
 def decompose_over_ring(f: Polynomial,
@@ -442,7 +398,7 @@ def decompose_over_ring(f: Polynomial,
         dec = _first_split(f, degrees)
         status = (RingDecideStatus.INDECOMPOSABLE_OVER_FIELD if dec is None
                   else RingDecideStatus.DECOMPOSABLE_OVER_RING)
-        return RingDecideOutcome(status, dec, dec, None)
+        return RingDecideOutcome(status, dec, None)
 
     if f.degree == 4 and ring.enumerates_divisors:
         if any(m != 2 for m in degrees):

@@ -573,6 +573,8 @@ class _QuadraticDomain:
             self.name = self._name()
             self.zero = self._make(0, 0)
             self.one = self._make(1, 0)
+            if self.in_order:
+                self._units = tuple(self.elements_of_norm(1))
         return self
 
     def descend(self, x: Any) -> Optional[QuadraticElement]:
@@ -622,7 +624,6 @@ class QuadraticIntRing(_QuadraticDomain):
 
     tier = Tier.RING
     enumerates_divisors = True
-    _units: Optional[tuple] = None
 
     def _name(self) -> str:
         return f"O({self.d})" if self.half_basis else f"Z[sqrt({self.d})]"
@@ -664,8 +665,6 @@ class QuadraticIntRing(_QuadraticDomain):
         return None if rb else QuadraticElement(self, qa, qb)
 
     def units(self) -> tuple[QuadraticElement, ...]:
-        if self._units is None:
-            self._units = tuple(self.elements_of_norm(1))
         return self._units
 
     def is_unit(self, x: QuadraticElement) -> bool:
@@ -687,9 +686,10 @@ class QuadraticIntRing(_QuadraticDomain):
         element for rational integers.
         """
         x = self.coerce(x)
-        if self.d != -1 and self.d != -3:       # the units are 1 and -1
+        units = self._units
+        if len(units) == 2:                     # the units are 1 and -1
             return x if x.a > 0 or (x.a == 0 and x.b >= 0) else -x
-        return max((x * u for u in self.units()), key=lambda z: (z.a, z.b))
+        return max((x * u for u in units), key=lambda z: (z.a, z.b))
 
     def elements_of_norm(self, k: int) -> list[QuadraticElement]:
         """All ring elements of norm exactly k (complete since d < 0).
@@ -737,7 +737,7 @@ class QuadraticIntRing(_QuadraticDomain):
             raise ValueError(
                 f"divisor search bound exceeded: norm {_decimal(n)} > "
                 f"{_DIVISOR_BOUND}")
-        plus_minus_one = self.d != -1 and self.d != -3
+        plus_minus_one = len(self._units) == 2
         representative = self.associate_representative
         for k in _divisors(n):
             if k * k > n:

@@ -331,10 +331,11 @@ def builtin_examples() -> tuple[FactorizationPair, ...]:
 
 
 def run_pipeline(pair: FactorizationPair) -> tuple:
-    """strip -> derive -> build -> verify, returning every stage's output."""
-    stripped = strip_common_associates(pair)
-    if not validate_inequivalent(stripped):
+    """strip -> derive -> build -> verify, returning every stage's output;
+    an equivalent pair raises ValueError before it is stripped."""
+    if not validate_inequivalent(pair):
         raise ValueError("the factorizations are equivalent; no witness exists")
+    stripped = strip_common_associates(pair)
     ell, a, p_s = derive_witness_params(stripped)
     data = build_witness_poly(ell, a, p_s, ring=stripped.ring)
     report = verify_witness(data)

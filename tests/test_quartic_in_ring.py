@@ -38,16 +38,22 @@ RINGS = {
 }
 
 
+def fields_of(out):
+    """An outcome as (status, decomposition, field_evidence, candidates),
+    the tuple the oracles below return."""
+    return out.status, out.decomposition, out.field_evidence, out.candidates
+
+
 def field_quartic_ring_decide(f):
     """The over-ring decision with E and C read off the field closed form,
     and conditions (ii) and (iii) tested by a field division or product
-    and a descent, per candidate."""
+    and a descent, per candidate, as (status, decomposition,
+    field_evidence, candidates)."""
     ring = f.domain
     field = hull_of(ring)
     dec = quartic_field_decompose(embed_poly(f, field))
     if dec is None:
-        return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_FIELD,
-                                 None, None, ())
+        return RingDecideStatus.INDECOMPOSABLE_OVER_FIELD, None, None, ()
     E = dec.g.coefficient(1)
     C = dec.h.coefficient(1)
     lead = f.leading_coefficient
@@ -66,11 +72,11 @@ def field_quartic_ring_decide(f):
                 Polynomial(ring, [f.constant_term, E_by_u, D_by_u2], f.var),
                 Polynomial(ring, [ring.zero, uC, u], f.var))
     if found is None:
-        return RingDecideOutcome(RingDecideStatus.INDECOMPOSABLE_OVER_RING,
-                                 None, dec, tuple(candidates))
+        return (RingDecideStatus.INDECOMPOSABLE_OVER_RING, None, dec,
+                tuple(candidates))
     assert found.certificate == f
-    return RingDecideOutcome(RingDecideStatus.DECOMPOSABLE_OVER_RING,
-                             found, dec, tuple(candidates))
+    return (RingDecideStatus.DECOMPOSABLE_OVER_RING, found, dec,
+            tuple(candidates))
 
 
 def _expansion(field, ell, c, d):
@@ -194,7 +200,7 @@ class TestAgainstTheFieldVersion:
     def test_same_decision_table_pair_and_evidence(self, name, data):
         ring = RINGS[name]
         f = data.draw(quartics(ring))
-        assert outcome(quartic_ring_decide, f) \
+        assert outcome(lambda f: fields_of(quartic_ring_decide(f)), f) \
             == outcome(field_quartic_ring_decide, f)
 
     @pytest.mark.parametrize("name", sorted(RINGS))
@@ -256,7 +262,7 @@ class TestProvedOnce:
         rng = random.Random(3)
         cases = [(f, field_quartic_ring_decide(f)) for ring in RINGS.values()
                  for f in _fixed_quartics(ring, rng, 60)]
-        assert sum(want.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
+        assert sum(want[0] is RingDecideStatus.DECOMPOSABLE_OVER_RING
                    for _, want in cases) >= len(cases) // 2
 
         def refuse(*args):
@@ -264,7 +270,7 @@ class TestProvedOnce:
 
         monkeypatch.setattr(decomp, "compose", refuse)
         for f, want in cases:
-            assert quartic_ring_decide(f) == want
+            assert fields_of(quartic_ring_decide(f)) == want
 
 
 def rich_lead(ring):
@@ -316,61 +322,83 @@ class TestHullDivisions:
         assert hull_divisions == []
 
 
-def eager_outcome(f):
-    """quartic_ring_decide(f) with its field evidence built at once, by the
-    closed form over the hull."""
+def eager_fields(f):
+    """quartic_ring_decide(f) as (status, decomposition, field_evidence,
+    candidates), the evidence built apart, by the closed form over the
+    hull."""
     out = quartic_ring_decide(f)
-    evidence = None
-    if out.status is not RingDecideStatus.INDECOMPOSABLE_OVER_FIELD:
-        evidence = quartic_field_decompose(embed_poly(f, hull_of(f.domain)))
-    return RingDecideOutcome(out.status, out.decomposition, evidence,
-                             out.candidates)
+    evidence = quartic_field_decompose(embed_poly(f, hull_of(f.domain)))
+    return out.status, out.decomposition, evidence, out.candidates
+
+
+#: The outcome itself, and ways to copy it; pickle round-trips at every
+#: protocol.
+COPIERS = {
+    "itself": [lambda x: x],
+    "copy": [copy.copy],
+    "deepcopy": [copy.deepcopy],
+    "replace": [dataclasses.replace],
+    "pickle": [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+}
 
 
 class TestEvidenceOnFirstRead:
-    """An outcome whose evidence waits for its first read is, to every
-    reader, the outcome built with its evidence."""
+    """An outcome whose evidence was read is, to every reader, the outcome
+    whose evidence was not, and both carry the evidence built apart."""
 
     @pytest.mark.parametrize("name", sorted(RINGS))
-    @pytest.mark.parametrize("read_first", [False, True])
-    def test_equal_pickled_copied_and_printed_like_an_eager_one(
-            self, name, read_first):
+    @pytest.mark.parametrize("copier", sorted(COPIERS))
+    def test_read_and_unread_agree_when_compared_copied_and_pickled(
+            self, name, copier):
         ring = RINGS[name]
         fs = _fixed_quartics(ring, random.Random(5), 16) \
             + rich_lead_quartics(ring)
         statuses = set()
         for f in fs:
-            want = eager_outcome(f)
-            statuses.add(want.status)
-
-            def fresh():
-                out = quartic_ring_decide(f)
-                if read_first:
-                    out.field_evidence
-                return out
-
-            assert fresh() == want and want == fresh()
-            assert hash(fresh()) == hash(want)
-            assert repr(fresh()) == repr(want)
-            assert copy.copy(fresh()) == want
-            assert copy.deepcopy(fresh()) == want
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                back = pickle.loads(pickle.dumps(fresh(), protocol))
-                assert back == want and repr(back) == repr(want)
+            want = eager_fields(f)
+            statuses.add(want[0])
+            for make in COPIERS[copier]:
+                read, unread = quartic_ring_decide(f), quartic_ring_decide(f)
+                read.field_evidence
+                read_copy, unread_copy = make(read), make(unread)
+                assert read_copy == unread and unread_copy == read
+                assert hash(read_copy) == hash(unread_copy) == hash(unread)
+                assert repr(read_copy) == repr(unread_copy) == repr(unread)
+                assert fields_of(read_copy) == fields_of(unread_copy) == want
         assert RingDecideStatus.INDECOMPOSABLE_OVER_FIELD in statuses
         assert RingDecideStatus.DECOMPOSABLE_OVER_RING in statuses
+
+    def test_fields_asdict_and_replace(self):
+        f = compose(Polynomial(ZZ, [0, 1, 6], "x"),
+                    Polynomial(ZZ, [0, 1, 1], "x"))
+        out = quartic_ring_decide(f)
+        evidence = out.field_evidence
+        assert [field.name for field in dataclasses.fields(out)] \
+            == ["status", "decomposition", "candidates", "f"]
+        assert dataclasses.asdict(out)["f"] == f
+        again = dataclasses.replace(out)
+        assert again == out and again.field_evidence == evidence
 
     def test_equal_to_the_eager_witness_outcome(self):
         for pair in builtin_examples():
             _, data, report = run_pipeline(pair)
-            assert report.ring_outcome == eager_outcome(data.f)
+            assert fields_of(report.ring_outcome) == eager_fields(data.f)
 
     def test_differs_where_the_evidence_differs(self):
-        f = compose(Polynomial(ZZ, [0, 1, 6], "x"),
-                    Polynomial(ZZ, [0, 1, 1], "x"))
-        out = quartic_ring_decide(f)
-        assert out != RingDecideOutcome(out.status, out.decomposition,
-                                        None, out.candidates)
+        # f and f + 1 share status, decomposition (none) and candidates,
+        # and their evidence differs in g(0): the outcomes differ by f
+        for pair in builtin_examples():
+            _, data, _ = run_pipeline(pair)
+            f = data.f
+            shifted = f + Polynomial(f.domain, [1], "x")
+            out, other = quartic_ring_decide(f), quartic_ring_decide(shifted)
+            assert out.status is RingDecideStatus.INDECOMPOSABLE_OVER_RING
+            assert (out.status, out.decomposition, out.candidates) \
+                == (other.status, other.decomposition, other.candidates)
+            assert out != other             # before either evidence is read
+            assert out.field_evidence != other.field_evidence
+            assert out != other
 
     def test_takes_no_assignment(self):
         out = quartic_ring_decide(Polynomial(ZZ, [0, 1, 0, 0, 2], "x"))
@@ -391,8 +419,8 @@ class TestEvidenceOnFirstRead:
         assert out.status is RingDecideStatus.DECOMPOSABLE_OVER_RING
         assert out.candidates is None
         assert out.field_evidence is out.decomposition
-        assert out == RingDecideOutcome(out.status, out.decomposition,
-                                        out.decomposition, None)
+        assert out.f is None
+        assert out == RingDecideOutcome(out.status, out.decomposition, None)
         assert hull_divisions == []
 
 

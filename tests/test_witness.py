@@ -589,7 +589,7 @@ class TestRingArithmetic:
 class TestPipeline:
     def test_equivalent_pair_raises(self):
         p = FactorizationPair(ZZ, 6, (2, 3), (-3, -2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no witness exists"):
             run_pipeline(p)
 
     def test_pipeline_strips_first(self):
